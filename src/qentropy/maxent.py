@@ -1,11 +1,17 @@
-"""Classical maximum-entropy solver under ordinary expectation constraints.
+"""Maximum-entropy solvers' shared engine and the classical (Gibbs) solver.
 
-Maximizes the measure entropy -sum p_k ln(p_k) mu_k subject to
-sum u_m(x_k) p_k mu_k = t_m.  The maximizer is the Gibbs density
-p_k = exp(-sum_m beta_m u_m(x_k)) / Z(beta); the normalization multiplier is
-absorbed into log Z analytically, so the solver works in the M-dimensional
-dual: minimize the smooth convex function log Z(beta) + beta . t by damped
-Newton (gradient t - E[u], curvature the moment covariance).
+Both MaxEnt prescriptions are solved in their M-dimensional convex dual by
+one damped Newton routine, _dual_newton.  The classical solver maximizes the
+measure entropy -sum p_k ln(p_k) mu_k subject to sum u_m(x_k) p_k mu_k = t_m;
+the maximizer is the Gibbs density p_k = exp(-sum_m beta_m u_m(x_k)) / Z(beta)
+and the dual is log Z(beta) + beta . t (gradient t - E[u], curvature the
+moment covariance).  The escort dual that tsallis.py hands to the same
+routine is described there.
+
+A direction d with d . (u_k - t) > 0 on the whole support proves the targets
+jointly infeasible, and along it the dual decreases without bound; the
+routine tests each Newton step and iterate as such a d and raises
+InfeasibleError naming it.
 """
 
 from __future__ import annotations
@@ -143,15 +149,6 @@ class GibbsSolution:
         return induced_pmf(self.density)
 
 
-def _gibbs_masses(beta: np.ndarray, U: np.ndarray, weights: np.ndarray):
-    """log Z and normalized masses over the support cells only."""
-    support = weights > 0.0
-    exponent = -(beta @ U[:, support]) if U.size else np.zeros(int(support.sum()))
-    log_z = float(logsumexp(exponent, b=weights[support]))
-    masses = np.exp(exponent - log_z) * weights[support]
-    return log_z, masses, support
-
-
 def partition_function(
     beta, constraints: ConstraintSet, partition: WeightedPartition
 ) -> float:
@@ -162,8 +159,8 @@ def partition_function(
             f"beta: need {constraints.size} finite multipliers, got {beta!r}"
         )
     U = constraints.feature_matrix(len(partition))
-    log_z, _, _ = _gibbs_masses(beta, U, partition.weights)
-    return log_z
+    support = partition.weights > 0.0
+    return float(logsumexp(-(beta @ U[:, support]), b=partition.weights[support]))
 
 
 def _check_interior(U: np.ndarray, targets: np.ndarray, support: np.ndarray) -> None:
@@ -178,13 +175,96 @@ def _check_interior(U: np.ndarray, targets: np.ndarray, support: np.ndarray) -> 
             )
 
 
+_ARMIJO = 1e-4
+_ROUNDING = 64.0 * float(np.finfo(float).eps)
+_CERTIFICATE_MARGIN = 1e-12
+
+
+def _certify_infeasible(direction: np.ndarray, centered: np.ndarray) -> None:
+    """Raise InfeasibleError when d = direction/|direction| has d . (u_k - t) > 0
+    on every support cell: then every pmf on the support has d . (E[u] - t) > 0,
+    so no density reaches the targets."""
+    norm = float(np.max(np.abs(direction), initial=0.0))
+    if not (0.0 < norm < math.inf):
+        return
+    d = direction / norm
+    margin = float(np.min(d @ centered))
+    if margin > _CERTIFICATE_MARGIN:
+        raise InfeasibleError(
+            f"targets: jointly infeasible; the direction d = {d.tolist()!r} has "
+            f"d . (u_k - t) >= {margin!r} on every support cell, so no density "
+            f"meets all the targets at once"
+        )
+
+
+def _dual_newton(evaluate, centered, tolerance, max_steps, max_halvings, name):
+    """Damped Newton from b = 0 on a convex dual; both MaxEnt solvers run here.
+
+    evaluate(b) returns (value, gradient, hessian, residual_norm, state), with
+    value +inf outside the dual's domain.  The loop stops once the moment
+    residual is within tolerance.  A step is taken when it passes the Armijo
+    test; a full step is also taken when the dual moved by no more than
+    rounding and the residual fell, because near the minimum the dual is flat
+    to machine precision while its gradient still carries information.
+    centered holds u_k - t for the support cells as columns; each step and
+    each new iterate is tested as an infeasibility certificate.
+
+    Returns (b, state, residual_norm, newton_steps, total_halvings).
+    """
+    b = np.zeros(centered.shape[0])
+    spread = np.abs(centered)
+    value, gradient, hessian, residual_norm, state = evaluate(b)
+    halvings = 0
+    for steps in range(max_steps + 1):
+        if residual_norm <= tolerance:
+            break
+        if steps == max_steps:
+            raise ConvergenceError(
+                f"{name}: moment residual {residual_norm!r} above tolerance "
+                f"{tolerance!r} after {max_steps} iterations",
+                residual_norm,
+                steps,
+            )
+        try:
+            step = np.linalg.solve(hessian, -gradient)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hessian, -gradient, rcond=None)[0]
+        _certify_infeasible(step, centered)
+        decrease = _ARMIJO * float(gradient @ step)
+        # the dual's rounding error grows with |f| and with the size of the
+        # terms of the exponents b . (u_k - t) it is summed from
+        rounding = _ROUNDING * (1.0 + abs(value)) * (1.0 + float(np.max(np.abs(b) @ spread)))
+        scale = 1.0
+        for halving in range(max_halvings + 1):
+            trial = b + scale * step
+            trial_eval = evaluate(trial)
+            change = trial_eval[0] - value
+            if change <= scale * decrease or (
+                halving == 0 and abs(change) <= rounding and trial_eval[3] < residual_norm
+            ):
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError(
+                f"{name}: line search stalled at residual {residual_norm!r} "
+                f"after {max_halvings} halvings",
+                residual_norm,
+                steps,
+            )
+        halvings += halving
+        b = trial
+        value, gradient, hessian, residual_norm, state = trial_eval
+        _certify_infeasible(b, centered)
+    return b, state, residual_norm, steps, halvings
+
+
 def solve_maxent(
     constraints: ConstraintSet,
     partition: WeightedPartition,
     tolerance: float = 1e-10,
     max_iterations: int = 200,
 ) -> GibbsSolution:
-    """Damped Newton on the convex dual, beta = 0 start, moment-residual stop."""
+    """Damped Newton on the convex dual log Z(beta) + beta . t from beta = 0."""
     if constraints.kind != "ordinary":
         raise ValueError(
             f"constraints: kind must be 'ordinary' for the classical solver, "
@@ -197,51 +277,33 @@ def solve_maxent(
     weights = partition.weights
     U = constraints.feature_matrix(len(partition))
     targets = constraints.targets
-    M = constraints.size
     support = weights > 0.0
-    if M:
+    if constraints.size:
         _check_interior(U, targets, support)
+    features = U[:, support]
+    centered_on_targets = features - targets[:, None]
+    cell_weights = weights[support]
 
-    def dual(b: np.ndarray) -> float:
-        exponent = -(b @ U[:, support]) if M else np.zeros(int(support.sum()))
-        return float(logsumexp(exponent, b=weights[support]) + b @ targets)
-
-    beta = np.zeros(M)
-    residual_norm = math.inf
-    iterations = 0
-    for iterations in range(max_iterations + 1):
-        log_z, masses, _ = _gibbs_masses(beta, U, weights)
-        moments = U[:, support] @ masses if M else np.zeros(0)
+    def evaluate(b: np.ndarray):
+        # log Z + b . t summed on the centred exponent: adding b . t to log Z
+        # would cancel digits and hide the dual's last decrease in rounding
+        value = float(logsumexp(-(b @ centered_on_targets), b=cell_weights))
+        if not math.isfinite(value):
+            return math.inf, None, None, math.inf, None
+        exponent = -(b @ features)
+        log_z = float(logsumexp(exponent, b=cell_weights))
+        masses = np.exp(exponent - log_z) * cell_weights
+        moments = features @ masses
         residual = moments - targets
-        residual_norm = float(np.max(np.abs(residual))) if M else 0.0
-        if residual_norm <= tolerance:
-            break
-        if iterations == max_iterations:
-            raise ConvergenceError(
-                f"solve_maxent: moment residual {residual_norm!r} above tolerance "
-                f"{tolerance!r} after {max_iterations} iterations",
-                residual_norm,
-                iterations,
-            )
-        centered = U[:, support] - moments[:, None]
+        residual_norm = float(np.max(np.abs(residual), initial=0.0))
+        centered = features - moments[:, None]
         hessian = centered @ (centered * masses).T
-        try:
-            step = np.linalg.solve(hessian, residual)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hessian, residual, rcond=None)[0]
-        # non-strict comparison: near the flat minimum the full Newton step
-        # is correct even when the dual no longer visibly decreases
-        base = dual(beta)
-        scale = 1.0
-        for _ in range(60):
-            trial = beta + scale * step
-            if dual(trial) <= base:
-                break
-            scale *= 0.5
-        beta = beta + scale * step
+        return value, -residual, hessian, residual_norm, (exponent, log_z, moments)
 
+    beta, (exponent, log_z, moments), residual_norm, iterations, _ = _dual_newton(
+        evaluate, centered_on_targets, tolerance, max_iterations, 60, "solve_maxent"
+    )
     values = np.zeros(len(partition))
-    exponent = -(beta @ U[:, support]) if M else np.zeros(int(support.sum()))
     values[support] = np.exp(exponent - log_z)
     density = DensityVector(values, partition)
     entropy = shannon_entropy(density)

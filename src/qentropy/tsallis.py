@@ -2,13 +2,22 @@
 
 The maximizer has the deformed-exponential form
 
-    p_k = e_q(-(1/w) sum_m beta_m (u_m(x_k) - t_m)) / zbar,   w = sum_k p_k^q mu_k,
+    p_k = e_q(-lambda . (u(x_k) - t)) / zbar,   lambda = beta / w,   w = sum_k p_k^q mu_k,
 
-which is self-referential through the escort normalizer w.  The solver runs a
-double loop: an inner damped fixed-point iteration on w at fixed beta, and an
-outer quasi-Newton iteration on beta driving the escort-moment residuals to
-tolerance.  Inside the classical band the whole problem degenerates to the
-Gibbs case and is delegated to the better-conditioned classical solver.
+which is self-referential in the true multipliers beta through the escort
+normalizer w.  In the renormalized multipliers lambda = beta_q it is not:
+since e_q' = e_q^q and e_q is convex, the solution minimizes the convex dual
+
+    zbar(lambda) = sum_k mu_k e_q(-lambda . (u_k - t)),
+
+whose gradient -sum_k mu_k e_q^q (u_k - t) vanishes exactly where the escort
+moments meet the targets (the "optimal Lagrange multipliers" reading of
+Martinez, Nicolas, Pennini & Plastino, Physica A 286 (2000) 489).  The
+Hessian is sum_k mu_k q e_q^(2q-1) (u_k - t)(u_k - t)^T over the live cells.
+maxent._dual_newton minimizes it, the same routine the Gibbs solver uses:
+the dual is +inf past the q > 1 pole, cells past the q < 1 cut-off drop out,
+and inside the classical band e_q = exp.  Afterwards w = sum_k p_k^q mu_k and
+beta = lambda w.
 
 Identity checks are returned as a named residual map rather than asserted, so
 a caller can log them; solutions additionally satisfy w = zbar^(1-q) and
@@ -23,14 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import tsallis_entropy
-from .maxent import (
-    ConstraintSet,
-    ConvergenceError,
-    InfeasibleError,
-    _check_interior,
-    partition_function,
-    solve_maxent,
-)
+from .maxent import ConstraintSet, _check_interior, _dual_newton
 from .measure import (
     DensityVector,
     ProbabilityVector,
@@ -95,8 +97,9 @@ class TsallisSolution:
     """Converged escort-constrained Tsallis MaxEnt output.
 
     beta are the true multipliers; beta_q = beta / q_mass the renormalized
-    ones appearing inside the q-exponential.  iterations = (outer, inner
-    total).  identity_residuals is the map from identity_residuals().
+    ones appearing inside the q-exponential.  iterations = (Newton steps,
+    total step halvings).  identity_residuals is the map from
+    identity_residuals().
     """
 
     constraints: ConstraintSet
@@ -127,28 +130,27 @@ def _require_escort(constraints: ConstraintSet) -> DeformationIndex:
     return constraints.q
 
 
-def _qexp_values(
-    beta: np.ndarray,
-    q_mass: float,
-    centers: np.ndarray,
-    U: np.ndarray,
-    weights: np.ndarray,
-    idx: DeformationIndex,
-):
-    """Evaluate the deformed-exponential family; returns (values, zbar)."""
-    if beta.size:
-        argument = -((beta / q_mass) @ (U - centers[:, None]))
-    else:
-        argument = np.zeros(weights.size)
-    raw = q_exp(argument, idx)
-    raw = np.where(weights > 0.0, raw, 0.0)
-    zbar = float(raw @ weights)
-    if zbar <= 0.0:
-        raise EmptySupportError(
-            "beta: every support cell is cut off by the q-exponential; "
-            "the multipliers are too extreme for this index"
-        )
-    return raw / zbar, zbar
+def _one_minus_q(idx: DeformationIndex) -> float:
+    return 0.0 if idx.is_classical else 1.0 - idx.q
+
+
+def _escort_family(lam: np.ndarray, centered: np.ndarray, one_minus_q: float):
+    """e_q(x_k) and e_q(x_k)^(q-1) at x_k = -lam . (u_k - t), one per column
+    of centered; both are 0 past the q < 1 cut-off, and the result is None
+    past the q > 1 pole, where the family does not exist."""
+    x = -(lam @ centered)
+    if one_minus_q == 0.0:
+        return np.exp(x), np.ones_like(x)
+    base = 1.0 + one_minus_q * x
+    live = base > 0.0
+    if one_minus_q < 0.0 and not np.all(live):
+        return None
+    raw = np.zeros_like(x)
+    ratio = np.zeros_like(x)
+    # log1p keeps the exponent accurate when q is close to the classical band
+    raw[live] = np.exp(np.log1p(one_minus_q * x[live]) / one_minus_q)
+    ratio[live] = 1.0 / base[live]
+    return raw, ratio
 
 
 def q_maxent_density(
@@ -169,10 +171,16 @@ def q_maxent_density(
     if not (np.isfinite(q_mass_guess) and q_mass_guess > 0.0):
         raise ValueError(f"q_mass_guess: need a positive real, got {q_mass_guess!r}")
     U = constraints.feature_matrix(len(partition))
-    values, zbar = _qexp_values(
-        beta, float(q_mass_guess), constraints.targets, U, partition.weights, idx
-    )
-    return DensityVector(values, partition), zbar
+    weights = partition.weights
+    raw = q_exp(-((beta / float(q_mass_guess)) @ (U - constraints.targets[:, None])), idx)
+    raw = np.where(weights > 0.0, raw, 0.0)
+    zbar = float(raw @ weights)
+    if zbar <= 0.0:
+        raise EmptySupportError(
+            "beta: every support cell is cut off by the q-exponential; "
+            "the multipliers are too extreme for this index"
+        )
+    return DensityVector(raw / zbar, partition), zbar
 
 
 def _power_mass(values: np.ndarray, weights: np.ndarray, idx: DeformationIndex) -> float:
@@ -180,34 +188,6 @@ def _power_mass(values: np.ndarray, weights: np.ndarray, idx: DeformationIndex) 
     live = values > 0.0
     powers[live] = np.exp(idx.q * np.log(values[live]))
     return float(powers @ weights)
-
-
-def _fixed_point(
-    beta: np.ndarray,
-    centers: np.ndarray,
-    q_mass0: float,
-    U: np.ndarray,
-    weights: np.ndarray,
-    idx: DeformationIndex,
-    tol: float,
-    max_inner: int,
-    damping: float,
-):
-    """Damped fixed point on q_mass at fixed beta and fixed centering values."""
-    q_mass = q_mass0
-    for inner in range(1, max_inner + 1):
-        values, zbar = _qexp_values(beta, q_mass, centers, U, weights, idx)
-        new_mass = _power_mass(values, weights, idx)
-        if abs(new_mass - q_mass) <= tol * max(1.0, abs(q_mass)):
-            return values, zbar, new_mass, inner
-        q_mass = (1.0 - damping) * q_mass + damping * new_mass
-    raise ConvergenceError(
-        f"solve_tsallis_maxent: inner fixed point on the escort normalizer did "
-        f"not settle in {max_inner} iterations (last change "
-        f"{abs(new_mass - q_mass)!r}); try a smaller damping",
-        abs(new_mass - q_mass),
-        max_inner,
-    )
 
 
 def identity_residuals(
@@ -236,136 +216,57 @@ def identity_residuals(
     }
 
 
-def _delegate_classical(
-    constraints: ConstraintSet,
-    partition: WeightedPartition,
-    idx: DeformationIndex,
-    tolerance: float,
-) -> TsallisSolution:
-    ordinary = ConstraintSet(constraints.functions, constraints.targets, "ordinary")
-    g = solve_maxent(ordinary, partition, tolerance=tolerance)
-    # Gibbs normalizer of the centered family: zbar = exp(log Z + beta . t)
-    zbar = math.exp(g.log_z + float(g.beta @ constraints.targets))
-    residuals = identity_residuals(
-        g.density, idx, zbar, g.beta, g.beta, g.achieved_moments, constraints.targets
-    )
-    return TsallisSolution(
-        constraints=constraints,
-        partition=partition,
-        q=idx,
-        beta=g.beta,
-        beta_q=g.beta.copy(),
-        q_mass=1.0,
-        zbar=zbar,
-        density=g.density,
-        escort_moments=g.achieved_moments,
-        entropy_q=g.entropy,
-        residual_norm=g.residual_norm,
-        iterations=(g.iterations, 0),
-        identity_residuals=residuals,
-    )
-
-
 def solve_tsallis_maxent(
     constraints: ConstraintSet,
     partition: WeightedPartition,
     tolerance: float = 1e-10,
     max_outer: int = 100,
     max_inner: int = 500,
-    damping: float = 0.5,
 ) -> TsallisSolution:
-    """Double-loop solver: inner fixed point on q_mass, outer quasi-Newton on beta."""
+    """Damped Newton on the escort dual zbar(lambda), lambda = beta_q, from 0.
+
+    max_outer caps the Newton steps and max_inner the step halvings within
+    one Newton step.
+    """
     idx = _require_escort(constraints)
     if not (0.0 < tolerance < 1.0):
         raise ValueError(f"tolerance: need a value in (0, 1), got {tolerance!r}")
-    if not (0.0 < damping <= 1.0):
-        raise ValueError(f"damping: need a value in (0, 1], got {damping!r}")
     if max_outer < 1 or max_inner < 1:
         raise ValueError(
             f"max_outer, max_inner: need positive counts, got {max_outer!r}, {max_inner!r}"
         )
-    if idx.is_classical:
-        return _delegate_classical(constraints, partition, idx, tolerance)
-
     weights = partition.weights
     U = constraints.feature_matrix(len(partition))
     targets = constraints.targets
-    M = constraints.size
     support = weights > 0.0
-    if M:
+    if constraints.size:
         _check_interior(U, targets, support)
+    features = U[:, support]
+    centered = features - targets[:, None]
+    mu = weights[support]
+    one_minus_q = _one_minus_q(idx)
 
-    inner_tol = min(1e-12, tolerance)
-    total_mass = float(np.sum(weights))
-    # uniform start: density 1/mu(X), whose q_mass is mu(X)^(1-q)
-    q_mass = math.exp((1.0 - idx.q) * math.log(total_mass))
-    beta = np.zeros(M)
-    inner_total = 0
+    def evaluate(lam: np.ndarray):
+        family = _escort_family(lam, centered, one_minus_q)
+        zbar = 0.0 if family is None else float(mu @ family[0])
+        if zbar == 0.0:
+            # past the pole, or every cell cut off: no density exists here
+            return math.inf, None, None, math.inf, None
+        raw, ratio = family
+        escort = mu * raw * ratio
+        moments = (features @ escort) / float(np.sum(escort))
+        residual_norm = float(np.max(np.abs(moments - targets), initial=0.0))
+        hessian = (centered * ((1.0 - one_minus_q) * escort * ratio)) @ centered.T
+        return zbar, -(centered @ escort), hessian, residual_norm, (raw, zbar, moments)
 
-    def evaluate(b: np.ndarray, w0: float):
-        values, zbar, w, inner = _fixed_point(
-            b, targets, w0, U, weights, idx, inner_tol, max_inner, damping
-        )
-        view_masses = np.zeros_like(values)
-        live = values > 0.0
-        view_masses[live] = np.exp(idx.q * np.log(values[live])) * weights[live]
-        moments = (U @ view_masses) / w if M else np.zeros(0)
-        return values, zbar, w, moments, inner
-
-    values, zbar, q_mass, moments, inner = evaluate(beta, q_mass)
-    inner_total += inner
-    residual = moments - targets
-    residual_norm = float(np.max(np.abs(residual))) if M else 0.0
-    outer = 0
-    while residual_norm > tolerance:
-        if outer >= max_outer:
-            raise ConvergenceError(
-                f"solve_tsallis_maxent: escort-moment residual {residual_norm!r} "
-                f"above tolerance {tolerance!r} after {max_outer} outer iterations",
-                residual_norm,
-                outer,
-            )
-        jacobian = np.zeros((M, M))
-        for m in range(M):
-            h = 1e-6 * max(1.0, abs(beta[m]))
-            bumped = beta.copy()
-            bumped[m] += h
-            _, _, _, moments_h, inner = evaluate(bumped, q_mass)
-            inner_total += inner
-            jacobian[:, m] = (moments_h - moments) / h
-        try:
-            step = np.linalg.solve(jacobian, -residual)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jacobian, -residual, rcond=None)[0]
-        scale = 1.0
-        accepted = False
-        for _ in range(40):
-            try:
-                trial = beta + scale * step
-                values_t, zbar_t, w_t, moments_t, inner = evaluate(trial, q_mass)
-                inner_total += inner
-            except EmptySupportError:
-                scale *= 0.5
-                continue
-            trial_residual = moments_t - targets
-            trial_norm = float(np.max(np.abs(trial_residual)))
-            if trial_norm < residual_norm:
-                beta, values, zbar, q_mass = trial, values_t, zbar_t, w_t
-                moments, residual, residual_norm = moments_t, trial_residual, trial_norm
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                f"solve_tsallis_maxent: line search stalled at residual "
-                f"{residual_norm!r}; the targets may be near the feasibility boundary",
-                residual_norm,
-                outer,
-            )
-        outer += 1
-
+    beta_q, (raw, zbar, moments), residual_norm, steps, halvings = _dual_newton(
+        evaluate, centered, tolerance, max_outer, max_inner, "solve_tsallis_maxent"
+    )
+    values = np.zeros(len(partition))
+    values[support] = raw / zbar
     density = DensityVector(values, partition)
-    beta_q = beta / q_mass
+    q_mass = _power_mass(values, weights, idx)
+    beta = beta_q * q_mass
     entropy_q = tsallis_entropy(density, idx)
     residuals = identity_residuals(density, idx, zbar, beta, beta_q, moments, targets)
     return TsallisSolution(
@@ -380,53 +281,55 @@ def solve_tsallis_maxent(
         escort_moments=moments,
         entropy_q=entropy_q,
         residual_norm=residual_norm,
-        iterations=(outer, inner_total),
+        iterations=(steps, halvings),
         identity_residuals=residuals,
     )
 
 
-def _lnq_legendre(zbar: float, beta: np.ndarray, moments: np.ndarray, idx) -> float:
-    return float(q_log(zbar, idx)) - float(beta @ moments)
+def _lnq_z_gradient(solution: TsallisSolution, fd_step: float) -> np.ndarray:
+    """d(ln_q Z_q)/d(beta) by central differences at beta_q +- h e_m.
 
-
-def _self_consistent_eval(
-    beta: np.ndarray,
-    solution: TsallisSolution,
-    tol: float = 1e-12,
-    max_iter: int = 2000,
-    damping: float = 0.5,
-):
-    """Fixed point in (q_mass, centering moments) at fixed beta.
-
-    Used by the multiplier-derivative check, where the centering values are
-    treated as solved-for quantities rather than held at the original targets.
+    At each shifted gamma the solver's target-centred density is re-centred on
+    its own escort mean c, in closed form through
+    e_q(x + y) = e_q(x) e_q(y / (1 + (1-q) x)):
+    lambda' = gamma / (1 - (1-q) gamma . (c - t)), beta' = lambda' w and
+    zbar_c = e_q(lambda' . (c - t)) zbar(gamma), so ln_q Z_q = ln_q zbar_c - beta' . c.
+    The shifts move beta' along no coordinate axis, so the gradient solves the
+    M x M system of central differences.
     """
     idx = solution.q
-    U = solution.constraints.feature_matrix(len(solution.partition))
+    constraints = solution.constraints
     weights = solution.partition.weights
-    q_mass = solution.q_mass
-    centers = solution.escort_moments.copy()
-    for _ in range(max_iter):
-        values, zbar = _qexp_values(beta, q_mass, centers, U, weights, idx)
-        new_mass = _power_mass(values, weights, idx)
-        view_masses = np.zeros_like(values)
-        live = values > 0.0
-        view_masses[live] = np.exp(idx.q * np.log(values[live])) * weights[live]
-        new_centers = (U @ view_masses) / new_mass
-        drift = max(
-            abs(new_mass - q_mass),
-            float(np.max(np.abs(new_centers - centers), initial=0.0)),
-        )
-        if drift <= tol:
-            return zbar, new_mass, new_centers
-        q_mass = (1.0 - damping) * q_mass + damping * new_mass
-        centers = (1.0 - damping) * centers + damping * new_centers
-    raise ConvergenceError(
-        f"tsallis_thermo: self-consistent evaluation at shifted multipliers did "
-        f"not settle (drift {drift!r})",
-        drift,
-        max_iter,
-    )
+    support = weights > 0.0
+    features = constraints.feature_matrix(weights.size)[:, support]
+    targets = constraints.targets
+    centered = features - targets[:, None]
+    mu = weights[support]
+    one_minus_q = _one_minus_q(idx)
+
+    def point(gamma: np.ndarray):
+        raw, ratio = _escort_family(gamma, centered, one_minus_q)
+        zbar = float(mu @ raw)
+        escort = mu * raw * ratio
+        escort_mass = float(np.sum(escort))
+        offset = (features @ escort) / escort_mass - targets
+        w = escort_mass / zbar ** (1.0 - one_minus_q)
+        lam = gamma / (1.0 - one_minus_q * float(gamma @ offset))
+        beta = lam * w
+        zbar_c = float(q_exp(float(lam @ offset), idx)) * zbar
+        return beta, float(q_log(zbar_c, idx)) - float(beta @ (targets + offset))
+
+    M = constraints.size
+    beta_steps = np.zeros((M, M))
+    rises = np.zeros(M)
+    for m in range(M):
+        shift = np.zeros(M)
+        shift[m] = fd_step
+        beta_plus, plus = point(solution.beta_q + shift)
+        beta_minus, minus = point(solution.beta_q - shift)
+        beta_steps[m] = beta_plus - beta_minus
+        rises[m] = plus - minus
+    return np.linalg.solve(beta_steps, rises)
 
 
 def tsallis_thermo(
@@ -440,7 +343,8 @@ def tsallis_thermo(
                          ln_q Z_q = ln_q zbar - beta . moments when moments
                          are read at the targets instead of the achieved values
     log_z_gradient[m]:   |d(ln_q Z_q)/d(beta_m) + <<u_m>>|, differencing the
-                         self-consistent evaluation at beta +- h
+                         family re-centred on its own escort mean (see
+                         _lnq_z_gradient)
     entropy_sensitivity[m]: |dS_q/d(t_m) - beta_m|, re-solving at t_m +- h
 
     The sensitivity sign matches the classical solver: for this family
@@ -450,7 +354,6 @@ def tsallis_thermo(
     if not (0.0 < fd_step < 1.0):
         raise ValueError(f"fd_step: need a value in (0, 1), got {fd_step!r}")
     M = constraints.size
-    idx = solution.q
     partition = solution.partition
     out = {
         "legendre_gap": float(
@@ -458,16 +361,9 @@ def tsallis_thermo(
         )
         if M
         else 0.0,
-        "log_z_gradient": np.zeros(M),
+        "log_z_gradient": np.abs(_lnq_z_gradient(solution, fd_step) + solution.escort_moments),
         "entropy_sensitivity": np.zeros(M),
     }
-
-    def lnq_z_at(b: np.ndarray) -> float:
-        if idx.is_classical:
-            ordinary = ConstraintSet(constraints.functions, constraints.targets, "ordinary")
-            return partition_function(b, ordinary, partition)
-        zbar, _, centers = _self_consistent_eval(b, solution)
-        return _lnq_legendre(zbar, b, centers, idx)
 
     def entropy_at(m: int, value: float) -> float:
         shifted = constraints.targets.copy()
@@ -477,18 +373,13 @@ def tsallis_thermo(
         ).entropy_q
 
     for m in range(M):
-        unit = np.zeros(M)
-        unit[m] = 1.0
-        plus = lnq_z_at(solution.beta + fd_step * unit)
-        minus = lnq_z_at(solution.beta - fd_step * unit)
-        grad_fd = (plus - minus) / (2.0 * fd_step)
-        out["log_z_gradient"][m] = abs(grad_fd + solution.escort_moments[m])
-
         step = fd_step
         try:
             s_plus = entropy_at(m, constraints.targets[m] + step)
             s_minus = entropy_at(m, constraints.targets[m] - step)
-        except (InfeasibleError, ValueError):
+        except ValueError:
+            # shifted target left the attainable range or its interior;
+            # retry once with a tenth of the step
             step = fd_step / 10.0
             s_plus = entropy_at(m, constraints.targets[m] + step)
             s_minus = entropy_at(m, constraints.targets[m] - step)

@@ -9,8 +9,8 @@ mathematically supportable second-order bound (passes), and once at the
 literal flat 1e-5 bound over the full stated domain, which no faithful
 evaluation of the deformed logarithm can satisfy: the true deviation at the
 domain edge is |1-q| (ln x)^2 / 2 = 2.39e-5.  That test is expected to fail
-and is left failing on purpose; see notes/decisions.md in the workspace
-root for the analysis.
+and is left failing on purpose; the Install section of README.md gives the
+analysis.
 """
 
 import math
@@ -275,7 +275,7 @@ def test_criterion_8_qcalc_properties():
 
     # inverse pair at the stated 1e-12: sampled where double precision can
     # carry it (the relative error of the composition grows like
-    # eps * x^(q-1), so x is capped at 50; see notes/decisions.md)
+    # eps * x^(q-1), so x is capped at 50; see the Install section of README.md)
     inv_worst = 0.0
     for _ in range(100):
         q = float(rng.uniform(1e-3, 3.0))

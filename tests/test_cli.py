@@ -206,6 +206,23 @@ def test_nonconvergence_exits_two(capsys):
     assert payload["error"]["residual_norm"] > 0.0
 
 
+def test_jointly_infeasible_targets_exit_one(capsys):
+    # (E x, E x^2, E sin 3x) = (0.4, 0.25, 0.3) has no pmf on [0, 1]
+    x = [(k + 0.5) / 1000 for k in range(1000)]
+    spec = json.dumps({
+        "partition": {"n": 1000, "mode": "lebesgue", "interval": [0.0, 1.0]},
+        "constraints": [
+            {"values": x, "target": 0.4},
+            {"values": [v * v for v in x], "target": 0.25},
+            {"values": [math.sin(3.0 * v) for v in x], "target": 0.3},
+        ],
+    })
+    code, out, err = run_cli(capsys, "maxent", "--kind", "shannon", "--input", spec)
+    assert code == 1
+    assert out == ""
+    assert "jointly infeasible" in json.loads(err)["error"]["message"]
+
+
 def test_io_failures_exit_three(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "entropy", "--kind", "shannon", "--input", str(tmp_path / "missing.json")

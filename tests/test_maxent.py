@@ -9,16 +9,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qentropy import (
     ConstraintSet,
     ConvergenceError,
     InfeasibleError,
+    ProbabilityVector,
     WeightedPartition,
+    escort_view,
     partition_function,
+    radon_nikodym,
     shannon_entropy,
     solve_maxent,
+    solve_tsallis_maxent,
     thermo_residuals,
+    tsallis_thermo,
     uniform_partition,
 )
 
@@ -195,3 +202,70 @@ def test_thermo_step_shrinks_near_the_boundary():
     # the entropy surface is sharply curved this close to the edge, so the
     # finite difference is only good to a few percent here
     assert float(np.max(sens)) < 0.1
+
+
+def midpoints(n):
+    return (np.arange(n) + 0.5) / n
+
+
+def jointly_infeasible_problem(kind="ordinary", q=None):
+    # each target lies inside its own range and E x^2 >= (E x)^2 holds, but
+    # no pmf on [0, 1] has (E x, E x^2, E sin 3x) = (0.4, 0.25, 0.3)
+    n = 10_000
+    x = midpoints(n)
+    return (
+        ConstraintSet([x, x * x, np.sin(3.0 * x)], [0.4, 0.25, 0.3], kind, q),
+        uniform_partition(n, "lebesgue", (0.0, 1.0)),
+    )
+
+
+def test_jointly_infeasible_targets_raise_with_a_certificate():
+    with pytest.raises(InfeasibleError, match="jointly infeasible; the direction d = "):
+        solve_maxent(*jointly_infeasible_problem())
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_jointly_infeasible_escort_targets_raise_with_a_certificate(q):
+    with pytest.raises(InfeasibleError, match="jointly infeasible; the direction d = "):
+        solve_tsallis_maxent(*jointly_infeasible_problem("escort", q))
+
+
+def test_audit_resolves_where_the_dual_is_flat_to_rounding():
+    # near this optimum the dual's last decrease is below its rounding, so the
+    # audit's re-solves at 1e-12 finish on the moment residual alone
+    n = 100
+    constraints = ConstraintSet([midpoints(n)], [0.5147])
+    sol = solve_maxent(constraints, uniform_partition(n, "lebesgue", (0.0, 1.0)))
+    grad, sens = thermo_residuals(sol)
+    assert float(np.max(grad)) < 1e-6
+    assert float(np.max(sens)) < 1e-4
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    masses=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=200),
+    q=st.sampled_from([0.5, 0.7, 1.0, 1.5, 2.0, 3.0]),
+    count=st.integers(1, 2),
+    mode=st.sampled_from(["counting", "lebesgue"]),
+    escort=st.booleans(),
+)
+def test_moments_of_a_positive_pmf_always_solve_and_audit(masses, q, count, mode, escort):
+    # targets read off a strictly positive pmf are feasible by construction
+    n = len(masses)
+    partition = uniform_partition(n, mode, (0.0, 1.0) if mode == "lebesgue" else None)
+    P = ProbabilityVector(np.asarray(masses) / math.fsum(masses))
+    x = midpoints(n)
+    U = np.vstack([x, x * x][:count])
+    if escort:
+        targets = U @ escort_view(radon_nikodym(P, partition), q).weights
+        sol = solve_tsallis_maxent(ConstraintSet(list(U), targets, "escort", q), partition)
+        audit = tsallis_thermo(sol)
+        assert np.all(np.isfinite(audit["log_z_gradient"]))
+        assert np.all(np.isfinite(audit["entropy_sensitivity"]))
+        assert np.all(np.abs(sol.escort_moments - targets) <= 1e-10)
+    else:
+        targets = U @ P.masses
+        sol = solve_maxent(ConstraintSet(list(U), targets), partition)
+        grad, sens = thermo_residuals(sol)
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(sens))
+        assert np.all(np.abs(sol.achieved_moments - targets) <= 1e-10)
