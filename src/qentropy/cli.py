@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import (
+    MAX_BASE_EXPONENT,
     BaseGridDensity,
+    check_capped,
+    check_levels,
     convergence_table,
     demo_to_csv,
     entropy_nonextension_demo,
@@ -82,10 +85,16 @@ def _parse_levels(text: str) -> tuple[int, ...]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError
-            return tuple(range(lo, hi + 1))
-        return (int(text),)
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise _UsageError(f"levels: expected N or A..B with A <= B, got {text!r}") from None
+    if hi > MAX_BASE_EXPONENT:
+        raise _UsageError(
+            f"levels: {hi} exceeds the cap of {MAX_BASE_EXPONENT} "
+            f"(base grids hold at most 2^{MAX_BASE_EXPONENT} cells)"
+        )
+    return tuple(range(lo, hi + 1))
 
 
 def build_parser() -> _Parser:
@@ -229,6 +238,13 @@ def _run_divergence(spec: RunSpec) -> dict:
     return out
 
 
+def _exponent(spec: RunSpec, obj: dict, field: str, default: int, minimum: int = 1) -> int:
+    """Base exponent from --base-resolution or the input field, within the cap."""
+    if spec.base_resolution is not None:
+        return check_capped(spec.base_resolution, "--base-resolution", minimum)
+    return check_capped(int(obj.get(field, default)), field, minimum)
+
+
 def _grid_density(obj, interval, exponent: int, field: str) -> BaseGridDensity:
     if isinstance(obj, dict) and "expr" in obj:
         return BaseGridDensity.from_function(
@@ -247,17 +263,19 @@ def _run_approx(spec: RunSpec):
     if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
         raise ValueError(f"interval: expected [a, b], got {interval!r}")
     interval = (float(interval[0]), float(interval[1]))
-    exponent = spec.base_resolution
-    if exponent is None:
-        exponent = int(obj.get("base_exponent", 20))
+    exponent = _exponent(spec, obj, "base_exponent", 20)
     levels = spec.levels if spec.levels is not None else obj.get("levels")
     if levels is None:
         raise ValueError("levels: the approx command needs --levels or a 'levels' field")
+    levels = [int(n) for n in levels]
     if "p" not in obj or "r" not in obj:
         raise ValueError("p, r: approx needs two densities")
+    if any(isinstance(obj[field], dict) for field in ("p", "r")):
+        # an expression is sampled on 2^exponent cells: refuse before allocating
+        check_levels(levels, 2**exponent)
     p = _grid_density(obj["p"], interval, exponent, "p")
     r = _grid_density(obj["r"], interval, exponent, "r")
-    rows = convergence_table(p, r, index, kind, [int(n) for n in levels])
+    rows = convergence_table(p, r, index, kind, levels)
     if spec.format == "csv":
         return table_to_csv(rows)
     return {
@@ -396,9 +414,7 @@ def _run_demo(spec: RunSpec):
     interval = obj.get("interval", (0.0, 1.0))
     if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
         raise ValueError(f"interval: expected [a, b], got {interval!r}")
-    exponent = spec.base_resolution
-    if exponent is None:
-        exponent = int(obj.get("resolution_exponent", 16))
+    exponent = _exponent(spec, obj, "resolution_exponent", 16, minimum=0)
     report = entropy_nonextension_demo(
         [int(n) for n in n_list],
         (float(interval[0]), float(interval[1])),

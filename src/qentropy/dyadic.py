@@ -11,6 +11,10 @@ overflow cell for values >= n.  The simple function f_n takes the mu-mean of
 the density on each nonempty group; the masses of those groups form the
 approximating pmf whose discrete Renyi/Tsallis divergences converge to the
 measure-theoretic value as n grows.
+
+The levels form a refining chain: a level-n bin is a union of level-L bins,
+floor(v 2^n) = floor(v 2^L) >> (L-n), so convergence_table bins each density
+once at the finest level L and reads every coarser level off that.
 """
 
 from __future__ import annotations
@@ -20,15 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .entropy import (
-    measure_entropy,
-    renyi_divergence,
-    shannon_entropy,
-    tsallis_divergence,
-)
-from .measure import DensityVector, ProbabilityVector, uniform_partition
+from .entropy import renyi_divergence, tsallis_divergence
+from .measure import ProbabilityVector
 from .qcalc import DeformationIndex, as_index
 
 __all__ = [
@@ -42,6 +40,7 @@ __all__ = [
     "dyadic_approximation",
     "approximating_pmf",
     "common_refinement",
+    "reference_divergence",
     "convergence_table",
     "table_to_csv",
     "entropy_nonextension_demo",
@@ -52,15 +51,36 @@ CSV_HEADER = "level,discrete_divergence,reference_divergence,abs_error"
 
 # base-resolution defaults: acceptance runs use 20, property tests 16
 DEFAULT_BASE_EXPONENT = 16
+# cap on every grid built here: 2^24 cells, 128 MiB per float array
+MAX_BASE_EXPONENT = 24
+MAX_CELLS = 2**MAX_BASE_EXPONENT
 
 
 class ResolutionError(ValueError):
     """Requested dyadic level is finer than the base grid can resolve."""
 
 
+def check_capped(value, field: str, minimum: int = 1, cap: int = MAX_BASE_EXPONENT) -> int:
+    """An integer in minimum..cap, checked before anything of that size is built."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and minimum <= value <= cap):
+        raise ValueError(
+            f"{field}: need an integer in {minimum}..{cap} "
+            f"(grids hold at most 2^{MAX_BASE_EXPONENT} cells), got {value!r}"
+        )
+    return int(value)
+
+
+def _interval(interval) -> tuple[float, float]:
+    a, b = float(interval[0]), float(interval[1])
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise ValueError(f"interval: need finite a < b, got ({a}, {b})")
+    return a, b
+
+
 @dataclass(frozen=True, eq=False)
 class BaseGridDensity:
-    """Simple-function density on 2^B uniform cells of [a, b].
+    """Simple-function density on 2^B uniform cells of [a, b], B <= MAX_BASE_EXPONENT.
 
     bound is the known finite sup of the density; renormalization records
     the factor applied to the raw inputs (1.0 when none was needed).
@@ -72,16 +92,14 @@ class BaseGridDensity:
     renormalization: float = 1.0
 
     def __post_init__(self) -> None:
-        a, b = float(self.interval[0]), float(self.interval[1])
-        object.__setattr__(self, "interval", (a, b))
+        object.__setattr__(self, "interval", _interval(self.interval))
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise ValueError(f"interval: need finite a < b, got ({a}, {b})")
         n = values.size
-        if values.ndim != 1 or n == 0 or (n & (n - 1)) != 0:
+        if values.ndim != 1 or n == 0 or (n & (n - 1)) != 0 or n > MAX_CELLS:
             raise ValueError(
-                f"values: need a power-of-two number of base cells, got {values.shape}"
+                f"values: need a power-of-two number of base cells up to "
+                f"2^{MAX_BASE_EXPONENT}, got {values.shape}"
             )
         if np.any(~np.isfinite(values)) or np.any(values < 0.0):
             raise ValueError("values: must be finite and nonnegative")
@@ -105,11 +123,6 @@ class BaseGridDensity:
         a, b = self.interval
         return (b - a) / self.values.size
 
-    @property
-    def midpoints(self) -> np.ndarray:
-        a, b = self.interval
-        return a + (b - a) * (np.arange(self.values.size) + 0.5) / self.values.size
-
     @classmethod
     def from_function(
         cls,
@@ -119,27 +132,11 @@ class BaseGridDensity:
         bound: float | None = None,
     ) -> "BaseGridDensity":
         """Evaluate fn at base-cell midpoints and renormalize to unit mass."""
-        if not isinstance(base_exponent, (int, np.integer)) or base_exponent < 1:
-            raise ValueError(f"base_exponent: need an integer >= 1, got {base_exponent!r}")
-        a, b = float(interval[0]), float(interval[1])
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise ValueError(f"interval: need finite a < b, got ({a}, {b})")
-        n = 2 ** int(base_exponent)
+        n = 2 ** check_capped(base_exponent, "base_exponent")
+        a, b = _interval(interval)
         x = a + (b - a) * (np.arange(n) + 0.5) / n
-        raw = np.asarray(fn(x), dtype=float)
-        raw = np.broadcast_to(raw, x.shape).astype(float)
-        if np.any(~np.isfinite(raw)) or np.any(raw < 0.0):
-            raise ValueError("fn: density values must be finite and nonnegative")
-        total = float(np.sum(raw)) * ((b - a) / n)
-        if total <= 0.0:
-            raise ValueError("fn: density integrates to zero; cannot renormalize")
-        values = raw / total
-        return cls(
-            (a, b),
-            values,
-            bound=float(np.max(values)) if bound is None else float(bound),
-            renormalization=1.0 / total,
-        )
+        raw = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape).astype(float)
+        return _grid(raw, (a, b), True, bound)
 
     @classmethod
     def from_values(
@@ -149,40 +146,73 @@ class BaseGridDensity:
         renormalize: bool = False,
         bound: float | None = None,
     ) -> "BaseGridDensity":
-        values = np.asarray(values, dtype=float)
-        factor = 1.0
-        if renormalize:
-            if np.any(~np.isfinite(values)) or np.any(values < 0.0):
-                raise ValueError("values: must be finite and nonnegative")
-            a, b = float(interval[0]), float(interval[1])
-            total = float(np.sum(values)) * ((b - a) / max(values.size, 1))
-            if total <= 0.0:
-                raise ValueError("values: cannot renormalize zero total mass")
-            values = values / total
-            factor = 1.0 / total
-        return cls(
-            tuple(interval),
-            values,
-            bound=float(np.max(values)) if bound is None else float(bound),
-            renormalization=factor,
-        )
+        return _grid(np.asarray(values, dtype=float), interval, renormalize, bound)
+
+
+def _grid(values: np.ndarray, interval, renormalize: bool, bound) -> BaseGridDensity:
+    # body of both constructors, so that a wrapper timing them counts one build per grid
+    factor = 1.0
+    if renormalize:
+        if np.any(~np.isfinite(values)) or np.any(values < 0.0):
+            raise ValueError("values: must be finite and nonnegative")
+        a, b = _interval(interval)
+        total = float(np.sum(values)) * ((b - a) / max(values.size, 1))
+        if total <= 0.0:
+            raise ValueError("values: cannot renormalize zero total mass")
+        values = values / total
+        factor = 1.0 / total
+    bound = float(np.max(values)) if bound is None else float(bound)
+    return BaseGridDensity(tuple(interval), values, bound=bound, renormalization=factor)
+
+
+def check_levels(levels: Sequence[int], base_cells: int) -> list[int]:
+    """The distinct levels in ascending order, each resolvable on the grid."""
+    if len(levels) == 0:
+        raise ValueError("levels: need at least one level")
+    for level in levels:
+        if not isinstance(level, (int, np.integer)) or isinstance(level, bool) or level < 1:
+            raise ValueError(f"level: need an integer >= 1, got {level!r}")
+        if level > base_cells.bit_length() - 1:
+            raise ResolutionError(
+                f"level: 2^{level} dyadic bins exceed the {base_cells}-cell base grid; "
+                f"rebuild the density with a larger base exponent"
+            )
+    return sorted({int(level) for level in levels})
+
+
+def _bin_codes(values: np.ndarray, level: int) -> np.ndarray:
+    """Level-n bin k = floor(v 2^n) of each value; n 2^n (overflow) for v >= n.
+    Exact: multiplying by 2^n only shifts the float exponent."""
+    return np.floor(np.minimum(values, level) * float(2**level)).astype(np.int64)
+
+
+def _coarsen(codes: np.ndarray, finest: int, level: int) -> np.ndarray:
+    """Level-n codes from level-L codes: floor(v 2^n) = floor(v 2^L) >> (L - n)."""
+    return np.minimum(codes >> (finest - level), level * 2**level)
+
+
+def _group(codes: np.ndarray, *weights: np.ndarray):
+    """Merge rows that share a code: returns the distinct codes in ascending
+    order, each row's group label, and per group the total of each weight."""
+    ids, labels = np.unique(codes, return_inverse=True)
+    return (ids, labels, *(np.bincount(labels, weights=w) for w in weights))
 
 
 @dataclass(frozen=True, eq=False)
 class DyadicApproximation:
     """Level-n simple function: nonempty dyadic level sets of the density.
 
-    bin_ids holds the retained dyadic indices k (empty bins are dropped;
-    the id level*2^level marks the overflow cell for values >= level).
-    members[i] lists the base-cell indices of cell i; mean_values[i] is the
-    mu-mean of the density there and masses[i] its integral, so the simple
-    function equals mean_values[i] on every base cell of members[i].
+    bin_ids holds the retained dyadic indices k in ascending order (empty bins
+    are dropped; the id level*2^level marks the overflow cell for values >=
+    level).  labels[j] is the cell of base cell j; mean_values[i] is the
+    mu-mean of the density on cell i and masses[i] its integral, so the
+    simple function is mean_values[labels].
     """
 
     grid: BaseGridDensity
     level: int
     bin_ids: np.ndarray
-    members: tuple[np.ndarray, ...]
+    labels: np.ndarray
     mean_values: np.ndarray
     masses: np.ndarray
     mu_masses: np.ndarray
@@ -193,7 +223,7 @@ class DyadicApproximation:
 
     @property
     def overflow_id(self) -> int:
-        return self.level * 2 ** self.level
+        return self.level * 2**self.level
 
     @property
     def has_overflow(self) -> bool:
@@ -201,45 +231,20 @@ class DyadicApproximation:
 
     def simple_function(self) -> np.ndarray:
         """The approximation as per-base-cell values (for sup-norm checks)."""
-        out = np.empty(self.grid.base_cells, dtype=float)
-        for i, idx in enumerate(self.members):
-            out[idx] = self.mean_values[i]
-        return out
+        return self.mean_values[self.labels]
 
 
 def dyadic_approximation(p: BaseGridDensity, level: int) -> DyadicApproximation:
     """Group base cells by dyadic bin of their density value at the given level.
 
     Bins are [k/2^n, (k+1)/2^n) for k = 0..n*2^n - 1 plus the overflow set
-    {density >= n}.  Binning is exact: multiplying by 2^n only shifts the
-    float exponent, so no boundary cell can land on the wrong side.
+    {density >= n}.
     """
-    if not isinstance(level, (int, np.integer)) or isinstance(level, bool) or level < 1:
-        raise ValueError(f"level: need an integer >= 1, got {level!r}")
-    level = int(level)
-    if 2 ** level > p.base_cells:
-        raise ResolutionError(
-            f"level: 2^{level} dyadic bins exceed the {p.base_cells}-cell base grid; "
-            f"rebuild the density with a larger base exponent"
-        )
-    overflow_id = level * 2 ** level
-    codes = np.floor(p.values * float(2 ** level)).astype(np.int64)
-    codes[p.values >= level] = overflow_id
-
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    bin_ids, starts = np.unique(sorted_codes, return_index=True)
-    counts = np.diff(np.append(starts, sorted_codes.size))
-    sums = np.add.reduceat(p.values[order], starts)
-    delta = p.delta
+    (level,) = check_levels([level], p.base_cells)
+    codes = _bin_codes(p.values, level)
+    bin_ids, labels, counts, sums = _group(codes, np.ones(p.base_cells), p.values)
     return DyadicApproximation(
-        grid=p,
-        level=level,
-        bin_ids=bin_ids,
-        members=tuple(np.split(order, starts[1:])),
-        mean_values=sums / counts,
-        masses=sums * delta,
-        mu_masses=counts * delta,
+        p, level, bin_ids, labels, sums / counts, sums * p.delta, counts * p.delta
     )
 
 
@@ -252,11 +257,12 @@ def approximating_pmf(approx: DyadicApproximation) -> ProbabilityVector:
 class CommonRefinement:
     """Nonempty pairwise intersections of two approximations' level sets.
 
-    Both simple functions are constant per refinement cell: f_means[i] and
-    g_means[i] carry those values, mu_masses[i] the reference mass.
+    labels[j] is the refinement cell of base cell j.  Both simple functions
+    are constant per refinement cell: f_means[i] and g_means[i] carry those
+    values, mu_masses[i] the reference mass.
     """
 
-    members: tuple[np.ndarray, ...]
+    labels: np.ndarray
     mu_masses: np.ndarray
     f_means: np.ndarray
     g_means: np.ndarray
@@ -274,33 +280,18 @@ class CommonRefinement:
         return self.g_means * self.mu_masses
 
 
-def _cell_assignment(approx: DyadicApproximation) -> np.ndarray:
-    out = np.empty(approx.grid.base_cells, dtype=np.int64)
-    for i, idx in enumerate(approx.members):
-        out[idx] = i
-    return out
-
-
 def common_refinement(
     f: DyadicApproximation, g: DyadicApproximation
 ) -> CommonRefinement:
     """Shared partition on which both simple functions are constant."""
-    if f.grid.interval != g.grid.interval or f.grid.base_cells != g.grid.base_cells:
-        raise ValueError(
-            "g: approximations live on different base grids "
-            f"({f.grid.interval} x {f.grid.base_cells} vs {g.grid.interval} x {g.grid.base_cells})"
-        )
-    g_count = g.cell_count
-    pair_codes = _cell_assignment(f) * g_count + _cell_assignment(g)
-    order = np.argsort(pair_codes, kind="stable")
-    sorted_codes = pair_codes[order]
-    uniq, starts = np.unique(sorted_codes, return_index=True)
-    counts = np.diff(np.append(starts, sorted_codes.size))
+    _check_shared_grid(f.grid, g.grid, "g")
+    width = g.cell_count
+    cells, labels, counts = _group(f.labels * width + g.labels, np.ones(f.grid.base_cells))
     return CommonRefinement(
-        members=tuple(np.split(order, starts[1:])),
+        labels=labels,
         mu_masses=counts * f.grid.delta,
-        f_means=f.mean_values[uniq // g_count],
-        g_means=g.mean_values[uniq % g_count],
+        f_means=f.mean_values[cells // width],
+        g_means=g.mean_values[cells % width],
     )
 
 
@@ -312,12 +303,20 @@ class ConvergenceRow:
     abs_error: float
 
 
-def _check_shared_grid(p: BaseGridDensity, r: BaseGridDensity) -> None:
+def _check_shared_grid(p: BaseGridDensity, r: BaseGridDensity, field: str = "r") -> None:
     if p.interval != r.interval or p.base_cells != r.base_cells:
         raise ValueError(
-            "r: densities live on different base grids "
+            f"{field}: densities live on different base grids "
             f"({p.interval} x {p.base_cells} vs {r.interval} x {r.base_cells})"
         )
+
+
+def _divergence(kind: str):
+    if kind == "renyi":
+        return renyi_divergence
+    if kind == "tsallis":
+        return tsallis_divergence
+    raise ValueError(f"kind: expected 'renyi' or 'tsallis', got {kind!r}")
 
 
 def reference_divergence(
@@ -326,23 +325,14 @@ def reference_divergence(
     index: DeformationIndex | float,
     kind: str,
 ) -> float:
-    """Measure-theoretic divergence at full base resolution (exact sum)."""
+    """Measure-theoretic divergence at full base resolution (exact sum).
+
+    It is the discrete divergence of the base-grid pmfs v * delta, because
+    p^a r^(1-a) delta = (p delta)^a (r delta)^(1-a) on every base cell.
+    """
     _check_shared_grid(p, r)
-    idx = as_index(index)
-    if kind not in ("renyi", "tsallis"):
-        raise ValueError(f"kind: expected 'renyi' or 'tsallis', got {kind!r}")
-    pv, rv, delta = p.values, r.values, p.delta
-    live = pv > 0.0
-    if np.any(rv[live] == 0.0):
-        return math.inf
-    if idx.is_classical:
-        return float(np.sum(pv[live] * np.log(pv[live] / rv[live])) * delta)
-    a = idx.q
-    if kind == "renyi":
-        log_sum = logsumexp(a * np.log(pv[live]) + (1.0 - a) * np.log(rv[live]))
-        return float((log_sum + math.log(delta)) / (a - 1.0))
-    power = float(np.sum(pv[live] ** a * rv[live] ** (1.0 - a)) * delta)
-    return (power - 1.0) / (a - 1.0)
+    P, R = ProbabilityVector(p.values * p.delta), ProbabilityVector(r.values * r.delta)
+    return _divergence(kind)(P, R, None, index)
 
 
 def convergence_table(
@@ -354,27 +344,35 @@ def convergence_table(
 ) -> list[ConvergenceRow]:
     """Discrete divergence of the approximating pmfs per level vs the reference.
 
-    Levels are independent of each other (they could run in parallel); rows
-    are emitted in ascending level order either way.
+    Each density is binned once, at the finest level L requested, and base
+    cells sharing a pair of finest codes merge into one row carrying its cell
+    count and the sums of p and r.  Every level n groups those rows by their
+    coarsened codes into the level sets and their common refinement, and
+    pairs each function's level-set mean with each refinement cell's mu: the
+    pmfs of common_refinement, without revisiting the base grid.  Rows come
+    in ascending level order.
     """
-    _check_shared_grid(p, r)
     idx = as_index(index)
-    if kind not in ("renyi", "tsallis"):
-        raise ValueError(f"kind: expected 'renyi' or 'tsallis', got {kind!r}")
-    if len(levels) == 0:
-        raise ValueError("levels: need at least one level")
-    reference = reference_divergence(p, r, idx, kind)
+    divergence = _divergence(kind)
+    levels = check_levels(levels, p.base_cells)
+    reference = reference_divergence(p, r, idx, kind)  # also checks the grids match
+    finest = levels[-1]
+    # finest codes are at most L 2^L with L <= MAX_BASE_EXPONENT, so the pair
+    # key stays below (L 2^L + 1)^2 < 2^63
+    width = finest * 2**finest + 1
+    pair_codes = _bin_codes(p.values, finest) * width + _bin_codes(r.values, finest)
+    keys, _, counts, p_sums, r_sums = _group(pair_codes, np.ones(p.base_cells), p.values, r.values)
+    p_codes, r_codes = np.divmod(keys, width)
     rows = []
-    for level in sorted(set(int(n) for n in levels)):
-        refinement = common_refinement(
-            dyadic_approximation(p, level), dyadic_approximation(r, level)
-        )
-        P = ProbabilityVector(refinement.f_masses)
-        R = ProbabilityVector(refinement.g_masses)
-        if kind == "renyi":
-            discrete = renyi_divergence(P, R, None, idx)
-        else:
-            discrete = tsallis_divergence(P, R, None, idx)
+    for level in levels:
+        _, f_labels, f_counts, f_sums = _group(_coarsen(p_codes, finest, level), counts, p_sums)
+        _, g_labels, g_counts, g_sums = _group(_coarsen(r_codes, finest, level), counts, r_sums)
+        cells, _, mu = _group(f_labels * g_sums.size + g_labels, counts)
+        f_cells, g_cells = np.divmod(cells, g_sums.size)
+        mu = mu * p.delta
+        P = ProbabilityVector((f_sums / f_counts)[f_cells] * mu)
+        R = ProbabilityVector((g_sums / g_counts)[g_cells] * mu)
+        discrete = divergence(P, R, None, idx)
         if math.isinf(discrete) or math.isinf(reference):
             err = 0.0 if discrete == reference else math.inf
         else:
@@ -417,26 +415,27 @@ def entropy_nonextension_demo(
     """Uniform density on [a, b]: S_n(P) = ln n grows without bound, yet the
     measure-theoretic entropy is the constant ln(b - a), negative when
     b - a < 1.  Discrete entropy is not the n -> inf limit of anything here.
+
+    The sums are shannon_entropy's (uniform density on 2^continuous_exponent
+    Lebesgue cells) and measure_entropy's (uniform pmf on n counting cells),
+    taken on the value and weight arrays so that no partition is built.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"interval: need finite a < b, got ({a}, {b})")
+    a, b = _interval(interval)
     if len(n_list) == 0:
         raise ValueError("n_list: need at least one cell count")
-    grid_cells = 2 ** int(continuous_exponent)
-    lebesgue = uniform_partition(grid_cells, "lebesgue", (a, b))
-    uniform_density = DensityVector.from_values(
-        np.full(grid_cells, 1.0 / (b - a)), lebesgue, renormalize=True
-    )
-    continuous = shannon_entropy(uniform_density)
+    sizes = [check_capped(n, "n_list entries", cap=MAX_CELLS) for n in n_list]
+    cells = 2 ** check_capped(continuous_exponent, "continuous_exponent", minimum=0)
+    if not (math.isfinite(b - a) and math.isfinite(1.0 / (b - a)) and (b - a) / cells > 0.0):
+        raise ValueError(f"interval: ({a}, {b}) cannot carry a density on {cells} cells")
+    weights = np.full(cells, (b - a) / cells)
+    values = np.full(cells, 1.0 / (b - a))
+    values = values / float(np.dot(values, weights))
+    # + 0.0 keeps a unit density from reporting -0.0
+    continuous = float(-np.dot(values * np.log(values), weights)) + 0.0
     rows = []
-    for n in n_list:
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n_list: entries must be positive integers, got {n!r}")
-        n = int(n)
-        counting = uniform_partition(n, "counting")
-        discrete = measure_entropy(ProbabilityVector(np.full(n, 1.0 / n)), counting)
-        rows.append(DemoRow(n, discrete, continuous))
+    for n in sizes:
+        masses = np.full(n, 1.0 / n)
+        rows.append(DemoRow(n, float(-np.dot(masses, np.log(masses))), continuous))
     return DemoReport(tuple(rows), continuous, continuous < 0.0)
 
 

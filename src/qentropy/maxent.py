@@ -320,6 +320,29 @@ def solve_maxent(
     )
 
 
+# a re-solve step that leaves the feasible set is divided by 10 at most this
+# many times, down to fd_step / 10^5, before the audit gives up
+FD_STEP_SHRINKS = 5
+
+
+def _resolved_difference(value_at, target: float, fd_step: float) -> float:
+    """Central difference (v(t + h) - v(t - h)) / 2h of a re-solved value.
+
+    h starts at fd_step and is divided by 10 while either re-solve raises
+    ValueError: the shifted target left the feasible set, which can be
+    thinner than fd_step around a solvable target.  Below
+    fd_step / 10^FD_STEP_SHRINKS the last error is raised.
+    """
+    step = fd_step
+    for shrinks in range(FD_STEP_SHRINKS + 1):
+        try:
+            return (value_at(target + step) - value_at(target - step)) / (2.0 * step)
+        except ValueError:
+            if shrinks == FD_STEP_SHRINKS:
+                raise
+            step /= 10.0
+
+
 def thermo_residuals(
     solution: GibbsSolution,
     constraints: ConstraintSet | None = None,
@@ -329,7 +352,8 @@ def thermo_residuals(
     """Finite-difference checks of the two thermodynamic identities.
 
     grad_residual[m]:        |d(log Z)/d(beta_m) + <u_m>|   (central difference)
-    sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (re-solve at t +- h)
+    sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (re-solve at t +- h,
+                             h shrinking as in _resolved_difference)
 
     The sensitivity sign follows from S(t) = log Z(beta(t)) + beta(t) . t and
     the envelope theorem: dS/dt_m = beta_m for the Gibbs form used here.
@@ -358,16 +382,6 @@ def thermo_residuals(
         grad_fd = (log_plus - log_minus) / (2.0 * fd_step)
         grad_residual[m] = abs(grad_fd + solution.achieved_moments[m])
 
-        step = fd_step
-        try:
-            s_plus = entropy_at(m, targets[m] + step)
-            s_minus = entropy_at(m, targets[m] - step)
-        except ValueError:
-            # shifted target left the attainable range or its interior;
-            # retry once with a tenth of the step
-            step = fd_step / 10.0
-            s_plus = entropy_at(m, targets[m] + step)
-            s_minus = entropy_at(m, targets[m] - step)
-        sens_fd = (s_plus - s_minus) / (2.0 * step)
+        sens_fd = _resolved_difference(lambda t: entropy_at(m, t), targets[m], fd_step)
         sensitivity_residual[m] = abs(sens_fd - solution.beta[m])
     return grad_residual, sensitivity_residual

@@ -148,7 +148,7 @@ _ALLOWED_CALLS = {
     "maximum": np.maximum,
     "where": np.where,
 }
-_ALLOWED_NAMES = {"x": None, "pi": math.pi, "e": math.e}
+_ALLOWED_NAMES = {"x": None, "pi": np.float64(math.pi), "e": np.float64(math.e)}
 _ALLOWED_NODES = (
     ast.Expression,
     ast.BinOp,
@@ -174,11 +174,29 @@ _ALLOWED_NODES = (
 )
 
 
+class _FloatConstants(ast.NodeTransformer):
+    """Replace each numeric literal by a name bound to its float64 value, so
+    no Python int arithmetic (unbounded in time and memory) can run."""
+
+    def __init__(self) -> None:
+        self.values: dict[str, np.float64] = {}
+
+    def visit_Constant(self, node: ast.Constant) -> ast.Name:
+        name = f"_c{len(self.values)}"
+        try:
+            self.values[name] = np.float64(node.value)
+        except OverflowError:  # an int literal beyond the float range
+            self.values[name] = np.float64(math.inf)
+        return ast.copy_location(ast.Name(id=name, ctx=ast.Load()), node)
+
+
 def expression_function(expr: str):
     """Compile a density expression in the variable x (numpy elementwise).
 
     Only arithmetic, comparisons, and a small whitelist of functions are
     allowed; anything else is rejected by AST inspection before evaluation.
+    Numeric constants are float64, so an overflow gives inf or nan (which
+    the grid builders reject as non-finite) instead of a huge integer.
     """
     if not isinstance(expr, str) or not expr.strip():
         raise ValueError("expr: expected a nonempty expression string")
@@ -198,9 +216,12 @@ def expression_function(expr: str):
                 raise ValueError("expr: only whitelisted function calls are allowed")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ValueError(f"expr: constant {node.value!r} is not numeric")
+    constants = _FloatConstants()
+    tree = ast.fix_missing_locations(constants.visit(tree))
     code = compile(tree, "<density-expr>", "eval")
     namespace = dict(_ALLOWED_CALLS)
     namespace.update({k: v for k, v in _ALLOWED_NAMES.items() if v is not None})
+    namespace.update(constants.values)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         local = dict(namespace)

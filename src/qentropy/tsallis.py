@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import tsallis_entropy
-from .maxent import ConstraintSet, _check_interior, _dual_newton
+from .maxent import ConstraintSet, _check_interior, _dual_newton, _resolved_difference
 from .measure import (
     DensityVector,
     ProbabilityVector,
@@ -346,6 +346,7 @@ def tsallis_thermo(
                          family re-centred on its own escort mean (see
                          _lnq_z_gradient)
     entropy_sensitivity[m]: |dS_q/d(t_m) - beta_m|, re-solving at t_m +- h
+                         (h shrinking as in maxent._resolved_difference)
 
     The sensitivity sign matches the classical solver: for this family
     dS_q/dt_m = beta_m (the two-point closed form fixes the sign).
@@ -373,17 +374,9 @@ def tsallis_thermo(
         ).entropy_q
 
     for m in range(M):
-        step = fd_step
-        try:
-            s_plus = entropy_at(m, constraints.targets[m] + step)
-            s_minus = entropy_at(m, constraints.targets[m] - step)
-        except ValueError:
-            # shifted target left the attainable range or its interior;
-            # retry once with a tenth of the step
-            step = fd_step / 10.0
-            s_plus = entropy_at(m, constraints.targets[m] + step)
-            s_minus = entropy_at(m, constraints.targets[m] - step)
-        sens_fd = (s_plus - s_minus) / (2.0 * step)
+        sens_fd = _resolved_difference(
+            lambda t: entropy_at(m, t), constraints.targets[m], fd_step
+        )
         out["entropy_sensitivity"][m] = abs(sens_fd - solution.beta[m])
     return out
 

@@ -231,8 +231,9 @@ def _suite_dyadic(rng: np.random.Generator, samples: int) -> list[CheckResult]:
         refinement = common_refinement(
             dyadic_approximation(p, level), dyadic_approximation(r, level)
         )
-        a = np.array([float(np.mean(p.values[idx])) for idx in refinement.members])
-        b = np.array([float(np.mean(r.values[idx])) for idx in refinement.members])
+        counts = np.bincount(refinement.labels)
+        a = np.bincount(refinement.labels, weights=p.values) / counts
+        b = np.bincount(refinement.labels, weights=r.values) / counts
         per_level = float(np.sum(a**alpha * b ** (1.0 - alpha) * refinement.mu_masses))
         exact = float(np.sum(p.values**alpha * r.values ** (1.0 - alpha)) * p.delta)
         worst = max(worst, per_level - exact)

@@ -260,3 +260,58 @@ def test_index_flag_picks_the_family(capsys, index_flag):
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == ("renyi" if index_flag == "--alpha" else "tsallis")
+
+
+def validation_message(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, ""), argv
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    return error["message"]
+
+
+# each cap is checked before anything of that size is allocated, so these
+# runs stay small even though they ask for more than 2^24 cells
+
+
+def test_base_resolution_flag_is_capped(capsys):
+    spec = '{"p": {"expr": "2*x"}, "r": {"expr": "1.0"}, "levels": [2]}'
+    message = validation_message(
+        capsys, "approx", "--alpha", "2", "--base-resolution", "25", "--input", spec
+    )
+    assert "--base-resolution" in message and "2^24" in message
+
+
+def test_base_exponent_field_is_capped(capsys):
+    spec = '{"p": {"expr": "2*x"}, "r": {"expr": "1.0"}, "levels": [2], "base_exponent": 25}'
+    message = validation_message(capsys, "approx", "--alpha", "2", "--input", spec)
+    assert "base_exponent" in message and "2^24" in message
+
+
+def test_resolution_exponent_field_is_capped(capsys):
+    message = validation_message(capsys, "demo", "--input", '{"resolution_exponent": 25}')
+    assert "resolution_exponent" in message and "2^24" in message
+    message = validation_message(capsys, "demo", "--base-resolution", "25")
+    assert "--base-resolution" in message and "2^24" in message
+
+
+def test_demo_cell_counts_are_capped(capsys):
+    message = validation_message(capsys, "demo", "--input", '{"n_list": [2, 16777217]}')
+    assert "n_list" in message and "2^24" in message
+
+
+def test_levels_are_capped_when_parsed(capsys):
+    message = validation_message(
+        capsys, "approx", "--alpha", "2", "--levels", "2..25", "--input", "{}"
+    )
+    assert "cap of 24" in message
+
+
+def test_levels_are_checked_before_the_grids_are_built(capsys):
+    # p would fail its own evaluation (log of a negative number), so the
+    # level error shows that the levels were checked first
+    spec = '{"p": {"expr": "log(x - 2)"}, "r": {"expr": "1.0"}, "levels": [2, 9]}'
+    message = validation_message(
+        capsys, "approx", "--alpha", "2", "--base-resolution", "8", "--input", spec
+    )
+    assert message.startswith("level: 2^9 dyadic bins exceed the 256-cell base grid")

@@ -5,7 +5,9 @@ to check the whole construction by hand; those literals are exact dyadic
 floats.  Continuous reference values regenerated by tests/_oracles.py.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from qentropy.dyadic import CSV_HEADER
 from qentropy import (
     BaseGridDensity,
     ConvergenceRow,
+    ProbabilityVector,
     ResolutionError,
     approximating_pmf,
     common_refinement,
@@ -25,8 +28,12 @@ from qentropy import (
     dyadic_approximation,
     entropy_nonextension_demo,
     reference_divergence,
+    renyi_divergence,
     table_to_csv,
+    tsallis_divergence,
 )
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def linear_grid(exponent=4):
@@ -46,8 +53,8 @@ def test_linear_density_level_one_by_hand():
     assert np.array_equal(approx.mean_values, [0.25, 0.75, 1.5])
     assert np.array_equal(approx.masses, [0.0625, 0.1875, 0.75])
     assert np.array_equal(approx.mu_masses, [0.25, 0.25, 0.5])
-    assert np.array_equal(approx.members[0], [0, 1, 2, 3])
-    assert np.array_equal(approx.members[2], np.arange(8, 16))
+    assert np.array_equal(approx.labels, [0] * 4 + [1] * 4 + [2] * 8)
+    assert np.array_equal(approx.simple_function(), [0.25] * 4 + [0.75] * 4 + [1.5] * 8)
     assert math.fsum(approx.masses) == 1.0
 
 
@@ -226,3 +233,111 @@ def test_mass_and_mean_properties(seed, level):
     refinement = common_refinement(approx, dyadic_approximation(grid, level))
     assert math.isclose(float(np.sum(refinement.f_masses)), 1.0, rel_tol=0, abs_tol=1e-12)
     assert math.isclose(float(np.sum(refinement.g_masses)), 1.0, rel_tol=0, abs_tol=1e-12)
+
+
+def brute_force_divergence(p, r, index, kind, level):
+    """The level-n pmf pair built cell by cell: bin every base value on its
+    own, group by (p bin, r bin), and give each refinement cell the mu-mean
+    of each density over that density's whole level set times its mu."""
+    def code(v):
+        return level * 2**level if v >= level else math.floor(v * 2**level)
+
+    p_sets, r_sets, cells = {}, {}, {}
+    for j, (a, b) in enumerate(zip(map(code, p.values), map(code, r.values))):
+        p_sets.setdefault(a, []).append(j)
+        r_sets.setdefault(b, []).append(j)
+        cells.setdefault((a, b), []).append(j)
+    p_mean = {a: math.fsum(p.values[idx]) / len(idx) for a, idx in p_sets.items()}
+    r_mean = {b: math.fsum(r.values[idx]) / len(idx) for b, idx in r_sets.items()}
+    keys = sorted(cells)
+    mu = [len(cells[key]) * p.delta for key in keys]
+    P = ProbabilityVector(np.array([p_mean[a] * m for (a, _), m in zip(keys, mu)]))
+    R = ProbabilityVector(np.array([r_mean[b] * m for (_, b), m in zip(keys, mu)]))
+    divergence = renyi_divergence if kind == "renyi" else tsallis_divergence
+    return divergence(P, R, None, index)
+
+
+def assert_matches_brute_force(p, r, index, kind, levels, tol=1e-13):
+    rows = convergence_table(p, r, index, kind, levels)
+    assert [row.level for row in rows] == sorted(set(levels))
+    for row in rows:
+        expected = brute_force_divergence(p, r, index, kind, row.level)
+        if math.isinf(expected):
+            assert row.discrete_divergence == expected
+        else:
+            assert abs(row.discrete_divergence - expected) <= tol * max(1.0, abs(expected))
+
+
+def dyadic_pair(rng, cells, zero_share):
+    """Two densities of exact multiples of 1/8 with equal sums, on an
+    interval chosen so that both integrate to 1 without rescaling: the
+    values stay on dyadic bin boundaries and many reach the overflow cell."""
+    values = rng.integers(0, 8 * 12, size=(2, cells)) / 8.0
+    values[rng.random((2, cells)) < zero_share] = 0.0
+    values[:, 0] += 1.0
+    gap = values[0].sum() - values[1].sum()
+    values[1 if gap > 0 else 0, -1] += abs(gap)
+    interval = (0.0, cells / values[0].sum())
+    return (BaseGridDensity.from_values(v, interval) for v in values)
+
+
+def lognormal_pair(rng, cells, zero_share):
+    values = rng.lognormal(0.0, 1.5, size=(2, cells))
+    values[rng.random((2, cells)) < zero_share] = 0.0
+    values[:, 0] += 1.0
+    return (BaseGridDensity.from_values(v, (0.0, 1.0), renormalize=True) for v in values)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([dyadic_pair, lognormal_pair]),
+    st.sampled_from([0.0, 0.3, 0.9]),
+    st.sampled_from([("renyi", 0.5), ("renyi", 2.0), ("renyi", 1.0), ("tsallis", 0.5), ("tsallis", 3.0)]),
+)
+def test_table_matches_per_level_brute_force(seed, exponent, pair, zero_share, family):
+    rng = np.random.default_rng(seed)
+    p, r = pair(rng, 2**exponent, zero_share)
+    kind, index = family
+    levels = [int(n) for n in rng.choice(np.arange(1, exponent + 1), size=min(exponent, 4))]
+    assert_matches_brute_force(p, r, index, kind, levels)
+
+
+def test_coarsening_is_exact_at_dyadic_boundaries():
+    # every level-L bin edge k / 2^L up to the overflow threshold L, and the
+    # floats on either side of it
+    finest = 10
+    edges = np.arange(finest * 2**finest + 1) / 2.0**finest
+    values = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges[1:], 0.0)])
+    fine = np.floor(values * 2.0**finest).astype(np.int64)
+    for level in range(1, finest + 1):
+        assert np.array_equal(np.floor(values * 2.0**level).astype(np.int64), fine >> (finest - level))
+    # the engine on a grid holding exactly those values: the coarsened table
+    # agrees with binning each level on its own, overflow cells included
+    cells = 2 ** math.ceil(math.log2(values.size))
+    grid_values = np.zeros(cells)
+    grid_values[: values.size] = values
+    p = BaseGridDensity.from_values(grid_values, (0.0, cells / grid_values.sum()))
+    r = BaseGridDensity.from_values(np.ones(cells), p.interval, renormalize=True)
+    for level in (1, 4, finest):
+        approx = dyadic_approximation(p, level)
+        expected = np.where(grid_values >= level, level * 2**level, np.floor(grid_values * 2.0**level))
+        assert np.array_equal(approx.bin_ids[approx.labels], expected)
+    assert_matches_brute_force(p, r, 2.0, "renyi", range(1, finest + 1))
+
+
+def test_convergence_study_script_runs(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "convergence_study", SCRIPTS / "convergence_study.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--base-exponent", "10", "--levels", "2..10"]) == 0
+    out = capsys.readouterr().out
+    for kind in ("renyi", "tsallis"):
+        for index in (0.5, 2.0):
+            assert f"{kind} divergence, index {index}" in out
+    assert script.main(["--base-exponent", "10", "--levels", "2,5", "--kind", "renyi", "--csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(CSV_HEADER) == 2

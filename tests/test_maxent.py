@@ -269,3 +269,32 @@ def test_moments_of_a_positive_pmf_always_solve_and_audit(masses, q, count, mode
         grad, sens = thermo_residuals(sol)
         assert np.all(np.isfinite(grad)) and np.all(np.isfinite(sens))
         assert np.all(np.abs(sol.achieved_moments - targets) <= 1e-10)
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 0.7), ("escort", 2.0)])
+def test_audit_step_shrinks_inside_a_thin_feasible_set(kind, q):
+    # (E x, E x^2) on {0, 1/2, 1} lies in a triangle whose edge y = x passes
+    # 2e-6 from the targets, so t_1 - h is infeasible for h = 1e-4 and 1e-5;
+    # the audit has to go down to h = 1e-6 to re-solve on both sides
+    x = np.array([0.0, 0.5, 1.0])
+    constraints = ConstraintSet([x, x * x], [0.5, 0.5 - 2e-6], kind, q)
+    partition = uniform_partition(3, "counting")
+    if kind == "ordinary":
+        solution = solve_maxent(constraints, partition)
+        grad, sens = thermo_residuals(solution, fd_step=1e-4)
+    else:
+        solution = solve_tsallis_maxent(constraints, partition)
+        audit = tsallis_thermo(solution, fd_step=1e-4)
+        grad, sens = audit["log_z_gradient"], audit["entropy_sensitivity"]
+    assert solution.residual_norm <= 1e-10
+    assert np.all(grad < 1e-8)
+    assert np.all(np.isfinite(sens))
+
+
+def test_audit_gives_up_below_its_step_floor():
+    # 2e-11 from the edge is thinner than the floor fd_step / 10^5 = 1e-9
+    x = np.array([0.0, 0.5, 1.0])
+    constraints = ConstraintSet([x, x * x], [0.5, 0.5 - 2e-11])
+    solution = solve_maxent(constraints, uniform_partition(3, "counting"))
+    with pytest.raises(InfeasibleError):
+        thermo_residuals(solution, fd_step=1e-4)

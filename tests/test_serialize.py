@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qentropy import WeightedPartition, uniform_partition
+from qentropy import BaseGridDensity, WeightedPartition, uniform_partition
 from qentropy.serialize import (
     dumps,
     expression_function,
@@ -119,3 +119,14 @@ def test_expression_function_rejects_non_math():
     ):
         with pytest.raises(ValueError):
             expression_function(bad)
+
+
+def test_expression_constants_are_floats():
+    # 3**3**13 % 7 in Python ints takes about 0.2 s; in float64 the tower
+    # overflows to inf and the remainder is nan, which the grid builders reject
+    f = expression_function("x*0 + 3**3**13 % 7")
+    assert np.all(np.isnan(f(np.array([0.25, 0.5]))))
+    g = expression_function("x*0 + " + "9" * 400)  # an int literal past the float range
+    assert np.all(np.isinf(g(np.array([0.25]))))
+    with pytest.raises(ValueError, match="finite"):
+        BaseGridDensity.from_function(f, (0.0, 1.0), base_exponent=3)
