@@ -9,7 +9,6 @@ escort-constrained Tsallis maximum-entropy solvers with identity checks.
 from .qcalc import DeformationIndex, as_index, q_exp, q_log
 from .measure import (
     AbsoluteContinuityError,
-    Cell,
     DensityVector,
     ProbabilityVector,
     WeightedPartition,
@@ -75,7 +74,6 @@ __all__ = [
     "q_exp",
     "q_log",
     "AbsoluteContinuityError",
-    "Cell",
     "DensityVector",
     "ProbabilityVector",
     "WeightedPartition",

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import (
-    MAX_BASE_EXPONENT,
     BaseGridDensity,
-    check_capped,
     check_levels,
     convergence_table,
     demo_to_csv,
@@ -33,7 +31,13 @@ from .entropy import (
     tsallis_entropy,
 )
 from .maxent import ConstraintSet, ConvergenceError, solve_maxent, thermo_residuals
-from .measure import induced_pmf, radon_nikodym, uniform_partition
+from .measure import (
+    MAX_BASE_EXPONENT,
+    check_capped,
+    induced_pmf,
+    radon_nikodym,
+    uniform_partition,
+)
 from .serialize import (
     density_from_obj,
     dumps,

@@ -26,7 +26,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .entropy import renyi_divergence, tsallis_divergence
-from .measure import ProbabilityVector
+from .measure import (
+    MAX_BASE_EXPONENT,
+    MAX_CELLS,
+    ProbabilityVector,
+    _check_vector,
+    check_capped,
+    check_interval,
+)
 from .qcalc import DeformationIndex, as_index
 
 __all__ = [
@@ -51,31 +58,10 @@ CSV_HEADER = "level,discrete_divergence,reference_divergence,abs_error"
 
 # base-resolution defaults: acceptance runs use 20, property tests 16
 DEFAULT_BASE_EXPONENT = 16
-# cap on every grid built here: 2^24 cells, 128 MiB per float array
-MAX_BASE_EXPONENT = 24
-MAX_CELLS = 2**MAX_BASE_EXPONENT
 
 
 class ResolutionError(ValueError):
     """Requested dyadic level is finer than the base grid can resolve."""
-
-
-def check_capped(value, field: str, minimum: int = 1, cap: int = MAX_BASE_EXPONENT) -> int:
-    """An integer in minimum..cap, checked before anything of that size is built."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and minimum <= value <= cap):
-        raise ValueError(
-            f"{field}: need an integer in {minimum}..{cap} "
-            f"(grids hold at most 2^{MAX_BASE_EXPONENT} cells), got {value!r}"
-        )
-    return int(value)
-
-
-def _interval(interval) -> tuple[float, float]:
-    a, b = float(interval[0]), float(interval[1])
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"interval: need finite a < b, got ({a}, {b})")
-    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +78,7 @@ class BaseGridDensity:
     renormalization: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "interval", _interval(self.interval))
+        object.__setattr__(self, "interval", check_interval(self.interval))
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         n = values.size
@@ -101,8 +87,7 @@ class BaseGridDensity:
                 f"values: need a power-of-two number of base cells up to "
                 f"2^{MAX_BASE_EXPONENT}, got {values.shape}"
             )
-        if np.any(~np.isfinite(values)) or np.any(values < 0.0):
-            raise ValueError("values: must be finite and nonnegative")
+        _check_vector(values, "values")
         total = float(np.sum(values)) * self.delta
         if abs(total - 1.0) > 1e-10:
             raise ValueError(
@@ -133,7 +118,7 @@ class BaseGridDensity:
     ) -> "BaseGridDensity":
         """Evaluate fn at base-cell midpoints and renormalize to unit mass."""
         n = 2 ** check_capped(base_exponent, "base_exponent")
-        a, b = _interval(interval)
+        a, b = check_interval(interval)
         x = a + (b - a) * (np.arange(n) + 0.5) / n
         raw = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape).astype(float)
         return _grid(raw, (a, b), True, bound)
@@ -153,10 +138,9 @@ def _grid(values: np.ndarray, interval, renormalize: bool, bound) -> BaseGridDen
     # body of both constructors, so that a wrapper timing them counts one build per grid
     factor = 1.0
     if renormalize:
-        if np.any(~np.isfinite(values)) or np.any(values < 0.0):
-            raise ValueError("values: must be finite and nonnegative")
-        a, b = _interval(interval)
-        total = float(np.sum(values)) * ((b - a) / max(values.size, 1))
+        _check_vector(values, "values")
+        a, b = check_interval(interval)
+        total = float(np.sum(values)) * ((b - a) / values.size)
         if total <= 0.0:
             raise ValueError("values: cannot renormalize zero total mass")
         values = values / total
@@ -170,9 +154,7 @@ def check_levels(levels: Sequence[int], base_cells: int) -> list[int]:
     if len(levels) == 0:
         raise ValueError("levels: need at least one level")
     for level in levels:
-        if not isinstance(level, (int, np.integer)) or isinstance(level, bool) or level < 1:
-            raise ValueError(f"level: need an integer >= 1, got {level!r}")
-        if level > base_cells.bit_length() - 1:
+        if check_capped(level, "level", cap=MAX_CELLS) > base_cells.bit_length() - 1:
             raise ResolutionError(
                 f"level: 2^{level} dyadic bins exceed the {base_cells}-cell base grid; "
                 f"rebuild the density with a larger base exponent"
@@ -420,7 +402,7 @@ def entropy_nonextension_demo(
     Lebesgue cells) and measure_entropy's (uniform pmf on n counting cells),
     taken on the value and weight arrays so that no partition is built.
     """
-    a, b = _interval(interval)
+    a, b = check_interval(interval)
     if len(n_list) == 0:
         raise ValueError("n_list: need at least one cell count")
     sizes = [check_capped(n, "n_list entries", cap=MAX_CELLS) for n in n_list]

@@ -12,7 +12,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .measure import DensityVector, ProbabilityVector, WeightedPartition
 from .qcalc import DeformationIndex, as_index
@@ -26,6 +25,27 @@ __all__ = [
     "tsallis_entropy",
     "tsallis_divergence",
 ]
+
+
+def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> np.float64:
+    """log sum_k b_k exp(a_k) for 1-D a and b >= 0, in the order of operations
+    of scipy.special.logsumexp (1.17), so the result matches it bit for bit.
+
+    Zero-weight terms drop out; the maximal terms are summed apart as m, and
+    the result is log1p(rest/m) + log m + max a.  A non-finite result falls
+    back to log sum b exp(a) as scipy's does.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shifted = a if b is None else np.where(b == 0, -np.inf, a)
+        a_max = np.max(shifted)
+        top = shifted == a_max
+        m = np.sum(top if b is None else b * top, dtype=float)
+        terms = np.exp(np.where(top, -np.inf, shifted) - a_max)
+        s = np.sum(terms if b is None else b * terms)
+        out = np.log1p(s if s == 0 else s / m) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a)))
+    return out
 
 
 def _paired_masses(
@@ -104,7 +124,7 @@ def renyi_entropy(p: DensityVector, alpha: DeformationIndex | float) -> float:
     v = p.values
     w = p.partition.weights
     live = (v > 0.0) & (w > 0.0)
-    log_sum = logsumexp(idx.q * np.log(v[live]), b=w[live])
+    log_sum = _logsumexp(idx.q * np.log(v[live]), b=w[live])
     return float(log_sum / (1.0 - idx.q))
 
 
@@ -126,7 +146,7 @@ def renyi_divergence(
     live = p > 0.0
     if np.any(r[live] == 0.0):
         return math.inf
-    log_sum = logsumexp(idx.q * np.log(p[live]) + (1.0 - idx.q) * np.log(r[live]))
+    log_sum = _logsumexp(idx.q * np.log(p[live]) + (1.0 - idx.q) * np.log(r[live]))
     return float(log_sum / (idx.q - 1.0))
 
 

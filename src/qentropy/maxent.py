@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .entropy import shannon_entropy
+from .entropy import _logsumexp, shannon_entropy
 from .measure import (
     DensityVector,
     ProbabilityVector,
@@ -160,7 +159,7 @@ def partition_function(
         )
     U = constraints.feature_matrix(len(partition))
     support = partition.weights > 0.0
-    return float(logsumexp(-(beta @ U[:, support]), b=partition.weights[support]))
+    return float(_logsumexp(-(beta @ U[:, support]), b=partition.weights[support]))
 
 
 def _check_interior(U: np.ndarray, targets: np.ndarray, support: np.ndarray) -> None:
@@ -287,11 +286,11 @@ def solve_maxent(
     def evaluate(b: np.ndarray):
         # log Z + b . t summed on the centred exponent: adding b . t to log Z
         # would cancel digits and hide the dual's last decrease in rounding
-        value = float(logsumexp(-(b @ centered_on_targets), b=cell_weights))
+        value = float(_logsumexp(-(b @ centered_on_targets), b=cell_weights))
         if not math.isfinite(value):
             return math.inf, None, None, math.inf, None
         exponent = -(b @ features)
-        log_z = float(logsumexp(exponent, b=cell_weights))
+        log_z = float(_logsumexp(exponent, b=cell_weights))
         masses = np.exp(exponent - log_z) * cell_weights
         moments = features @ masses
         residual = moments - targets

@@ -1,9 +1,12 @@
 """Finite weighted-partition model of a measure space.
 
-A WeightedPartition is a finite list of cells with nonnegative reference
-weights mu_k; densities (per-cell Radon-Nikodym values) and probability
-vectors (per-cell masses) live against it.  mu-null cells are retained
-rather than dropped so absolute-continuity violations stay detectable.
+A WeightedPartition holds its cells as columns: the reference weights
+mu_k >= 0 and optional interval edges.  Densities (per-cell Radon-Nikodym
+values) and probability vectors (per-cell masses) live against the weights;
+every measure here is a sum over them, so no per-cell object is built.
+mu-null cells are retained rather than dropped so absolute-continuity
+violations stay detectable.  Partitions and the dyadic grids share one cap,
+MAX_CELLS, checked before anything of that size is built.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "AbsoluteContinuityError",
-    "Cell",
     "WeightedPartition",
     "DensityVector",
     "ProbabilityVector",
@@ -26,62 +28,91 @@ __all__ = [
 
 # tolerance on sum-to-one checks at construction time
 NORMALIZATION_TOL = 1e-10
+# cap on every partition and grid: 2^24 cells, 128 MiB per float array
+MAX_BASE_EXPONENT = 24
+MAX_CELLS = 2**MAX_BASE_EXPONENT
 
 
 class AbsoluteContinuityError(ValueError):
     """Probability mass sits on a cell the reference measure assigns zero weight."""
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One cell of a partition: a label plus an optional interval [left, right)."""
+def check_capped(value, field: str, minimum: int = 1, cap: int = MAX_BASE_EXPONENT) -> int:
+    """An integer in minimum..cap, checked before anything of that size is built."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and minimum <= value <= cap):
+        raise ValueError(
+            f"{field}: need an integer in {minimum}..{cap} "
+            f"(partitions and grids hold at most 2^{MAX_BASE_EXPONENT} cells), got {value!r}"
+        )
+    return int(value)
 
-    label: str
-    left: float | None = None
-    right: float | None = None
 
-    def __post_init__(self) -> None:
-        if (self.left is None) != (self.right is None):
-            raise ValueError("cell interval: left and right must be given together")
-        if self.left is not None and not float(self.left) < float(self.right):
-            raise ValueError(
-                f"cell interval: need left < right, got [{self.left}, {self.right})"
-            )
+def check_interval(interval) -> tuple[float, float]:
+    """The pair (a, b) as floats, both finite with a < b."""
+    try:
+        a, b = float(interval[0]), float(interval[1])
+    except (TypeError, IndexError):
+        raise ValueError(f"interval: need [a, b] with finite a < b, got {interval!r}") from None
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise ValueError(f"interval: need finite a < b, got ({a}, {b})")
+    return a, b
+
+
+def _check_vector(values: np.ndarray, what: str) -> None:
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"{what}: need a nonempty one-dimensional array")
+    if np.any(~np.isfinite(values)) or np.any(values < 0.0):
+        raise ValueError(f"{what}: entries must be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
 class WeightedPartition:
-    """Finite measurable partition with reference-measure weights mu_k >= 0."""
+    """Finite measurable partition with reference-measure weights mu_k >= 0.
 
-    cells: tuple[Cell, ...]
+    left and right are given together: cell k is the interval
+    [left[k], right[k]), or has no interval where both are NaN.  The
+    interval cells must be ordered and disjoint.  labels names the cells;
+    None stands for c0, c1, ..., c{n-1}.
+    """
+
     weights: np.ndarray
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        cells = tuple(self.cells)
         weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "weights", weights)
-        if len(cells) == 0:
-            raise ValueError("cells: a partition needs at least one cell")
-        if weights.shape != (len(cells),):
-            raise ValueError(
-                f"weights: need one weight per cell, got {weights.shape} for {len(cells)} cells"
-            )
-        if np.any(~np.isfinite(weights)) or np.any(weights < 0.0):
-            raise ValueError("weights: must be finite and nonnegative")
+        _check_vector(weights, "weights")
         if not np.any(weights > 0.0):
             raise ValueError("weights: at least one cell must carry positive weight")
-        intervals = [c for c in cells if c.left is not None]
-        for a, b in zip(intervals, intervals[1:]):
-            if b.left < a.right:
-                raise ValueError("cells: interval cells must be ordered and disjoint")
+        n = weights.size
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
+            if len(self.labels) != n:
+                raise ValueError(f"labels: need {n}, got {len(self.labels)}")
+        if self.left is None and self.right is None:
+            return
+        # a missing array reads as a NaN scalar and fails the shape test
+        left, right = np.asarray(self.left, dtype=float), np.asarray(self.right, dtype=float)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        bounded = ~np.isnan(left)
+        if not (left.shape == right.shape == (n,) and np.array_equal(bounded, ~np.isnan(right))):
+            raise ValueError(
+                f"cell interval: left and right must be given together, {n} edges each"
+            )
+        left, right = left[bounded], right[bounded]
+        inverted = ~(left < right)
+        if np.any(inverted):
+            k = int(np.argmax(inverted))
+            raise ValueError(f"cell interval: need left < right, got [{left[k]}, {right[k]})")
+        if np.any(left[1:] < right[:-1]):
+            raise ValueError("cells: interval cells must be ordered and disjoint")
 
     def __len__(self) -> int:
-        return len(self.cells)
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
+        return self.weights.size
 
     @property
     def total_mass(self) -> float:
@@ -94,35 +125,21 @@ def uniform_partition(
     """n equal cells under one of the three standard reference measures.
 
     mode "counting" gives mu_k = 1; "uniform_probability" gives mu_k = 1/n;
-    "lebesgue" gives mu_k = (b - a)/n over interval=(a, b) with interval
-    descriptors attached to the cells.
+    "lebesgue" gives mu_k = (b - a)/n over interval=(a, b), with the cell
+    edges a + (b - a) k/n attached.  n is at most MAX_CELLS.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n: need a positive integer cell count, got {n!r}")
-    n = int(n)
+    n = check_capped(n, "n", cap=MAX_CELLS)
     if mode == "counting":
-        return WeightedPartition(tuple(Cell(f"c{k}") for k in range(n)), np.ones(n))
+        return WeightedPartition(np.ones(n))
     if mode == "uniform_probability":
-        return WeightedPartition(
-            tuple(Cell(f"c{k}") for k in range(n)), np.full(n, 1.0 / n)
-        )
+        return WeightedPartition(np.full(n, 1.0 / n))
     if mode == "lebesgue":
         if interval is None:
             raise ValueError("interval: mode 'lebesgue' requires interval=(a, b)")
-        a, b = float(interval[0]), float(interval[1])
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise ValueError(f"interval: need finite a < b, got ({a}, {b})")
+        a, b = check_interval(interval)
         edges = a + (b - a) * np.arange(n + 1) / n
-        cells = tuple(Cell(f"c{k}", float(edges[k]), float(edges[k + 1])) for k in range(n))
-        return WeightedPartition(cells, np.full(n, (b - a) / n))
+        return WeightedPartition(np.full(n, (b - a) / n), edges[:-1], edges[1:])
     raise ValueError(f"mode: unknown partition mode {mode!r}")
-
-
-def _check_vector(values: np.ndarray, what: str) -> None:
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError(f"{what}: need a nonempty one-dimensional array")
-    if np.any(~np.isfinite(values)) or np.any(values < 0.0):
-        raise ValueError(f"{what}: entries must be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)

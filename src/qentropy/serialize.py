@@ -15,10 +15,11 @@ from dataclasses import is_dataclass, fields
 import numpy as np
 
 from .measure import (
-    Cell,
+    MAX_CELLS,
     DensityVector,
     ProbabilityVector,
     WeightedPartition,
+    check_capped,
     uniform_partition,
 )
 
@@ -78,47 +79,44 @@ def load_input(source: str):
 
 
 def partition_to_dict(partition: WeightedPartition) -> dict:
-    cells = []
-    for cell in partition.cells:
-        entry = {"label": cell.label}
-        if cell.left is not None:
-            entry["left"] = cell.left
-            entry["right"] = cell.right
-        cells.append(entry)
+    labels = partition.labels or [f"c{k}" for k in range(len(partition))]
+    cells = [{"label": label} for label in labels]
+    if partition.left is not None:
+        for entry, left, right in zip(cells, partition.left.tolist(), partition.right.tolist()):
+            if not math.isnan(left):
+                entry["left"] = left
+                entry["right"] = right
     return {"cells": cells, "weights": json_ready(partition.weights)}
 
 
 def partition_from_obj(obj) -> WeightedPartition:
     """Full form {"cells": [...], "weights": [...]} or the uniform shorthand
     {"n": 4, "mode": "counting" | "uniform_probability" | "lebesgue",
-     "interval": [a, b]}."""
+     "interval": [a, b]}, with n at most MAX_CELLS."""
     if not isinstance(obj, dict):
         raise ValueError("partition: expected a JSON object")
     if "n" in obj:
-        mode = obj.get("mode", "counting")
+        n = check_capped(obj["n"], "partition.n", cap=MAX_CELLS)
         interval = obj.get("interval", (0.0, 1.0))
         if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
             raise ValueError(f"partition.interval: expected [a, b], got {interval!r}")
-        return uniform_partition(int(obj["n"]), mode, (float(interval[0]), float(interval[1])))
+        return uniform_partition(n, obj.get("mode", "counting"), interval)
     if "cells" not in obj or "weights" not in obj:
         raise ValueError("partition: need either 'n' shorthand or 'cells' and 'weights'")
-    cells = []
-    for k, entry in enumerate(obj["cells"]):
+    cells, weights = obj["cells"], obj["weights"]
+    if not (isinstance(cells, list) and isinstance(weights, list)):
+        raise ValueError("partition: 'cells' and 'weights' must be arrays")
+    labels, left, right = [], [], []
+    for k, entry in enumerate(cells):
         if isinstance(entry, str):
-            cells.append(Cell(label=entry))
-            continue
+            entry = {"label": entry}
         if not isinstance(entry, dict) or "label" not in entry:
             raise ValueError(f"partition.cells[{k}]: need a label")
-        left = entry.get("left")
-        right = entry.get("right")
-        cells.append(
-            Cell(
-                label=str(entry["label"]),
-                left=None if left is None else float(left),
-                right=None if right is None else float(right),
-            )
-        )
-    return WeightedPartition(tuple(cells), np.asarray(obj["weights"], dtype=float))
+        labels.append(str(entry["label"]))
+        left.append(entry.get("left"))
+        right.append(entry.get("right"))
+    # numpy reads a missing edge (None) as NaN, the mark of a cell without interval
+    return WeightedPartition(weights, left, right, labels)
 
 
 def _vector(obj, field: str) -> np.ndarray:

@@ -124,7 +124,7 @@ def _suite_measures(rng: np.random.Generator, samples: int) -> list[CheckResult]
     for _ in range(n_draws):
         n = int(rng.integers(2, 7))
         mu = _random_pmf(rng, n, floor=0.02)
-        partition = WeightedPartition(uniform_partition(n).cells, mu)
+        partition = WeightedPartition(mu)
         density = DensityVector.from_values(rng.uniform(0.1, 2.0, n), partition, renormalize=True)
         P = induced_pmf(density)
         mu_pmf = ProbabilityVector(mu)
@@ -142,7 +142,7 @@ def _suite_measures(rng: np.random.Generator, samples: int) -> list[CheckResult]
     for _ in range(n_draws):
         n = int(rng.integers(2, 7))
         mu = _random_pmf(rng, n, floor=0.02)
-        partition = WeightedPartition(uniform_partition(n).cells, mu)
+        partition = WeightedPartition(mu)
         P = ProbabilityVector(_random_pmf(rng, n, floor=0.01))
         worst = max(
             worst,

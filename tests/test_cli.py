@@ -315,3 +315,29 @@ def test_levels_are_checked_before_the_grids_are_built(capsys):
         capsys, "approx", "--alpha", "2", "--base-resolution", "8", "--input", spec
     )
     assert message.startswith("level: 2^9 dyadic bins exceed the 256-cell base grid")
+
+
+@pytest.mark.parametrize("partition, field", [
+    ('{"n": null}', "partition.n"),
+    ('{"n": "x"}', "partition.n"),
+    ('{"n": true}', "partition.n"),
+    ('{"n": 2.5}', "partition.n"),  # once truncated to 2
+    ('{"n": 0}', "partition.n"),
+    ('{"n": 16777217}', "partition.n"),
+    ('{"n": 3, "mode": "lebesgue", "interval": [null, 1]}', "interval"),
+    ('{"cells": "a", "weights": [1.0]}', "partition"),  # once read as the cell 'a'
+    ('{"cells": ["a"], "weights": 1.0}', "partition"),
+    ('{"cells": ["a"], "weights": {"a": 1.0}}', "partition"),
+])
+def test_partition_fields_are_checked_before_the_partition_is_built(capsys, partition, field):
+    spec = '{"partition": %s, "pmf": [1.0]}' % partition
+    message = validation_message(capsys, "entropy", "--kind", "measure", "--input", spec)
+    assert message.startswith(field + ":")
+
+
+def test_partition_length_mismatch_exits_one(capsys):
+    # 2e6 cells is under the cap; the length check then fails without a
+    # per-cell build (6.8 s and 424 MiB when each cell was an object)
+    spec = '{"partition": {"n": 2000000}, "pmf": [1.0]}'
+    message = validation_message(capsys, "entropy", "--kind", "measure", "--input", spec)
+    assert "does not match" in message

@@ -4,6 +4,8 @@ Frozen literals regenerated by tests/_oracles.py (mpmath, 50 dps).
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from qentropy import (
     tsallis_entropy,
     uniform_partition,
 )
+from qentropy.entropy import _logsumexp
 
 P82 = ProbabilityVector([0.8, 0.2])
 R55 = ProbabilityVector([0.5, 0.5])
@@ -64,7 +67,7 @@ def test_measure_entropy_discrete_consistency():
 
 
 def test_measure_entropy_on_null_cell_warns_and_is_minus_inf():
-    part = WeightedPartition(uniform_partition(2).cells, [1.0, 0.0])
+    part = WeightedPartition([1.0, 0.0])
     with pytest.warns(RuntimeWarning):
         assert measure_entropy(ProbabilityVector([0.5, 0.5]), part) == -math.inf
 
@@ -110,7 +113,7 @@ def test_entropy_is_minus_divergence_from_probability_reference():
         n = int(rng.integers(2, 7))
         mu = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
         mu = mu / mu.sum()
-        part = WeightedPartition(uniform_partition(n).cells, mu)
+        part = WeightedPartition(mu)
         p = DensityVector.from_values(rng.uniform(0.1, 2.0, n), part, renormalize=True)
         P = induced_pmf(p)
         mu_pmf = ProbabilityVector(mu)
@@ -180,3 +183,31 @@ def test_divergence_nonnegativity_property(n, seed):
     for q in (0.5, 0.9, 2.0, 3.0):
         assert renyi_divergence(P, R, None, q) >= 0.0
         assert tsallis_divergence(P, R, None, q) >= 0.0
+
+
+# values frozen from scipy.special.logsumexp 1.17.1; a plain max-shifted sum
+# differs from it in the last digit on the first case
+LOGSUMEXP_FROZEN = [
+    ([-2.0041390383268505, -3.165451653615364], [1.9169077841885873, 0.6399822111227037],
+     -1.2540114246804237),
+    ([1.0, 1.0, 0.5], None, 1.9580200879470337),  # tied maxima
+    ([2.0, 2.0, 2.0], [0.5, 0.25, 0.25], 2.0),
+    ([0.3, 5.0, -1.0], [1.0, 0.0, 2.0], 0.7350650655339068),  # zero weight on the max
+    ([0.7], [3.0], 1.7986122886681097),  # a single element
+    ([-2.5], None, -2.5),
+    (np.linspace(-1000.0, 3.0, 7).tolist(), [0.5, 1.0, 2.0, 0.25, 1.5, 3.0, 0.75],
+     2.712317927548219),  # a spread of 1e3
+    ([-700.0, 0.0, 300.0, 299.5], None, 300.4740769841801),
+]
+
+
+@pytest.mark.parametrize("a, b, frozen", LOGSUMEXP_FROZEN)
+def test_logsumexp_port_is_frozen(a, b, frozen):
+    b = None if b is None else np.asarray(b)
+    assert _logsumexp(np.asarray(a), b) == frozen
+
+
+def test_import_leaves_scipy_out():
+    probe = "import sys, qentropy; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

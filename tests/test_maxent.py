@@ -94,7 +94,7 @@ def test_unconstrained_problem_returns_uniform():
 
 def test_weighted_reference_enters_the_family():
     # doubling one cell's weight doubles its odds at beta = 0
-    partition = WeightedPartition(uniform_partition(2).cells, [2.0, 1.0])
+    partition = WeightedPartition([2.0, 1.0])
     sol = solve_maxent(ConstraintSet([], []), partition)
     assert np.allclose(sol.pmf.masses, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
@@ -132,7 +132,7 @@ def test_boundary_target_is_infeasible_for_the_solver():
 
 
 def test_null_cells_are_excluded_from_support():
-    partition = WeightedPartition(uniform_partition(3).cells, [1.0, 0.0, 1.0])
+    partition = WeightedPartition([1.0, 0.0, 1.0])
     sol = solve_maxent(ConstraintSet([[0.0, 5.0, 1.0]], [0.4]), partition)
     assert sol.density.values[1] == 0.0
     assert abs(float(sol.achieved_moments[0]) - 0.4) < 1e-10

@@ -71,7 +71,46 @@ def test_partition_round_trip():
     back = partition_from_obj(obj)
     assert isinstance(back, WeightedPartition)
     assert np.allclose(back.weights, part.weights, rtol=0, atol=0)
-    assert [c.label for c in back.cells] == [c.label for c in part.cells]
+    assert back.labels == ("c0", "c1", "c2")  # part's default labels, written out
+    assert np.array_equal(back.left, part.left) and np.array_equal(back.right, part.right)
+
+
+FROZEN_PARTITIONS = [
+    (
+        uniform_partition(3),
+        '{"cells": [{"label": "c0"}, {"label": "c1"}, {"label": "c2"}], '
+        '"weights": [1.0, 1.0, 1.0]}',
+    ),
+    (
+        uniform_partition(3, "uniform_probability"),
+        '{"cells": [{"label": "c0"}, {"label": "c1"}, {"label": "c2"}], '
+        '"weights": [0.3333333333333333, 0.3333333333333333, 0.3333333333333333]}',
+    ),
+    (
+        uniform_partition(3, "lebesgue", (0.1, 0.8)),
+        '{"cells": [{"label": "c0", "left": 0.1, "right": 0.33333333333333337}, '
+        '{"label": "c1", "left": 0.33333333333333337, "right": 0.5666666666666668}, '
+        '{"label": "c2", "left": 0.5666666666666668, "right": 0.8}], '
+        '"weights": [0.23333333333333336, 0.23333333333333336, 0.23333333333333336]}',
+    ),
+    (
+        # a string cell, interval cells, a non-string label and a mu-null cell
+        partition_from_obj({
+            "cells": ["a", {"label": "b", "left": 0.0, "right": 0.5},
+                      {"label": 7, "left": 0.5, "right": 1}],
+            "weights": [1, 0.5, 0],
+        }),
+        '{"cells": [{"label": "a"}, {"label": "b", "left": 0.0, "right": 0.5}, '
+        '{"label": "7", "left": 0.5, "right": 1.0}], "weights": [1.0, 0.5, 0.0]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("part, frozen", FROZEN_PARTITIONS)
+def test_partition_json_is_frozen(part, frozen):
+    assert json.dumps(partition_to_dict(part)) == frozen
+    again = partition_to_dict(partition_from_obj(json.loads(frozen)))
+    assert json.dumps(again) == frozen
 
 
 def test_partition_shorthand():

@@ -214,7 +214,7 @@ def test_argmax_agrees_across_uniform_references():
 
 
 def test_null_cells_stay_null():
-    partition = WeightedPartition(uniform_partition(3).cells, [1.0, 0.0, 1.0])
+    partition = WeightedPartition([1.0, 0.0, 1.0])
     constraints = ConstraintSet([[0.0, 5.0, 1.0]], [0.4], "escort", 2.0)
     sol = solve_tsallis_maxent(constraints, partition)
     assert sol.density.values[1] == 0.0
