@@ -6,6 +6,8 @@ a convergence harness for the generalized divergences; classical and
 escort-constrained Tsallis maximum-entropy solvers with identity checks.
 """
 
+from types import ModuleType as _ModuleType
+
 from .qcalc import DeformationIndex, as_index, q_exp, q_log
 from .measure import (
     AbsoluteContinuityError,
@@ -33,7 +35,6 @@ from .dyadic import (
     DemoRow,
     DyadicApproximation,
     ResolutionError,
-    approximating_pmf,
     common_refinement,
     convergence_table,
     demo_to_csv,
@@ -60,7 +61,6 @@ from .tsallis import (
     escort_expectation,
     escort_view,
     identity_residuals,
-    q_maxent_density,
     solve_tsallis_maxent,
     tsallis_thermo,
 )
@@ -68,59 +68,8 @@ from .verify import run_suite, run_suites
 
 __version__ = "0.1.0"
 
+# every public name imported above
 __all__ = [
-    "DeformationIndex",
-    "as_index",
-    "q_exp",
-    "q_log",
-    "AbsoluteContinuityError",
-    "DensityVector",
-    "ProbabilityVector",
-    "WeightedPartition",
-    "induced_pmf",
-    "radon_nikodym",
-    "uniform_partition",
-    "kl_divergence",
-    "measure_entropy",
-    "renyi_divergence",
-    "renyi_entropy",
-    "shannon_entropy",
-    "tsallis_divergence",
-    "tsallis_entropy",
-    "BaseGridDensity",
-    "CommonRefinement",
-    "ConvergenceRow",
-    "DemoReport",
-    "DemoRow",
-    "DyadicApproximation",
-    "ResolutionError",
-    "approximating_pmf",
-    "common_refinement",
-    "convergence_table",
-    "demo_to_csv",
-    "dyadic_approximation",
-    "entropy_nonextension_demo",
-    "reference_divergence",
-    "table_to_csv",
-    "ConstraintSet",
-    "ConvergenceError",
-    "GibbsSolution",
-    "InfeasibleError",
-    "partition_function",
-    "solve_maxent",
-    "thermo_residuals",
-    "ConsistencyReport",
-    "EmptySupportError",
-    "EscortView",
-    "TsallisSolution",
-    "discrete_consistency_report",
-    "escort_expectation",
-    "escort_view",
-    "identity_residuals",
-    "q_maxent_density",
-    "solve_tsallis_maxent",
-    "tsallis_thermo",
-    "run_suite",
-    "run_suites",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -8,9 +8,9 @@ finite sum; no quadrature enters the convergence claim.
 The approximation at level n groups base cells by which dyadic bin
 [k/2^n, (k+1)/2^n), k = 0..n*2^n - 1, their density value falls in, with one
 overflow cell for values >= n.  The simple function f_n takes the mu-mean of
-the density on each nonempty group; the masses of those groups form the
-approximating pmf whose discrete Renyi/Tsallis divergences converge to the
-measure-theoretic value as n grows.
+the density on each nonempty group; the masses of those groups
+(DyadicApproximation.masses) form the approximating pmf, whose discrete
+Renyi/Tsallis divergences converge to the measure-theoretic value as n grows.
 
 The levels form a refining chain: a level-n bin is a union of level-L bins,
 floor(v 2^n) = floor(v 2^L) >> (L-n), so convergence_table bins each density
@@ -45,7 +45,6 @@ __all__ = [
     "DemoRow",
     "DemoReport",
     "dyadic_approximation",
-    "approximating_pmf",
     "common_refinement",
     "reference_divergence",
     "convergence_table",
@@ -228,11 +227,6 @@ def dyadic_approximation(p: BaseGridDensity, level: int) -> DyadicApproximation:
     return DyadicApproximation(
         p, level, bin_ids, labels, sums / counts, sums * p.delta, counts * p.delta
     )
-
-
-def approximating_pmf(approx: DyadicApproximation) -> ProbabilityVector:
-    """Masses of the level sets as a pmf (they telescope to total mass 1)."""
-    return ProbabilityVector(approx.masses)
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,14 +48,14 @@ def check_capped(value, field: str, minimum: int = 1, cap: int = MAX_BASE_EXPONE
     return int(value)
 
 
-def check_interval(interval) -> tuple[float, float]:
+def check_interval(interval, field: str = "interval") -> tuple[float, float]:
     """The pair (a, b) as floats, both finite with a < b."""
     try:
         a, b = float(interval[0]), float(interval[1])
-    except (TypeError, IndexError):
-        raise ValueError(f"interval: need [a, b] with finite a < b, got {interval!r}") from None
+    except (TypeError, IndexError, OverflowError):
+        raise ValueError(f"{field}: need [a, b] with finite a < b, got {interval!r}") from None
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"interval: need finite a < b, got ({a}, {b})")
+        raise ValueError(f"{field}: need finite a < b, got ({a}, {b})")
     return a, b
 
 

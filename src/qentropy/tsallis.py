@@ -48,7 +48,6 @@ __all__ = [
     "ConsistencyReport",
     "escort_view",
     "escort_expectation",
-    "q_maxent_density",
     "solve_tsallis_maxent",
     "identity_residuals",
     "tsallis_thermo",
@@ -77,14 +76,18 @@ class EscortView:
         return float(self.weights @ u)
 
 
+def _q_powers(values: np.ndarray, weights: np.ndarray, idx: DeformationIndex):
+    """p_k^q per cell (0 where p_k = 0) and the q-mass w = sum_k p_k^q mu_k."""
+    powers = np.zeros_like(values)
+    live = values > 0.0
+    powers[live] = np.exp(idx.q * np.log(values[live]))
+    return powers, float(powers @ weights)
+
+
 def escort_view(p: DensityVector, q: DeformationIndex | float) -> EscortView:
     idx = as_index(q)
-    powers = np.zeros_like(p.values)
-    live = p.values > 0.0
-    powers[live] = np.exp(idx.q * np.log(p.values[live]))
-    masses = powers * p.partition.weights
-    q_mass = float(np.sum(masses))
-    return EscortView(q=idx, weights=masses / q_mass, q_mass=q_mass)
+    powers, q_mass = _q_powers(p.values, p.partition.weights, idx)
+    return EscortView(q=idx, weights=powers * p.partition.weights / q_mass, q_mass=q_mass)
 
 
 def escort_expectation(p: DensityVector, u, q: DeformationIndex | float) -> float:
@@ -153,43 +156,6 @@ def _escort_family(lam: np.ndarray, centered: np.ndarray, one_minus_q: float):
     return raw, ratio
 
 
-def q_maxent_density(
-    beta,
-    q_mass_guess: float,
-    constraints: ConstraintSet,
-    partition: WeightedPartition,
-) -> tuple[DensityVector, float]:
-    """One evaluation of the self-referential form at a supplied q_mass guess.
-
-    Centering uses the constraint targets (the solution ansatz); cells cut
-    off by the q-exponential get density zero.
-    """
-    idx = _require_escort(constraints)
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if beta.size != constraints.size or np.any(~np.isfinite(beta)):
-        raise ValueError(f"beta: need {constraints.size} finite multipliers, got {beta!r}")
-    if not (np.isfinite(q_mass_guess) and q_mass_guess > 0.0):
-        raise ValueError(f"q_mass_guess: need a positive real, got {q_mass_guess!r}")
-    U = constraints.feature_matrix(len(partition))
-    weights = partition.weights
-    raw = q_exp(-((beta / float(q_mass_guess)) @ (U - constraints.targets[:, None])), idx)
-    raw = np.where(weights > 0.0, raw, 0.0)
-    zbar = float(raw @ weights)
-    if zbar <= 0.0:
-        raise EmptySupportError(
-            "beta: every support cell is cut off by the q-exponential; "
-            "the multipliers are too extreme for this index"
-        )
-    return DensityVector(raw / zbar, partition), zbar
-
-
-def _power_mass(values: np.ndarray, weights: np.ndarray, idx: DeformationIndex) -> float:
-    powers = np.zeros_like(values)
-    live = values > 0.0
-    powers[live] = np.exp(idx.q * np.log(values[live]))
-    return float(powers @ weights)
-
-
 def identity_residuals(
     density: DensityVector,
     q: DeformationIndex | float,
@@ -205,7 +171,7 @@ def identity_residuals(
     beta_q = np.atleast_1d(np.asarray(beta_q, dtype=float))
     escort_moments = np.atleast_1d(np.asarray(escort_moments, dtype=float))
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    q_mass = _power_mass(density.values, density.partition.weights, idx)
+    _, q_mass = _q_powers(density.values, density.partition.weights, idx)
     zbar_power = math.exp((1.0 - idx.q) * math.log(zbar))
     entropy = tsallis_entropy(density, idx)
     return {
@@ -265,7 +231,7 @@ def solve_tsallis_maxent(
     values = np.zeros(len(partition))
     values[support] = raw / zbar
     density = DensityVector(values, partition)
-    q_mass = _power_mass(values, weights, idx)
+    _, q_mass = _q_powers(values, weights, idx)
     beta = beta_q * q_mass
     entropy_q = tsallis_entropy(density, idx)
     residuals = identity_residuals(density, idx, zbar, beta, beta_q, moments, targets)
@@ -293,7 +259,9 @@ def _lnq_z_gradient(solution: TsallisSolution, fd_step: float) -> np.ndarray:
     its own escort mean c, in closed form through
     e_q(x + y) = e_q(x) e_q(y / (1 + (1-q) x)):
     lambda' = gamma / (1 - (1-q) gamma . (c - t)), beta' = lambda' w and
-    zbar_c = e_q(lambda' . (c - t)) zbar(gamma), so ln_q Z_q = ln_q zbar_c - beta' . c.
+    zbar_c = e_q(lambda' . (c - t)) zbar(gamma), so ln_q Z_q = ln_q zbar_c - beta' . c,
+    differenced as zbar_c^(1-q)/(1-q) - beta' . c (ln zbar_c - beta' . c in the
+    classical band).
     The shifts move beta' along no coordinate axis, so the gradient solves the
     M x M system of central differences.
     """
@@ -307,9 +275,15 @@ def _lnq_z_gradient(solution: TsallisSolution, fd_step: float) -> np.ndarray:
     mu = weights[support]
     one_minus_q = _one_minus_q(idx)
 
+    outside = ValueError(f"fd_step: a step of {fd_step!r} leaves the escort family (past "
+                         "the q > 1 pole, or every cell cut off); use a smaller fd_step")
+
     def point(gamma: np.ndarray):
-        raw, ratio = _escort_family(gamma, centered, one_minus_q)
-        zbar = float(mu @ raw)
+        family = _escort_family(gamma, centered, one_minus_q)
+        zbar = 0.0 if family is None else float(mu @ family[0])
+        if zbar == 0.0:
+            raise outside
+        raw, ratio = family
         escort = mu * raw * ratio
         escort_mass = float(np.sum(escort))
         offset = (features @ escort) / escort_mass - targets
@@ -317,7 +291,13 @@ def _lnq_z_gradient(solution: TsallisSolution, fd_step: float) -> np.ndarray:
         lam = gamma / (1.0 - one_minus_q * float(gamma @ offset))
         beta = lam * w
         zbar_c = float(q_exp(float(lam @ offset), idx)) * zbar
-        return beta, float(q_log(zbar_c, idx)) - float(beta @ (targets + offset))
+        if not 0.0 < zbar_c < math.inf:
+            raise outside
+        # ln_q zbar_c less its constant -1/(1-q), which cancels in the
+        # differences: at large q, zbar_c^(1-q) is far below that constant's
+        # rounding
+        lnq = math.log(zbar_c) if one_minus_q == 0.0 else zbar_c**one_minus_q / one_minus_q
+        return beta, lnq - float(beta @ (targets + offset))
 
     M = constraints.size
     beta_steps = np.zeros((M, M))

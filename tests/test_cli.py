@@ -324,7 +324,7 @@ def test_levels_are_checked_before_the_grids_are_built(capsys):
     ('{"n": 2.5}', "partition.n"),  # once truncated to 2
     ('{"n": 0}', "partition.n"),
     ('{"n": 16777217}', "partition.n"),
-    ('{"n": 3, "mode": "lebesgue", "interval": [null, 1]}', "interval"),
+    ('{"n": 3, "mode": "lebesgue", "interval": [null, 1]}', "partition.interval[0]"),
     ('{"cells": "a", "weights": [1.0]}', "partition"),  # once read as the cell 'a'
     ('{"cells": ["a"], "weights": 1.0}', "partition"),
     ('{"cells": ["a"], "weights": {"a": 1.0}}', "partition"),

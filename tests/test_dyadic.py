@@ -21,7 +21,6 @@ from qentropy import (
     ConvergenceRow,
     ProbabilityVector,
     ResolutionError,
-    approximating_pmf,
     common_refinement,
     convergence_table,
     demo_to_csv,
@@ -222,7 +221,7 @@ def test_mass_and_mean_properties(seed, level):
         base_exponent=8,
     )
     approx = dyadic_approximation(grid, level)
-    assert abs(float(np.sum(approximating_pmf(approx).masses)) - 1.0) <= 1e-12
+    assert abs(float(np.sum(ProbabilityVector(approx.masses).masses)) - 1.0) <= 1e-12
     scale = 2.0**level
     for i, k in enumerate(approx.bin_ids):
         if k == approx.overflow_id:

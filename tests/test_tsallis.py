@@ -19,7 +19,6 @@ from qentropy import (
     escort_expectation,
     escort_view,
     q_log,
-    q_maxent_density,
     radon_nikodym,
     solve_maxent,
     solve_tsallis_maxent,
@@ -156,7 +155,9 @@ def test_unconstrained_problem_is_uniform():
 
 def test_density_builder_normalizes():
     constraints, partition = two_point_problem()
-    density, zbar = q_maxent_density(np.array([TP_BETA]), TP_Q_MASS, constraints, partition)
+    sol = solve_tsallis_maxent(constraints, partition)
+    assert abs(float(sol.beta[0]) - TP_BETA) < 1e-9 and abs(sol.q_mass - TP_Q_MASS) < 1e-9
+    density, zbar = sol.density, sol.zbar
     assert math.isclose(float(density.values @ partition.weights), 1.0, rel_tol=0, abs_tol=1e-12)
     assert abs(zbar - TP_ZBAR_COUNTING) < 1e-9
 
@@ -253,3 +254,17 @@ def test_thermo_identities_with_cut_off_cells():
     thermo = tsallis_thermo(sol)
     assert float(np.max(thermo["log_z_gradient"])) < 1e-6
     assert float(np.max(thermo["entropy_sensitivity"])) < 1e-4
+
+
+@pytest.mark.parametrize("q", [3.0, 5.0])
+def test_log_z_gradient_at_large_q(q):
+    # counting n = 4000 with features x, x^2: the q-mass is about 5e-15 at
+    # q = 5, far below the rounding of ln_q's constant -1/(1-q), which read
+    # [0.4, 0.2] (the escort moments themselves) before it was cancelled
+    n = 4000
+    x = (np.arange(n) + 0.5) / n
+    constraints = ConstraintSet([x, x * x], [0.4, 0.2], "escort", q)
+    sol = solve_tsallis_maxent(constraints, uniform_partition(n))
+    thermo = tsallis_thermo(sol)
+    assert float(np.max(thermo["log_z_gradient"])) < 1e-6
+    assert float(np.max(thermo["entropy_sensitivity"])) < 1e-6
