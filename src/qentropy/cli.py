@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .dyadic import (
     check_levels,
     convergence_table,
@@ -289,7 +291,10 @@ def _error(code: int, kind: str, exc: Exception, **extra) -> int:
 def run(spec: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit code."""
     try:
-        result = _RUNNERS[spec.command](spec)
+        # overflow and invalid-value warnings would precede the JSON error
+        # payload on stderr; a failed solve reports through that payload
+        with np.errstate(all="ignore"):
+            result = _RUNNERS[spec.command](spec)
     except ConvergenceError as exc:
         return _error(2, "non_convergence", exc,
                       residual_norm=exc.residual_norm, iterations=exc.iterations)

@@ -67,13 +67,12 @@ class ResolutionError(ValueError):
 class BaseGridDensity:
     """Simple-function density on 2^B uniform cells of [a, b], B <= MAX_BASE_EXPONENT.
 
-    bound is the known finite sup of the density; renormalization records
-    the factor applied to the raw inputs (1.0 when none was needed).
+    renormalization records the factor applied to the raw inputs (1.0 when
+    none was needed).
     """
 
     interval: tuple[float, float]
     values: np.ndarray
-    bound: float
     renormalization: float = 1.0
 
     def __post_init__(self) -> None:
@@ -92,11 +91,6 @@ class BaseGridDensity:
             raise ValueError(
                 f"values: density must integrate to 1 over the interval (got {total!r})"
             )
-        if not np.isfinite(self.bound) or float(np.max(values)) > self.bound:
-            raise ValueError(
-                f"bound: must be a finite sup of the values, got {self.bound!r} "
-                f"against max value {float(np.max(values))!r}"
-            )
 
     @property
     def base_cells(self) -> int:
@@ -113,14 +107,13 @@ class BaseGridDensity:
         fn: Callable[[np.ndarray], np.ndarray],
         interval: tuple[float, float],
         base_exponent: int = DEFAULT_BASE_EXPONENT,
-        bound: float | None = None,
     ) -> "BaseGridDensity":
         """Evaluate fn at base-cell midpoints and renormalize to unit mass."""
         n = 2 ** check_capped(base_exponent, "base_exponent")
         a, b = check_interval(interval)
         x = a + (b - a) * (np.arange(n) + 0.5) / n
         raw = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape).astype(float)
-        return _grid(raw, (a, b), True, bound)
+        return _grid(raw, (a, b), True)
 
     @classmethod
     def from_values(
@@ -128,12 +121,11 @@ class BaseGridDensity:
         values,
         interval: tuple[float, float],
         renormalize: bool = False,
-        bound: float | None = None,
     ) -> "BaseGridDensity":
-        return _grid(np.asarray(values, dtype=float), interval, renormalize, bound)
+        return _grid(np.asarray(values, dtype=float), interval, renormalize)
 
 
-def _grid(values: np.ndarray, interval, renormalize: bool, bound) -> BaseGridDensity:
+def _grid(values: np.ndarray, interval, renormalize: bool) -> BaseGridDensity:
     # body of both constructors, so that a wrapper timing them counts one build per grid
     factor = 1.0
     if renormalize:
@@ -144,8 +136,7 @@ def _grid(values: np.ndarray, interval, renormalize: bool, bound) -> BaseGridDen
             raise ValueError("values: cannot renormalize zero total mass")
         values = values / total
         factor = 1.0 / total
-    bound = float(np.max(values)) if bound is None else float(bound)
-    return BaseGridDensity(tuple(interval), values, bound=bound, renormalization=factor)
+    return BaseGridDensity(tuple(interval), values, renormalization=factor)
 
 
 def check_levels(levels: Sequence[int], base_cells: int) -> list[int]:

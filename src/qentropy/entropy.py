@@ -113,7 +113,7 @@ def measure_entropy(P: ProbabilityVector, partition: WeightedPartition) -> float
             stacklevel=2,
         )
         return -math.inf
-    return float(-np.dot(p[live], np.log(p[live] / w[live])))
+    return float(-np.dot(p[live], np.log(p[live] / w[live]))) + 0.0
 
 
 def renyi_entropy(p: DensityVector, alpha: DeformationIndex | float) -> float:
@@ -125,7 +125,7 @@ def renyi_entropy(p: DensityVector, alpha: DeformationIndex | float) -> float:
     w = p.partition.weights
     live = (v > 0.0) & (w > 0.0)
     log_sum = _logsumexp(idx.q * np.log(v[live]), b=w[live])
-    return float(log_sum / (1.0 - idx.q))
+    return float(log_sum / (1.0 - idx.q)) + 0.0
 
 
 def renyi_divergence(
@@ -147,7 +147,7 @@ def renyi_divergence(
     if np.any(r[live] == 0.0):
         return math.inf
     log_sum = _logsumexp(idx.q * np.log(p[live]) + (1.0 - idx.q) * np.log(r[live]))
-    return float(log_sum / (idx.q - 1.0))
+    return float(log_sum / (idx.q - 1.0)) + 0.0
 
 
 def tsallis_entropy(p: DensityVector, q: DeformationIndex | float) -> float:
@@ -159,7 +159,7 @@ def tsallis_entropy(p: DensityVector, q: DeformationIndex | float) -> float:
     w = p.partition.weights
     live = (v > 0.0) & (w > 0.0)
     power_integral = float(np.dot(v[live] ** idx.q, w[live]))
-    return (1.0 - power_integral) / (idx.q - 1.0)
+    return (1.0 - power_integral) / (idx.q - 1.0) + 0.0
 
 
 def tsallis_divergence(
@@ -177,4 +177,4 @@ def tsallis_divergence(
     if np.any(r[live] == 0.0):
         return math.inf
     power_sum = float(np.sum(p[live] ** idx.q * r[live] ** (1.0 - idx.q)))
-    return (power_sum - 1.0) / (idx.q - 1.0)
+    return (power_sum - 1.0) / (idx.q - 1.0) + 0.0

@@ -8,10 +8,13 @@ and the dual is log Z(beta) + beta . t (gradient t - E[u], curvature the
 moment covariance).  The escort dual that tsallis.py hands to the same
 routine is described there.
 
-A direction d with d . (u_k - t) > 0 on the whole support proves the targets
-jointly infeasible, and along it the dual decreases without bound; the
-routine tests each Newton step and iterate as such a d and raises
-InfeasibleError naming it.
+Both solvers pose their dual on _support_setup (the support cells, the
+features and the target-centred features on them, and mu) and check their
+arguments with _check_arguments.  A direction d with d . (u_k - t) > 0 on the
+whole support proves the targets jointly infeasible, and along it the dual
+decreases without bound; the routine tests each Newton step and iterate as
+such a d and raises InfeasibleError naming it.  Both audits check dS/dt_m =
+beta_m by re-solving at t_m +- h in _resolved_sensitivity.
 """
 
 from __future__ import annotations
@@ -107,10 +110,6 @@ class ConstraintSet:
     def size(self) -> int:
         return len(self.functions)
 
-    @property
-    def cell_count(self) -> int | None:
-        return self.functions[0].size if self.functions else None
-
     def feature_matrix(self, cells: int) -> np.ndarray:
         if self.functions and self.functions[0].size != cells:
             raise ValueError(
@@ -162,9 +161,34 @@ def partition_function(
     return float(_logsumexp(-(beta @ U[:, support]), b=partition.weights[support]))
 
 
-def _check_interior(U: np.ndarray, targets: np.ndarray, support: np.ndarray) -> None:
-    for m in range(U.shape[0]):
-        u = U[m, support]
+def _check_arguments(**arguments) -> None:
+    """tolerance and fd_step must lie in (0, 1); every other argument is an
+    iteration count and must be at least 1."""
+    for name, value in arguments.items():
+        if name in ("tolerance", "fd_step"):
+            if not (0.0 < value < 1.0):
+                raise ValueError(f"{name}: need a value in (0, 1), got {value!r}")
+        elif value < 1:
+            raise ValueError(f"{name}: need at least 1, got {value!r}")
+
+
+def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kind: str):
+    """The problem both MaxEnt duals are posed on: the support cells (mu_k > 0),
+    the features u_k on them, the centred features u_k - t, and mu_k.
+
+    The constraints must be of the solver's kind, and each target strictly
+    inside its feature's range on the support; on the range's edge the
+    maximizer would be a degenerate limit.
+    """
+    if constraints.kind != kind:
+        raise ValueError(
+            f"constraints: kind must be {kind!r} for this solver, got {constraints.kind!r}"
+        )
+    weights = partition.weights
+    targets = constraints.targets
+    support = weights > 0.0
+    features = constraints.feature_matrix(len(partition))[:, support]
+    for m, u in enumerate(features):
         lo, hi = float(np.min(u)), float(np.max(u))
         if not (lo < targets[m] < hi):
             raise InfeasibleError(
@@ -172,6 +196,7 @@ def _check_interior(U: np.ndarray, targets: np.ndarray, support: np.ndarray) -> 
                 f"attainable range ({lo!r}, {hi!r}) on the support; the "
                 f"maximizer would be a degenerate limit"
             )
+    return support, features, features - targets[:, None], weights[support]
 
 
 _ARMIJO = 1e-4
@@ -264,43 +289,28 @@ def solve_maxent(
     max_iterations: int = 200,
 ) -> GibbsSolution:
     """Damped Newton on the convex dual log Z(beta) + beta . t from beta = 0."""
-    if constraints.kind != "ordinary":
-        raise ValueError(
-            f"constraints: kind must be 'ordinary' for the classical solver, "
-            f"got {constraints.kind!r}"
-        )
-    if not (0.0 < tolerance < 1.0):
-        raise ValueError(f"tolerance: need a value in (0, 1), got {tolerance!r}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations: need at least 1, got {max_iterations!r}")
-    weights = partition.weights
-    U = constraints.feature_matrix(len(partition))
+    _check_arguments(tolerance=tolerance, max_iterations=max_iterations)
+    support, features, centered, mu = _support_setup(constraints, partition, "ordinary")
     targets = constraints.targets
-    support = weights > 0.0
-    if constraints.size:
-        _check_interior(U, targets, support)
-    features = U[:, support]
-    centered_on_targets = features - targets[:, None]
-    cell_weights = weights[support]
 
     def evaluate(b: np.ndarray):
         # log Z + b . t summed on the centred exponent: adding b . t to log Z
         # would cancel digits and hide the dual's last decrease in rounding
-        value = float(_logsumexp(-(b @ centered_on_targets), b=cell_weights))
+        value = float(_logsumexp(-(b @ centered), b=mu))
         if not math.isfinite(value):
             return math.inf, None, None, math.inf, None
         exponent = -(b @ features)
-        log_z = float(_logsumexp(exponent, b=cell_weights))
-        masses = np.exp(exponent - log_z) * cell_weights
+        log_z = float(_logsumexp(exponent, b=mu))
+        masses = np.exp(exponent - log_z) * mu
         moments = features @ masses
         residual = moments - targets
         residual_norm = float(np.max(np.abs(residual), initial=0.0))
-        centered = features - moments[:, None]
-        hessian = centered @ (centered * masses).T
+        deviations = features - moments[:, None]
+        hessian = deviations @ (deviations * masses).T
         return value, -residual, hessian, residual_norm, (exponent, log_z, moments)
 
     beta, (exponent, log_z, moments), residual_norm, iterations, _ = _dual_newton(
-        evaluate, centered_on_targets, tolerance, max_iterations, 60, "solve_maxent"
+        evaluate, centered, tolerance, max_iterations, 60, "solve_maxent"
     )
     values = np.zeros(len(partition))
     values[support] = np.exp(exponent - log_z)
@@ -324,63 +334,57 @@ def solve_maxent(
 FD_STEP_SHRINKS = 5
 
 
-def _resolved_difference(value_at, target: float, fd_step: float) -> float:
-    """Central difference (v(t + h) - v(t - h)) / 2h of a re-solved value.
+def _resolved_sensitivity(solve, entropy_field: str, solution, fd_step: float) -> np.ndarray:
+    """|dS/dt_m - beta_m| per constraint, S read from entropy_field of the
+    solution that solve returns at the shifted targets.
 
-    h starts at fd_step and is divided by 10 while either re-solve raises
-    ValueError: the shifted target left the feasible set, which can be
-    thinner than fd_step around a solvable target.  Below
-    fd_step / 10^FD_STEP_SHRINKS the last error is raised.
+    dS/dt_m is the central difference (S(t_m + h) - S(t_m - h)) / 2h of
+    re-solves at tolerance 1e-12.  h starts at fd_step and is divided by 10
+    while either re-solve raises ValueError: the shifted target left the
+    feasible set, which can be thinner than fd_step around a solvable target.
+    Below fd_step / 10^FD_STEP_SHRINKS the last error is raised.
     """
-    step = fd_step
-    for shrinks in range(FD_STEP_SHRINKS + 1):
-        try:
-            return (value_at(target + step) - value_at(target - step)) / (2.0 * step)
-        except ValueError:
-            if shrinks == FD_STEP_SHRINKS:
-                raise
-            step /= 10.0
-
-
-def thermo_residuals(
-    solution: GibbsSolution,
-    constraints: ConstraintSet | None = None,
-    partition: WeightedPartition | None = None,
-    fd_step: float = 1e-4,
-):
-    """Finite-difference checks of the two thermodynamic identities.
-
-    grad_residual[m]:        |d(log Z)/d(beta_m) + <u_m>|   (central difference)
-    sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (re-solve at t +- h,
-                             h shrinking as in _resolved_difference)
-
-    The sensitivity sign follows from S(t) = log Z(beta(t)) + beta(t) . t and
-    the envelope theorem: dS/dt_m = beta_m for the Gibbs form used here.
-    """
-    constraints = solution.constraints if constraints is None else constraints
-    partition = solution.partition if partition is None else partition
-    if not (0.0 < fd_step < 1.0):
-        raise ValueError(f"fd_step: need a value in (0, 1), got {fd_step!r}")
-    M = constraints.size
-    grad_residual = np.zeros(M)
-    sensitivity_residual = np.zeros(M)
+    constraints, partition = solution.constraints, solution.partition
     targets = constraints.targets
 
     def entropy_at(m: int, value: float) -> float:
         shifted = targets.copy()
         shifted[m] = value
-        return solve_maxent(
-            constraints.with_targets(shifted), partition, tolerance=1e-12
-        ).entropy
+        resolved = solve(constraints.with_targets(shifted), partition, tolerance=1e-12)
+        return getattr(resolved, entropy_field)
 
-    for m in range(M):
-        unit = np.zeros(M)
-        unit[m] = 1.0
+    residual = np.zeros(constraints.size)
+    for m in range(constraints.size):
+        step = fd_step
+        for shrinks in range(FD_STEP_SHRINKS + 1):
+            try:
+                rise = entropy_at(m, targets[m] + step) - entropy_at(m, targets[m] - step)
+                break
+            except ValueError:
+                if shrinks == FD_STEP_SHRINKS:
+                    raise
+                step /= 10.0
+        residual[m] = abs(rise / (2.0 * step) - solution.beta[m])
+    return residual
+
+
+def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
+    """Finite-difference checks of the two thermodynamic identities.
+
+    grad_residual[m]:        |d(log Z)/d(beta_m) + <u_m>|   (central difference)
+    sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (re-solve at t +- h,
+                             h shrinking as in _resolved_sensitivity)
+
+    The sensitivity sign follows from S(t) = log Z(beta(t)) + beta(t) . t and
+    the envelope theorem: dS/dt_m = beta_m for the Gibbs form used here.
+    """
+    _check_arguments(fd_step=fd_step)
+    constraints, partition = solution.constraints, solution.partition
+    M = constraints.size
+    grad_residual = np.zeros(M)
+    for m, unit in enumerate(np.eye(M)):
         log_plus = partition_function(solution.beta + fd_step * unit, constraints, partition)
         log_minus = partition_function(solution.beta - fd_step * unit, constraints, partition)
         grad_fd = (log_plus - log_minus) / (2.0 * fd_step)
         grad_residual[m] = abs(grad_fd + solution.achieved_moments[m])
-
-        sens_fd = _resolved_difference(lambda t: entropy_at(m, t), targets[m], fd_step)
-        sensitivity_residual[m] = abs(sens_fd - solution.beta[m])
-    return grad_residual, sensitivity_residual
+    return grad_residual, _resolved_sensitivity(solve_maxent, "entropy", solution, fd_step)

@@ -26,7 +26,6 @@ from .dyadic import BaseGridDensity
 from .measure import (
     MAX_BASE_EXPONENT,
     MAX_CELLS,
-    ProbabilityVector,
     WeightedPartition,
     check_interval,
     uniform_partition,
@@ -44,7 +43,6 @@ __all__ = [
     "read_fields",
     "partition_to_dict",
     "partition_from_obj",
-    "pmf_from_obj",
     "expression_function",
 ]
 
@@ -402,10 +400,6 @@ def partition_from_obj(obj, path: str = "partition") -> WeightedPartition:
         right.append(math.nan if cell["right"] is None else cell["right"])
     weights = _read_floats(weights, Field("float array"), f"{path}.weights")
     return WeightedPartition(weights, left, right, labels)
-
-
-def pmf_from_obj(obj, field: str = "pmf") -> ProbabilityVector:
-    return ProbabilityVector(_read_floats(obj, Field("float array"), field))
 
 
 # each whitelisted function and the number of arguments it takes

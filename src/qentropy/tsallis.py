@@ -14,10 +14,12 @@ whose gradient -sum_k mu_k e_q^q (u_k - t) vanishes exactly where the escort
 moments meet the targets (the "optimal Lagrange multipliers" reading of
 Martinez, Nicolas, Pennini & Plastino, Physica A 286 (2000) 489).  The
 Hessian is sum_k mu_k q e_q^(2q-1) (u_k - t)(u_k - t)^T over the live cells.
-maxent._dual_newton minimizes it, the same routine the Gibbs solver uses:
-the dual is +inf past the q > 1 pole, cells past the q < 1 cut-off drop out,
-and inside the classical band e_q = exp.  Afterwards w = sum_k p_k^q mu_k and
-beta = lambda w.
+maxent._dual_newton minimizes it on the same support setup as the Gibbs
+solver: the dual is +inf past the q > 1 pole, cells past the q < 1 cut-off
+drop out, and inside the classical band e_q = exp.  Afterwards
+w = sum_k p_k^q mu_k and beta = lambda w.  _escort_family is the one
+evaluation of e_q, zbar and the escort weights, for the solver and for the
+log_z_gradient audit.
 
 Identity checks are returned as a named residual map rather than asserted, so
 a caller can log them; solutions additionally satisfy w = zbar^(1-q) and
@@ -32,7 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import tsallis_entropy
-from .maxent import ConstraintSet, _check_interior, _dual_newton, _resolved_difference
+from .maxent import (
+    ConstraintSet,
+    _check_arguments,
+    _dual_newton,
+    _resolved_sensitivity,
+    _support_setup,
+)
 from .measure import (
     DensityVector,
     ProbabilityVector,
@@ -124,36 +132,35 @@ class TsallisSolution:
         return induced_pmf(self.density)
 
 
-def _require_escort(constraints: ConstraintSet) -> DeformationIndex:
-    if constraints.kind != "escort" or constraints.q is None:
-        raise ValueError(
-            f"constraints: kind must be 'escort' with a deformation index, "
-            f"got kind {constraints.kind!r}"
-        )
-    return constraints.q
-
-
 def _one_minus_q(idx: DeformationIndex) -> float:
     return 0.0 if idx.is_classical else 1.0 - idx.q
 
 
-def _escort_family(lam: np.ndarray, centered: np.ndarray, one_minus_q: float):
-    """e_q(x_k) and e_q(x_k)^(q-1) at x_k = -lam . (u_k - t), one per column
-    of centered; both are 0 past the q < 1 cut-off, and the result is None
-    past the q > 1 pole, where the family does not exist."""
+def _escort_family(lam: np.ndarray, centered: np.ndarray, mu: np.ndarray, one_minus_q: float):
+    """The target-centred family at lam, one entry per column of centered.
+
+    Returns (raw, ratio, zbar, escort): raw = e_q(x_k) and ratio = e_q(x_k)^(q-1)
+    at x_k = -lam . (u_k - t), both 0 past the q < 1 cut-off; zbar = mu . raw;
+    and the escort weights mu_k e_q(x_k)^q.  None where no density exists:
+    past the q > 1 pole, or with every cell cut off.
+    """
     x = -(lam @ centered)
     if one_minus_q == 0.0:
-        return np.exp(x), np.ones_like(x)
-    base = 1.0 + one_minus_q * x
-    live = base > 0.0
-    if one_minus_q < 0.0 and not np.all(live):
+        raw, ratio = np.exp(x), np.ones_like(x)
+    else:
+        base = 1.0 + one_minus_q * x
+        live = base > 0.0
+        if one_minus_q < 0.0 and not np.all(live):
+            return None
+        raw = np.zeros_like(x)
+        ratio = np.zeros_like(x)
+        # log1p keeps the exponent accurate when q is close to the classical band
+        raw[live] = np.exp(np.log1p(one_minus_q * x[live]) / one_minus_q)
+        ratio[live] = 1.0 / base[live]
+    zbar = float(mu @ raw)
+    if zbar == 0.0:
         return None
-    raw = np.zeros_like(x)
-    ratio = np.zeros_like(x)
-    # log1p keeps the exponent accurate when q is close to the classical band
-    raw[live] = np.exp(np.log1p(one_minus_q * x[live]) / one_minus_q)
-    ratio[live] = 1.0 / base[live]
-    return raw, ratio
+    return raw, ratio, zbar, mu * raw * ratio
 
 
 def identity_residuals(
@@ -194,32 +201,16 @@ def solve_tsallis_maxent(
     max_outer caps the Newton steps and max_inner the step halvings within
     one Newton step.
     """
-    idx = _require_escort(constraints)
-    if not (0.0 < tolerance < 1.0):
-        raise ValueError(f"tolerance: need a value in (0, 1), got {tolerance!r}")
-    if max_outer < 1 or max_inner < 1:
-        raise ValueError(
-            f"max_outer, max_inner: need positive counts, got {max_outer!r}, {max_inner!r}"
-        )
-    weights = partition.weights
-    U = constraints.feature_matrix(len(partition))
-    targets = constraints.targets
-    support = weights > 0.0
-    if constraints.size:
-        _check_interior(U, targets, support)
-    features = U[:, support]
-    centered = features - targets[:, None]
-    mu = weights[support]
+    _check_arguments(tolerance=tolerance, max_outer=max_outer, max_inner=max_inner)
+    support, features, centered, mu = _support_setup(constraints, partition, "escort")
+    idx, targets = constraints.q, constraints.targets
     one_minus_q = _one_minus_q(idx)
 
     def evaluate(lam: np.ndarray):
-        family = _escort_family(lam, centered, one_minus_q)
-        zbar = 0.0 if family is None else float(mu @ family[0])
-        if zbar == 0.0:
-            # past the pole, or every cell cut off: no density exists here
+        family = _escort_family(lam, centered, mu, one_minus_q)
+        if family is None:
             return math.inf, None, None, math.inf, None
-        raw, ratio = family
-        escort = mu * raw * ratio
+        raw, ratio, zbar, escort = family
         moments = (features @ escort) / float(np.sum(escort))
         residual_norm = float(np.max(np.abs(moments - targets), initial=0.0))
         hessian = (centered * ((1.0 - one_minus_q) * escort * ratio)) @ centered.T
@@ -231,7 +222,7 @@ def solve_tsallis_maxent(
     values = np.zeros(len(partition))
     values[support] = raw / zbar
     density = DensityVector(values, partition)
-    _, q_mass = _q_powers(values, weights, idx)
+    _, q_mass = _q_powers(values, partition.weights, idx)
     beta = beta_q * q_mass
     entropy_q = tsallis_entropy(density, idx)
     residuals = identity_residuals(density, idx, zbar, beta, beta_q, moments, targets)
@@ -265,26 +256,19 @@ def _lnq_z_gradient(solution: TsallisSolution, fd_step: float) -> np.ndarray:
     The shifts move beta' along no coordinate axis, so the gradient solves the
     M x M system of central differences.
     """
-    idx = solution.q
-    constraints = solution.constraints
-    weights = solution.partition.weights
-    support = weights > 0.0
-    features = constraints.feature_matrix(weights.size)[:, support]
+    idx, constraints = solution.q, solution.constraints
+    _, features, centered, mu = _support_setup(constraints, solution.partition, "escort")
     targets = constraints.targets
-    centered = features - targets[:, None]
-    mu = weights[support]
     one_minus_q = _one_minus_q(idx)
 
     outside = ValueError(f"fd_step: a step of {fd_step!r} leaves the escort family (past "
                          "the q > 1 pole, or every cell cut off); use a smaller fd_step")
 
     def point(gamma: np.ndarray):
-        family = _escort_family(gamma, centered, one_minus_q)
-        zbar = 0.0 if family is None else float(mu @ family[0])
-        if zbar == 0.0:
+        family = _escort_family(gamma, centered, mu, one_minus_q)
+        if family is None:
             raise outside
-        raw, ratio = family
-        escort = mu * raw * ratio
+        _, _, zbar, escort = family
         escort_mass = float(np.sum(escort))
         offset = (features @ escort) / escort_mass - targets
         w = escort_mass / zbar ** (1.0 - one_minus_q)
@@ -302,9 +286,7 @@ def _lnq_z_gradient(solution: TsallisSolution, fd_step: float) -> np.ndarray:
     M = constraints.size
     beta_steps = np.zeros((M, M))
     rises = np.zeros(M)
-    for m in range(M):
-        shift = np.zeros(M)
-        shift[m] = fd_step
+    for m, shift in enumerate(fd_step * np.eye(M)):
         beta_plus, plus = point(solution.beta_q + shift)
         beta_minus, minus = point(solution.beta_q - shift)
         beta_steps[m] = beta_plus - beta_minus
@@ -312,11 +294,7 @@ def _lnq_z_gradient(solution: TsallisSolution, fd_step: float) -> np.ndarray:
     return np.linalg.solve(beta_steps, rises)
 
 
-def tsallis_thermo(
-    solution: TsallisSolution,
-    constraints: ConstraintSet | None = None,
-    fd_step: float = 1e-4,
-) -> dict:
+def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
     """Finite-difference checks of the deformed thermodynamic identities.
 
     legendre_gap:        |beta . (achieved - targets)|, the exact defect in
@@ -326,39 +304,20 @@ def tsallis_thermo(
                          family re-centred on its own escort mean (see
                          _lnq_z_gradient)
     entropy_sensitivity[m]: |dS_q/d(t_m) - beta_m|, re-solving at t_m +- h
-                         (h shrinking as in maxent._resolved_difference)
+                         (h shrinking as in maxent._resolved_sensitivity)
 
     The sensitivity sign matches the classical solver: for this family
     dS_q/dt_m = beta_m (the two-point closed form fixes the sign).
     """
-    constraints = solution.constraints if constraints is None else constraints
-    if not (0.0 < fd_step < 1.0):
-        raise ValueError(f"fd_step: need a value in (0, 1), got {fd_step!r}")
-    M = constraints.size
-    partition = solution.partition
-    out = {
-        "legendre_gap": float(
-            abs(solution.beta @ (solution.escort_moments - constraints.targets))
-        )
-        if M
-        else 0.0,
+    _check_arguments(fd_step=fd_step)
+    gap = solution.escort_moments - solution.constraints.targets
+    return {
+        "legendre_gap": float(abs(solution.beta @ gap)) if solution.constraints.size else 0.0,
         "log_z_gradient": np.abs(_lnq_z_gradient(solution, fd_step) + solution.escort_moments),
-        "entropy_sensitivity": np.zeros(M),
+        "entropy_sensitivity": _resolved_sensitivity(
+            solve_tsallis_maxent, "entropy_q", solution, fd_step
+        ),
     }
-
-    def entropy_at(m: int, value: float) -> float:
-        shifted = constraints.targets.copy()
-        shifted[m] = value
-        return solve_tsallis_maxent(
-            constraints.with_targets(shifted), partition, tolerance=1e-12
-        ).entropy_q
-
-    for m in range(M):
-        sens_fd = _resolved_difference(
-            lambda t: entropy_at(m, t), constraints.targets[m], fd_step
-        )
-        out["entropy_sensitivity"][m] = abs(sens_fd - solution.beta[m])
-    return out
 
 
 @dataclass(frozen=True)

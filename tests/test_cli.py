@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -341,3 +342,60 @@ def test_partition_length_mismatch_exits_one(capsys):
     spec = '{"partition": {"n": 2000000}, "pmf": [1.0]}'
     message = validation_message(capsys, "entropy", "--kind", "measure", "--input", spec)
     assert "does not match" in message
+
+
+def test_numpy_warnings_stay_off_stderr():
+    # the features overflow the Hessian; stderr must hold only the payload
+    spec = '{"partition": {"n": 2}, "constraints": [{"values": [0, 1e308], "target": 1e307}]}'
+    proc = subprocess.run(
+        [sys.executable, "-m", "qentropy.cli", "maxent", "--input", spec],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"]["type"] == "non_convergence"
+
+
+UNIT = '{"pmf": [1.0]}'
+SAME_PAIR = '{"p": [0.3, 0.7], "r": [0.3, 0.7]}'
+FLAT_PAIR = '{"p": {"expr": "1.0"}, "r": {"expr": "1.0"}, "base_exponent": 10, "levels": [1, 2, 3]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("entropy", "--kind", "measure", "--input", UNIT),
+    ("entropy", "--kind", "renyi", "--alpha", "2", "--input", UNIT),
+    ("entropy", "--kind", "tsallis", "--q", "0.5", "--input", UNIT),
+    ("divergence", "--kind", "renyi", "--alpha", "0.5", "--input",
+     '{"p": [0.5, 0.5], "r": [0.5, 0.5]}'),
+    ("divergence", "--kind", "tsallis", "--q", "0.5", "--input", SAME_PAIR),
+    ("approx", "--kind", "renyi", "--alpha", "0.5", "--input", FLAT_PAIR),
+    ("approx", "--kind", "renyi", "--alpha", "0.5", "--format", "json", "--input", FLAT_PAIR),
+], ids=lambda argv: " ".join(arg for arg in argv if arg[0] != "{"))
+def test_a_zero_value_prints_without_a_sign(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "0.0" in out and "-0.0" not in out
+
+
+FROZEN = Path(__file__).resolve().parent / "frozen"
+FROZEN_MAXENT = {
+    "maxent_dice": DICE_SPEC,
+    "maxent_escort_lebesgue": (
+        '{"partition": {"n": 5, "mode": "lebesgue", "interval": [0, 1]}, "constraints": ['
+        '{"values": [0.1, 0.3, 0.5, 0.7, 0.9], "target": 0.4}, '
+        '{"values": [0.01, 0.09, 0.25, 0.49, 0.81], "target": 0.25}], '
+        '"kind": "escort", "q": 0.7}'
+    ),
+    "maxent_no_constraints_gibbs": '{"partition": {"n": 6}, "constraints": []}',
+    "maxent_no_constraints_escort": (
+        '{"partition": {"n": 6}, "constraints": [], "kind": "escort", "q": 0.7}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_MAXENT))
+def test_maxent_output_is_frozen(capsys, name):
+    # tests/frozen holds the full stdout of each call, byte for byte
+    code, out, err = run_cli(capsys, "maxent", "--input", FROZEN_MAXENT[name])
+    assert (code, err) == (0, "")
+    assert out == (FROZEN / f"{name}.json").read_text(encoding="utf-8")

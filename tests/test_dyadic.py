@@ -123,8 +123,6 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         BaseGridDensity.from_values(np.array([2.0, -0.0001]), (0.0, 1.0), renormalize=True)
     with pytest.raises(ValueError):
-        BaseGridDensity.from_values(np.array([1.5, 0.5]), (0.0, 1.0), bound=1.2)
-    with pytest.raises(ValueError):
         BaseGridDensity.from_function(lambda x: 0.0 * x, (0.0, 1.0), base_exponent=3)
     grid = BaseGridDensity.from_values(np.array([3.0, 1.0]), (0.0, 1.0), renormalize=True)
     assert np.array_equal(grid.values, [1.5, 0.5])

@@ -175,7 +175,7 @@ def test_dual_is_convex_along_random_segments():
 def test_thermo_residuals_dice():
     constraints, partition = dice_problem()
     sol = solve_maxent(constraints, partition)
-    grad, sens = thermo_residuals(sol, constraints, partition, fd_step=1e-4)
+    grad, sens = thermo_residuals(sol, fd_step=1e-4)
     assert float(np.max(grad)) < 1e-6
     assert float(np.max(sens)) < 1e-4
 

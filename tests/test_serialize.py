@@ -14,7 +14,6 @@ from qentropy.serialize import (
     load_input,
     partition_from_obj,
     partition_to_dict,
-    pmf_from_obj,
 )
 
 
@@ -124,15 +123,6 @@ def test_partition_shorthand():
         partition_from_obj({"weights": [1.0]})
     with pytest.raises(ValueError):
         partition_from_obj(42)
-
-
-def test_pmf_from_obj():
-    P = pmf_from_obj([0.25, 0.75])
-    assert np.allclose(P.masses, [0.25, 0.75], rtol=0, atol=0)
-    with pytest.raises(ValueError):
-        pmf_from_obj([0.25, 0.7])
-    with pytest.raises(ValueError):
-        pmf_from_obj("nope")
 
 
 def test_expression_function_evaluates_whitelisted_math():
