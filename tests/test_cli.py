@@ -399,3 +399,33 @@ def test_maxent_output_is_frozen(capsys, name):
     code, out, err = run_cli(capsys, "maxent", "--input", FROZEN_MAXENT[name])
     assert (code, err) == (0, "")
     assert out == (FROZEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+PMF4 = '{"partition": {"n": 4, "mode": "lebesgue", "interval": [0, 2]}, "pmf": [0.1, 0.2, 0.3, 0.4]}'
+PAIR4 = '{"p": [0.1, 0.2, 0.3, 0.4], "r": [0.4, 0.3, 0.2, 0.1]}'
+GRID_PAIR = (
+    '{"p": {"expr": "1 + 0.5*sin(2*pi*x)"}, "r": {"expr": "0.5 + x"}, '
+    '"base_exponent": 12, "levels": [1, 2, 3, 4, 5, 6]}'
+)
+# 1.0000000005 lies inside the classical band, so it reads as Shannon and KL
+INDICES = {"0.5": "0.5", "2": "2", "band": "1.0000000005"}
+FROZEN_OUTPUTS = {
+    **{
+        f"{verb}_{kind}_{tag}": (verb, "--kind", kind, flag, index, "--input", spec)
+        for verb, spec in (("entropy", PMF4), ("divergence", PAIR4))
+        for kind, flag in (("renyi", "--alpha"), ("tsallis", "--q"))
+        for tag, index in INDICES.items()
+    },
+    "approx_csv": ("approx", "--kind", "renyi", "--alpha", "2", "--input", GRID_PAIR),
+    "approx_json": ("approx", "--kind", "tsallis", "--q", "0.5", "--format", "json",
+                    "--input", GRID_PAIR),
+    "demo": ("demo",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_OUTPUTS))
+def test_output_is_frozen(capsys, name):
+    code, out, err = run_cli(capsys, *FROZEN_OUTPUTS[name])
+    assert (code, err) == (0, "")
+    suffix = ".csv" if name in ("approx_csv", "demo") else ".json"
+    assert out == (FROZEN / f"{name}{suffix}").read_text(encoding="utf-8")
