@@ -8,7 +8,7 @@ escort-constrained Tsallis maximum-entropy solvers with identity checks.
 
 from types import ModuleType as _ModuleType
 
-from .qcalc import DeformationIndex, as_index, q_exp, q_log
+from .qcalc import check_index, is_classical, q_exp, q_log
 from .measure import (
     AbsoluteContinuityError,
     DensityVector,

@@ -37,7 +37,7 @@ from .measure import (
     radon_nikodym,
     uniform_partition,
 )
-from .serialize import dumps, load_input, read_fields
+from .serialize import FIELDS, dumps, load_input, read_fields
 from .tsallis import solve_tsallis_maxent, tsallis_thermo
 from .verify import run_suites
 
@@ -65,9 +65,23 @@ def _parse_levels(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+# the options that override input fields; each verb takes those its
+# serialize.FIELDS table names
+_FLAG_OPTIONS = {
+    "--kind": dict(help="measure family (see docs/schemas.md)"),
+    "--q": dict(type=float, help="Tsallis index"),
+    "--alpha": dict(type=float, help="Renyi index"),
+    "--levels": dict(type=_parse_levels, help="dyadic levels: N or A..B"),
+    "--base-resolution": dict(type=int, help="base-grid exponent B (2^B cells)"),
+    "--tol": dict(type=float, help="solver tolerance"),
+    "--seed": dict(type=int, help="seed for verify (default 0)"),
+}
+
+
 def build_parser() -> _Parser:
-    """Options left unset stay None, so they do not override their input
-    fields (serialize.FIELDS names the pairs)."""
+    """Each verb takes --input, --output and the flags of its FIELDS table;
+    approx and demo also take --format.  Options left unset stay None, so
+    they do not override their input fields."""
     parser = _Parser(
         prog="qentropy",
         description="Information measures, dyadic approximation, and maximum entropy "
@@ -85,16 +99,11 @@ def build_parser() -> _Parser:
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--input", help="JSON file path or inline JSON object")
         cmd.add_argument("--output", help="write result here instead of stdout")
-        cmd.add_argument("--format", choices=("json", "csv"),
-                         default="csv" if name in ("approx", "demo") else "json")
-        cmd.add_argument("--kind", help="measure family (see docs/schemas.md)")
-        cmd.add_argument("--q", type=float, help="Tsallis index")
-        cmd.add_argument("--alpha", type=float, help="Renyi index")
-        cmd.add_argument("--levels", type=_parse_levels, help="dyadic levels: N or A..B")
-        cmd.add_argument("--base-resolution", type=int, dest="base_resolution",
-                         help="base-grid exponent B (2^B cells)")
-        cmd.add_argument("--tol", type=float, help="solver tolerance")
-        cmd.add_argument("--seed", type=int, help="seed for verify (default 0)")
+        if name in ("approx", "demo"):
+            cmd.add_argument("--format", choices=("json", "csv"), default="csv")
+        for field in FIELDS[name].values():
+            if field.flag:
+                cmd.add_argument(field.flag, **_FLAG_OPTIONS[field.flag])
     return parser
 
 
@@ -232,7 +241,7 @@ def _run_maxent(spec: argparse.Namespace) -> dict:
     return {
         "command": "maxent",
         "kind": "tsallis",
-        "q": solution.q.q,
+        "q": solution.q,
         **_pick(solution, "beta beta_q q_mass zbar"),
         "pmf": solution.pmf.masses,
         "density": solution.density.values,

@@ -34,7 +34,7 @@ from .measure import (
     check_capped,
     check_interval,
 )
-from .qcalc import DeformationIndex, as_index
+from .qcalc import check_index
 
 __all__ = [
     "ResolutionError",
@@ -289,7 +289,7 @@ def _divergence(kind: str):
 def reference_divergence(
     p: BaseGridDensity,
     r: BaseGridDensity,
-    index: DeformationIndex | float,
+    index: float,
     kind: str,
 ) -> float:
     """Measure-theoretic divergence at full base resolution (exact sum).
@@ -305,7 +305,7 @@ def reference_divergence(
 def convergence_table(
     p: BaseGridDensity,
     r: BaseGridDensity,
-    index: DeformationIndex | float,
+    index: float,
     kind: str,
     levels: Sequence[int],
 ) -> list[ConvergenceRow]:
@@ -319,10 +319,10 @@ def convergence_table(
     pmfs of common_refinement, without revisiting the base grid.  Rows come
     in ascending level order.
     """
-    idx = as_index(index)
+    index = check_index(index)
     divergence = _divergence(kind)
     levels = check_levels(levels, p.base_cells)
-    reference = reference_divergence(p, r, idx, kind)  # also checks the grids match
+    reference = reference_divergence(p, r, index, kind)  # also checks the grids match
     finest = levels[-1]
     # finest codes are at most L 2^L with L <= MAX_BASE_EXPONENT, so the pair
     # key stays below (L 2^L + 1)^2 < 2^63
@@ -339,7 +339,7 @@ def convergence_table(
         mu = mu * p.delta
         P = ProbabilityVector((f_sums / f_counts)[f_cells] * mu)
         R = ProbabilityVector((g_sums / g_counts)[g_cells] * mu)
-        discrete = divergence(P, R, None, idx)
+        discrete = divergence(P, R, None, index)
         if math.isinf(discrete) or math.isinf(reference):
             err = 0.0 if discrete == reference else math.inf
         else:
@@ -397,12 +397,12 @@ def entropy_nonextension_demo(
     weights = np.full(cells, (b - a) / cells)
     values = np.full(cells, 1.0 / (b - a))
     values = values / float(np.dot(values, weights))
-    # + 0.0 keeps a unit density from reporting -0.0
+    # + 0.0 keeps a unit density, here and at n = 1 below, from reporting -0.0
     continuous = float(-np.dot(values * np.log(values), weights)) + 0.0
     rows = []
     for n in sizes:
         masses = np.full(n, 1.0 / n)
-        rows.append(DemoRow(n, float(-np.dot(masses, np.log(masses))), continuous))
+        rows.append(DemoRow(n, float(-np.dot(masses, np.log(masses))) + 0.0, continuous))
     return DemoReport(tuple(rows), continuous, continuous < 0.0)
 
 

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .measure import DensityVector, ProbabilityVector, WeightedPartition
-from .qcalc import DeformationIndex, as_index
+from .qcalc import check_index, is_classical
 
 __all__ = [
     "shannon_entropy",
@@ -116,65 +116,65 @@ def measure_entropy(P: ProbabilityVector, partition: WeightedPartition) -> float
     return float(-np.dot(p[live], np.log(p[live] / w[live]))) + 0.0
 
 
-def renyi_entropy(p: DensityVector, alpha: DeformationIndex | float) -> float:
+def renyi_entropy(p: DensityVector, alpha: float) -> float:
     """S_alpha(p) = (1/(1-alpha)) ln sum_k p_k^alpha mu_k; Shannon in the band."""
-    idx = as_index(alpha)
-    if idx.is_classical:
+    alpha = check_index(alpha)
+    if is_classical(alpha):
         return shannon_entropy(p)
     v = p.values
     w = p.partition.weights
     live = (v > 0.0) & (w > 0.0)
-    log_sum = _logsumexp(idx.q * np.log(v[live]), b=w[live])
-    return float(log_sum / (1.0 - idx.q)) + 0.0
+    log_sum = _logsumexp(alpha * np.log(v[live]), b=w[live])
+    return float(log_sum / (1.0 - alpha)) + 0.0
 
 
 def renyi_divergence(
     P: ProbabilityVector,
     R: ProbabilityVector,
     partition: WeightedPartition | None = None,
-    alpha: DeformationIndex | float = 2.0,
+    alpha: float = 2.0,
 ) -> float:
     """I_alpha(P||R) = (1/(alpha-1)) ln sum_k P_k^alpha / R_k^(alpha-1).
 
     +inf whenever P puts mass where R does not, for every alpha; KL in the
     classical band.
     """
-    idx = as_index(alpha)
+    alpha = check_index(alpha)
     p, r = _paired_masses(P, R, partition)
-    if idx.is_classical:
+    if is_classical(alpha):
         return kl_divergence(P, R, partition)
     live = p > 0.0
     if np.any(r[live] == 0.0):
         return math.inf
-    log_sum = _logsumexp(idx.q * np.log(p[live]) + (1.0 - idx.q) * np.log(r[live]))
-    return float(log_sum / (idx.q - 1.0)) + 0.0
+    log_sum = _logsumexp(alpha * np.log(p[live]) + (1.0 - alpha) * np.log(r[live]))
+    return float(log_sum / (alpha - 1.0)) + 0.0
 
 
-def tsallis_entropy(p: DensityVector, q: DeformationIndex | float) -> float:
+def tsallis_entropy(p: DensityVector, q: float) -> float:
     """S_q(p) = (1 - sum_k p_k^q mu_k)/(q - 1); Shannon in the band."""
-    idx = as_index(q)
-    if idx.is_classical:
+    q = check_index(q)
+    if is_classical(q):
         return shannon_entropy(p)
     v = p.values
     w = p.partition.weights
     live = (v > 0.0) & (w > 0.0)
-    power_integral = float(np.dot(v[live] ** idx.q, w[live]))
-    return (1.0 - power_integral) / (idx.q - 1.0) + 0.0
+    power_integral = float(np.dot(v[live] ** q, w[live]))
+    return (1.0 - power_integral) / (q - 1.0) + 0.0
 
 
 def tsallis_divergence(
     P: ProbabilityVector,
     R: ProbabilityVector,
     partition: WeightedPartition | None = None,
-    q: DeformationIndex | float = 2.0,
+    q: float = 2.0,
 ) -> float:
     """I_q(P||R) = (sum_k P_k^q / R_k^(q-1) - 1)/(q - 1), +inf when not P << R."""
-    idx = as_index(q)
+    q = check_index(q)
     p, r = _paired_masses(P, R, partition)
-    if idx.is_classical:
+    if is_classical(q):
         return kl_divergence(P, R, partition)
     live = p > 0.0
     if np.any(r[live] == 0.0):
         return math.inf
-    power_sum = float(np.sum(p[live] ** idx.q * r[live] ** (1.0 - idx.q)))
-    return (power_sum - 1.0) / (idx.q - 1.0) + 0.0
+    power_sum = float(np.sum(p[live] ** q * r[live] ** (1.0 - q)))
+    return (power_sum - 1.0) / (q - 1.0) + 0.0

@@ -31,7 +31,7 @@ from .measure import (
     WeightedPartition,
     induced_pmf,
 )
-from .qcalc import DeformationIndex, as_index
+from .qcalc import check_index
 
 __all__ = [
     "InfeasibleError",
@@ -68,7 +68,7 @@ class ConstraintSet:
     functions: tuple
     targets: np.ndarray
     kind: str = "ordinary"
-    q: DeformationIndex | None = None
+    q: float | None = None
 
     def __post_init__(self) -> None:
         funcs = tuple(np.asarray(u, dtype=float) for u in self.functions)
@@ -102,7 +102,7 @@ class ConstraintSet:
         if self.kind == "escort":
             if self.q is None:
                 raise ValueError("q: escort constraints require a deformation index")
-            object.__setattr__(self, "q", as_index(self.q))
+            object.__setattr__(self, "q", check_index(self.q))
         elif self.q is not None:
             raise ValueError("q: ordinary constraints take no deformation index")
 

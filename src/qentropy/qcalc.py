@@ -4,92 +4,78 @@ The deformed logarithm is ln_q(x) = (x^(1-q) - 1)/(1 - q) and its inverse on
 the surviving branch is e_q(x) = [1 + (1-q) x]_+^(1/(1-q)), with the positive
 part sending out-of-domain arguments to 0 (the usual cutoff convention, which
 keeps densities nonnegative).  Both reduce to ln/exp as q -> 1, but the raw
-power formulas lose all precision there, so a configurable band around q = 1
-switches to the classical branch.
+power formulas lose all precision there, so indices within CLASSICAL_BAND of
+1 take the classical branch.  The index is a plain float throughout the
+library; check_index refuses the values no formula accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-__all__ = ["DeformationIndex", "as_index", "q_log", "q_exp"]
+__all__ = ["CLASSICAL_BAND", "check_index", "is_classical", "q_log", "q_exp"]
+
+# half-width of the band around 1 where every consumer uses the ln/exp formulas
+CLASSICAL_BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class DeformationIndex:
-    """Entropic index q (or alpha) with the half-width of the classical band.
-
-    Indices with |q - 1| <= classical_epsilon are treated as exactly
-    classical: every consumer falls back to the ln/exp formulas there.
-    """
-
-    q: float
-    classical_epsilon: float = 1e-9
-
-    def __post_init__(self) -> None:
-        q = float(self.q)
-        eps = float(self.classical_epsilon)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "classical_epsilon", eps)
-        if not (np.isfinite(q) and q > 0.0):
-            raise ValueError(f"q: must be a finite positive real, got {self.q!r}")
-        if not (0.0 < eps < 0.5):
-            raise ValueError(
-                f"classical_epsilon: must lie strictly between 0 and 0.5, got {eps!r}"
-            )
-
-    @property
-    def is_classical(self) -> bool:
-        return abs(self.q - 1.0) <= self.classical_epsilon
+def check_index(q):
+    """The entropic index q (or alpha) as a float, or as an array for an
+    array; it must be finite and positive."""
+    arr = np.asarray(q, dtype=float)
+    # a nan fails both comparisons
+    if not (0.0 < arr.min() and arr.max() < math.inf):
+        raise ValueError(f"q: must be a finite positive real, got {q!r}")
+    return float(arr) if arr.ndim == 0 else arr
 
 
-def as_index(q: DeformationIndex | float) -> DeformationIndex:
-    """Coerce a bare number to a DeformationIndex with the default band."""
-    if isinstance(q, DeformationIndex):
-        return q
-    return DeformationIndex(float(q))
+def is_classical(q):
+    """Whether q lies in the classical band (elementwise for an array)."""
+    return abs(q - 1.0) <= CLASSICAL_BAND
 
 
-def q_log(x, q: DeformationIndex | float):
+def _branches(q):
+    """The band mask of the checked index, and 1 - q with 1 in the band, where
+    the general formulas are evaluated and then discarded."""
+    q = check_index(q)
+    classical = is_classical(q)
+    return classical, np.where(classical, 1.0, 1.0 - q)
+
+
+def _result(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
+def q_log(x, q):
     """Deformed logarithm ln_q(x) = (x^(1-q) - 1)/(1 - q); natural log in the band.
 
-    Accepts scalars or arrays of positive reals.  The general branch is
-    evaluated as expm1((1-q) ln x)/(1-q), the stable form of the power
-    expression.
+    Accepts positive reals; x and q broadcast against each other, and two
+    scalars give a float.  The general branch is evaluated as
+    expm1((1-q) ln x)/(1-q), the stable form of the power expression.
     """
-    idx = as_index(q)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    vals = np.atleast_1d(arr)
+    classical, one_minus_q = _branches(q)
+    vals = np.asarray(x, dtype=float)
     if vals.size == 0:
         raise ValueError("x: q_log requires at least one value")
-    if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
+    if not np.all(np.isfinite(vals) & (vals > 0.0)):
         raise ValueError("x: q_log is defined only for finite x > 0")
-    if idx.is_classical:
-        out = np.log(vals)
-    else:
-        one_minus_q = 1.0 - idx.q
-        out = np.expm1(one_minus_q * np.log(vals)) / one_minus_q
-    return float(out[0]) if scalar else out
+    log_x = np.log(vals)
+    return _result(np.where(classical, log_x, np.expm1(one_minus_q * log_x) / one_minus_q))
 
 
-def q_exp(x, q: DeformationIndex | float):
+def q_exp(x, q):
     """Deformed exponential e_q(x) = [1 + (1-q) x]_+^(1/(1-q)); exp in the band.
 
     Total on the reals: arguments past the cutoff 1 + (1-q) x <= 0 map to 0,
-    which makes q_exp(q_log(x)) = x wherever q_log is defined.
+    which makes q_exp(q_log(x)) = x wherever q_log is defined.  x and q
+    broadcast as in q_log.
     """
-    idx = as_index(q)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    vals = np.atleast_1d(arr)
-    if idx.is_classical:
-        out = np.exp(vals)
-    else:
-        one_minus_q = 1.0 - idx.q
-        out = np.zeros_like(vals)
-        alive = 1.0 + one_minus_q * vals > 0.0
-        out[alive] = np.exp(np.log1p(one_minus_q * vals[alive]) / one_minus_q)
-    return float(out[0]) if scalar else out
+    classical, one_minus_q = _branches(q)
+    vals = np.asarray(x, dtype=float)
+    alive = classical | (1.0 + one_minus_q * vals > 0.0)
+    # log1p past the cutoff is nan or -inf, and those entries are discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponent = np.where(classical, vals, np.log1p(one_minus_q * vals) / one_minus_q)
+    return _result(np.where(alive, np.exp(exponent), 0.0))

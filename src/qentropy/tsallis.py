@@ -47,7 +47,7 @@ from .measure import (
     WeightedPartition,
     induced_pmf,
 )
-from .qcalc import DeformationIndex, as_index, q_exp, q_log
+from .qcalc import check_index, is_classical, q_exp, q_log
 
 __all__ = [
     "EmptySupportError",
@@ -71,7 +71,7 @@ class EmptySupportError(ValueError):
 class EscortView:
     """Normalized q-power reweighting of a density: weights p_k^q mu_k / w."""
 
-    q: DeformationIndex
+    q: float
     weights: np.ndarray
     q_mass: float
 
@@ -84,21 +84,21 @@ class EscortView:
         return float(self.weights @ u)
 
 
-def _q_powers(values: np.ndarray, weights: np.ndarray, idx: DeformationIndex):
+def _q_powers(values: np.ndarray, weights: np.ndarray, q: float):
     """p_k^q per cell (0 where p_k = 0) and the q-mass w = sum_k p_k^q mu_k."""
     powers = np.zeros_like(values)
     live = values > 0.0
-    powers[live] = np.exp(idx.q * np.log(values[live]))
+    powers[live] = np.exp(q * np.log(values[live]))
     return powers, float(powers @ weights)
 
 
-def escort_view(p: DensityVector, q: DeformationIndex | float) -> EscortView:
-    idx = as_index(q)
-    powers, q_mass = _q_powers(p.values, p.partition.weights, idx)
-    return EscortView(q=idx, weights=powers * p.partition.weights / q_mass, q_mass=q_mass)
+def escort_view(p: DensityVector, q: float) -> EscortView:
+    q = check_index(q)
+    powers, q_mass = _q_powers(p.values, p.partition.weights, q)
+    return EscortView(q=q, weights=powers * p.partition.weights / q_mass, q_mass=q_mass)
 
 
-def escort_expectation(p: DensityVector, u, q: DeformationIndex | float) -> float:
+def escort_expectation(p: DensityVector, u, q: float) -> float:
     """Normalized q-expectation of u: integral of u p^q dmu over integral p^q dmu."""
     return escort_view(p, q).expectation(u)
 
@@ -115,7 +115,7 @@ class TsallisSolution:
 
     constraints: ConstraintSet
     partition: WeightedPartition
-    q: DeformationIndex
+    q: float
     beta: np.ndarray
     beta_q: np.ndarray
     q_mass: float
@@ -132,8 +132,8 @@ class TsallisSolution:
         return induced_pmf(self.density)
 
 
-def _one_minus_q(idx: DeformationIndex) -> float:
-    return 0.0 if idx.is_classical else 1.0 - idx.q
+def _one_minus_q(q: float) -> float:
+    return 0.0 if is_classical(q) else 1.0 - q
 
 
 def _escort_family(lam: np.ndarray, centered: np.ndarray, mu: np.ndarray, one_minus_q: float):
@@ -165,7 +165,7 @@ def _escort_family(lam: np.ndarray, centered: np.ndarray, mu: np.ndarray, one_mi
 
 def identity_residuals(
     density: DensityVector,
-    q: DeformationIndex | float,
+    q: float,
     zbar: float,
     beta,
     beta_q,
@@ -173,18 +173,18 @@ def identity_residuals(
     targets,
 ) -> dict:
     """Named self-consistency checks of a (purported) Tsallis MaxEnt solution."""
-    idx = as_index(q)
+    q = check_index(q)
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     beta_q = np.atleast_1d(np.asarray(beta_q, dtype=float))
     escort_moments = np.atleast_1d(np.asarray(escort_moments, dtype=float))
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    _, q_mass = _q_powers(density.values, density.partition.weights, idx)
-    zbar_power = math.exp((1.0 - idx.q) * math.log(zbar))
-    entropy = tsallis_entropy(density, idx)
+    _, q_mass = _q_powers(density.values, density.partition.weights, q)
+    zbar_power = math.exp((1.0 - q) * math.log(zbar))
+    entropy = tsallis_entropy(density, q)
     return {
         "escort_moment": float(np.max(np.abs(escort_moments - targets), initial=0.0)),
         "power_mass_vs_zbar": abs(q_mass - zbar_power),
-        "entropy_vs_lnq_zbar": abs(entropy - float(q_log(zbar, idx))),
+        "entropy_vs_lnq_zbar": abs(entropy - q_log(zbar, q)),
         "multiplier_scaling": float(np.max(np.abs(beta_q * q_mass - beta), initial=0.0)),
     }
 
@@ -203,8 +203,8 @@ def solve_tsallis_maxent(
     """
     _check_arguments(tolerance=tolerance, max_outer=max_outer, max_inner=max_inner)
     support, features, centered, mu = _support_setup(constraints, partition, "escort")
-    idx, targets = constraints.q, constraints.targets
-    one_minus_q = _one_minus_q(idx)
+    q, targets = constraints.q, constraints.targets
+    one_minus_q = _one_minus_q(q)
 
     def evaluate(lam: np.ndarray):
         family = _escort_family(lam, centered, mu, one_minus_q)
@@ -222,14 +222,14 @@ def solve_tsallis_maxent(
     values = np.zeros(len(partition))
     values[support] = raw / zbar
     density = DensityVector(values, partition)
-    _, q_mass = _q_powers(values, partition.weights, idx)
+    _, q_mass = _q_powers(values, partition.weights, q)
     beta = beta_q * q_mass
-    entropy_q = tsallis_entropy(density, idx)
-    residuals = identity_residuals(density, idx, zbar, beta, beta_q, moments, targets)
+    entropy_q = tsallis_entropy(density, q)
+    residuals = identity_residuals(density, q, zbar, beta, beta_q, moments, targets)
     return TsallisSolution(
         constraints=constraints,
         partition=partition,
-        q=idx,
+        q=q,
         beta=beta,
         beta_q=beta_q,
         q_mass=q_mass,
@@ -256,10 +256,10 @@ def _lnq_z_gradient(solution: TsallisSolution, fd_step: float) -> np.ndarray:
     The shifts move beta' along no coordinate axis, so the gradient solves the
     M x M system of central differences.
     """
-    idx, constraints = solution.q, solution.constraints
+    q, constraints = solution.q, solution.constraints
     _, features, centered, mu = _support_setup(constraints, solution.partition, "escort")
     targets = constraints.targets
-    one_minus_q = _one_minus_q(idx)
+    one_minus_q = _one_minus_q(q)
 
     outside = ValueError(f"fd_step: a step of {fd_step!r} leaves the escort family (past "
                          "the q > 1 pole, or every cell cut off); use a smaller fd_step")
@@ -274,7 +274,7 @@ def _lnq_z_gradient(solution: TsallisSolution, fd_step: float) -> np.ndarray:
         w = escort_mass / zbar ** (1.0 - one_minus_q)
         lam = gamma / (1.0 - one_minus_q * float(gamma @ offset))
         beta = lam * w
-        zbar_c = float(q_exp(float(lam @ offset), idx)) * zbar
+        zbar_c = q_exp(float(lam @ offset), q) * zbar
         if not 0.0 < zbar_c < math.inf:
             raise outside
         # ln_q zbar_c less its constant -1/(1-q), which cancels in the
@@ -342,38 +342,38 @@ class ConsistencyReport:
 
 def discrete_consistency_report(
     P: ProbabilityVector,
-    q: DeformationIndex | float,
+    q: float,
     n: int | None = None,
     zbar: float | None = None,
 ) -> ConsistencyReport:
-    idx = as_index(q)
+    q = check_index(q)
     masses = P.masses
     if n is None:
         n = masses.size
     if n != masses.size:
         raise ValueError(f"n: pmf has {masses.size} cells, got n = {n}")
     live = masses > 0.0
-    power_sum = float(np.sum(np.exp(idx.q * np.log(masses[live]))))
-    if idx.is_classical:
+    power_sum = float(np.sum(np.exp(q * np.log(masses[live]))))
+    if is_classical(q):
         n_pow = 1.0
         discrete = -float(masses[live] @ np.log(masses[live]))
     else:
-        n_pow = math.exp((idx.q - 1.0) * math.log(n))
-        discrete = (1.0 - power_sum) / (idx.q - 1.0)
+        n_pow = math.exp((q - 1.0) * math.log(n))
+        discrete = (1.0 - power_sum) / (q - 1.0)
     # measure side: density n P_k against mu_k = 1/n, evaluated directly
-    if idx.is_classical:
+    if is_classical(q):
         measure = -float(masses[live] @ np.log(n * masses[live]))
     else:
-        measure = (1.0 - n_pow * power_sum) / (idx.q - 1.0)
-    lnq_n = float(q_log(float(n), idx))
+        measure = (1.0 - n_pow * power_sum) / (q - 1.0)
+    lnq_n = q_log(float(n), q)
     rhs = discrete - n_pow * lnq_n * power_sum
     constant_residual = None
     if zbar is not None:
-        zbar_power = math.exp((1.0 - idx.q) * math.log(zbar))
-        n_inv_pow = math.exp((1.0 - idx.q) * math.log(n))
+        zbar_power = math.exp((1.0 - q) * math.log(zbar))
+        n_inv_pow = math.exp((1.0 - q) * math.log(n))
         constant_residual = abs(power_sum - n_inv_pow * zbar_power)
     return ConsistencyReport(
-        q=idx.q,
+        q=q,
         n=int(n),
         measure_entropy=measure,
         discrete_entropy=discrete,

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: verbs, formats, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from qentropy.cli import main
+from qentropy.cli import build_parser, main
+from qentropy.serialize import FIELDS
 
 DICE_SPEC = (
     '{"partition": {"n": 6}, '
@@ -370,6 +372,8 @@ FLAT_PAIR = '{"p": {"expr": "1.0"}, "r": {"expr": "1.0"}, "base_exponent": 10, "
     ("divergence", "--kind", "tsallis", "--q", "0.5", "--input", SAME_PAIR),
     ("approx", "--kind", "renyi", "--alpha", "0.5", "--input", FLAT_PAIR),
     ("approx", "--kind", "renyi", "--alpha", "0.5", "--format", "json", "--input", FLAT_PAIR),
+    ("demo", "--input", '{"n_list": [1]}'),
+    ("demo", "--format", "json", "--input", '{"n_list": [1]}'),
 ], ids=lambda argv: " ".join(arg for arg in argv if arg[0] != "{"))
 def test_a_zero_value_prints_without_a_sign(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -429,3 +433,31 @@ def test_output_is_frozen(capsys, name):
     assert (code, err) == (0, "")
     suffix = ".csv" if name in ("approx_csv", "demo") else ".json"
     assert out == (FROZEN / f"{name}{suffix}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ("demo", "--tol", "0.5", "--seed", "3", "--q", "2"),
+    ("entropy", "--levels", "3", "--kind", "shannon", "--input", UNIT),
+    ("entropy", "--format", "csv", "--kind", "shannon", "--input", UNIT),
+    ("maxent", "--alpha", "2", "--input", DICE_SPEC),
+    ("verify", "--q", "0.5"),
+], ids=lambda argv: " ".join(arg for arg in argv if arg[0] != "{"))
+def test_a_flag_the_verb_does_not_use_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in json.loads(err)["error"]["message"]
+
+
+def test_each_verb_takes_the_flags_of_its_fields():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) == set(FIELDS)
+    for verb, parser in subparsers.choices.items():
+        options = {s for action in parser._actions for s in action.option_strings}
+        shared = {"-h", "--help", "--input", "--output"}
+        if verb in ("approx", "demo"):
+            shared.add("--format")
+        flags = {field.flag for field in FIELDS[verb].values() if field.flag}
+        assert options == shared | flags, verb

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy import DeformationIndex, as_index, q_exp, q_log
+from qentropy import check_index, is_classical, q_exp, q_log
 
 
 def test_unit_argument_gives_zero_for_every_index():
@@ -52,24 +52,25 @@ def test_domain_errors():
         q_log(0.0, 0.5)
     with pytest.raises(ValueError):
         q_log(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        DeformationIndex(0.0)
-    with pytest.raises(ValueError):
-        DeformationIndex(-2.0)
-    with pytest.raises(ValueError):
-        DeformationIndex(math.inf)
-    with pytest.raises(ValueError):
-        DeformationIndex(2.0, classical_epsilon=0.0)
-    with pytest.raises(ValueError):
-        DeformationIndex(2.0, classical_epsilon=0.6)
+    for q in (0.0, -2.0, math.inf, math.nan, [0.5, 0.0]):
+        with pytest.raises(ValueError, match="q: must be a finite positive real"):
+            check_index(q)
+    with pytest.raises(ValueError, match="q: must be a finite positive real"):
+        q_log(2.0, 0.0)
 
 
-def test_as_index_accepts_floats_and_passes_instances_through():
-    idx = DeformationIndex(2.0)
-    assert as_index(idx) is idx
-    assert as_index(0.5).q == 0.5
-    assert as_index(1.0 + 5e-10).is_classical
-    assert not as_index(1.0 + 2e-9).is_classical
+def test_check_index_returns_floats_and_arrays():
+    assert check_index(2) == 2.0 and type(check_index(2)) is float
+    assert type(check_index(np.float64(0.5))) is float
+    assert np.array_equal(check_index([0.5, 2.0]), [0.5, 2.0])
+
+
+def test_classical_band():
+    for q in (1.0, 1.0 + 5e-10, 1.0 - 5e-10):
+        assert is_classical(q)
+    for q in (1.0 + 2e-9, 1.0 - 2e-9, 0.5, 2.0):
+        assert not is_classical(q)
+    assert is_classical(np.array([1.0 + 5e-10, 1.0 + 2e-9])).tolist() == [True, False]
 
 
 def test_against_high_precision_oracle():
@@ -141,3 +142,23 @@ def test_vector_arguments_broadcast():
     assert np.allclose(out, 1.0 - 1.0 / x, rtol=0, atol=1e-15)
     back = q_exp(out, 2.0)
     assert np.allclose(back, x, rtol=1e-14)
+
+
+def test_array_index_matches_scalar_calls_bit_for_bit():
+    # in-band entries, q < 1 entries past the cut-off (x < -1/(1-q)) and
+    # q > 1 entries at and past the pole (x >= 1/(q-1), where e_q is 0)
+    q = np.array([1.0, 1.0 + 5e-10, 1.0 - 5e-10, 0.5, 0.5, 0.3, 2.0, 2.0, 3.0, 3.0, 1.0 + 2e-9])
+    x = np.array([1.5, -2.0, 40.0, -2.5, -1.999, 0.7, 1.5, 0.5, 0.5, -3.0, 0.25])
+    exp_out = q_exp(x, q)
+    assert exp_out[3] == exp_out[6] == exp_out[8] == 0.0 and np.all(exp_out[[4, 7, 9]] > 0.0)
+
+    def same_bits(out, scalars):
+        return out.tobytes() == np.array(scalars).tobytes()
+
+    assert same_bits(exp_out, [q_exp(xi, qi) for xi, qi in zip(x, q)])
+    log_x = np.abs(x)
+    assert same_bits(q_log(log_x, q), [q_log(xi, qi) for xi, qi in zip(log_x, q)])
+    # a scalar x against an array q, and the reverse, broadcast
+    assert same_bits(q_log(3.0, q), [q_log(3.0, qi) for qi in q])
+    assert same_bits(q_exp(x, 0.5), [q_exp(xi, 0.5) for xi in x])
+    assert type(q_log(3.0, 0.5)) is float and type(q_exp(3.0, 0.5)) is float
