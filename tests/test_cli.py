@@ -411,6 +411,10 @@ GRID_PAIR = (
     '{"p": {"expr": "1 + 0.5*sin(2*pi*x)"}, "r": {"expr": "0.5 + x"}, '
     '"base_exponent": 12, "levels": [1, 2, 3, 4, 5, 6]}'
 )
+VALUES_PAIR = (
+    '{"p": [1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1], '
+    '"r": [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3], "interval": [1, 3], "levels": [1, 2, 3, 4]}'
+)
 # 1.0000000005 lies inside the classical band, so it reads as Shannon and KL
 INDICES = {"0.5": "0.5", "2": "2", "band": "1.0000000005"}
 FROZEN_OUTPUTS = {
@@ -424,6 +428,10 @@ FROZEN_OUTPUTS = {
     "approx_json": ("approx", "--kind", "tsallis", "--q", "0.5", "--format", "json",
                     "--input", GRID_PAIR),
     "demo": ("demo",),
+    # raw values on [1, 3]: the cell width is 1/8 and the values are renormalized
+    "approx_values_interval": ("approx", "--kind", "tsallis", "--q", "2", "--format", "json",
+                               "--input", VALUES_PAIR),
+    "verify_seed_0": ("verify", "--seed", "0"),
 }
 
 
