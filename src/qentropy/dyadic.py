@@ -1,9 +1,10 @@
 """Dyadic mean-value approximation of densities and the convergence harness.
 
-A density is represented at a fixed base resolution (2^B uniform cells on an
-interval, values constant per cell) so that every level set of the dyadic
-construction is an exact union of base cells and every integral below is a
-finite sum; no quadrature enters the convergence claim.
+A density is represented at a fixed base resolution (a DensityVector on 2^B
+equal Lebesgue cells of an interval, whose one weight BaseGridDensity stores
+as a zero-stride view) so that every level set of the dyadic construction is
+an exact union of base cells and every integral below is a finite sum; no
+quadrature enters the convergence claim.
 
 The approximation at level n groups base cells by which dyadic bin
 [k/2^n, (k+1)/2^n), k = 0..n*2^n - 1, their density value falls in, with one
@@ -29,10 +30,13 @@ from .entropy import renyi_divergence, tsallis_divergence
 from .measure import (
     MAX_BASE_EXPONENT,
     MAX_CELLS,
+    DensityVector,
     ProbabilityVector,
+    WeightedPartition,
     _check_vector,
     check_capped,
     check_interval,
+    induced_pmf,
 )
 from .qcalc import check_index
 
@@ -63,43 +67,10 @@ class ResolutionError(ValueError):
     """Requested dyadic level is finer than the base grid can resolve."""
 
 
-@dataclass(frozen=True, eq=False)
 class BaseGridDensity:
-    """Simple-function density on 2^B uniform cells of [a, b], B <= MAX_BASE_EXPONENT.
-
-    renormalization records the factor applied to the raw inputs (1.0 when
-    none was needed).
-    """
-
-    interval: tuple[float, float]
-    values: np.ndarray
-    renormalization: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "interval", check_interval(self.interval))
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        n = values.size
-        if values.ndim != 1 or n == 0 or (n & (n - 1)) != 0 or n > MAX_CELLS:
-            raise ValueError(
-                f"values: need a power-of-two number of base cells up to "
-                f"2^{MAX_BASE_EXPONENT}, got {values.shape}"
-            )
-        _check_vector(values, "values")
-        total = float(np.sum(values)) * self.delta
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(
-                f"values: density must integrate to 1 over the interval (got {total!r})"
-            )
-
-    @property
-    def base_cells(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def delta(self) -> float:
-        a, b = self.interval
-        return (b - a) / self.values.size
+    """Constructors of a simple-function density on 2^B equal cells of [a, b],
+    B <= MAX_BASE_EXPONENT: a DensityVector on the weights (b - a)/2^B that
+    records interval=(a, b) and the factor applied to the raw inputs."""
 
     @classmethod
     def from_function(
@@ -107,7 +78,7 @@ class BaseGridDensity:
         fn: Callable[[np.ndarray], np.ndarray],
         interval: tuple[float, float],
         base_exponent: int = DEFAULT_BASE_EXPONENT,
-    ) -> "BaseGridDensity":
+    ) -> DensityVector:
         """Evaluate fn at base-cell midpoints and renormalize to unit mass."""
         n = 2 ** check_capped(base_exponent, "base_exponent")
         a, b = check_interval(interval)
@@ -116,27 +87,44 @@ class BaseGridDensity:
         return _grid(raw, (a, b), True)
 
     @classmethod
-    def from_values(
-        cls,
-        values,
-        interval: tuple[float, float],
-        renormalize: bool = False,
-    ) -> "BaseGridDensity":
+    def from_values(cls, values, interval, renormalize: bool = False) -> DensityVector:
         return _grid(np.asarray(values, dtype=float), interval, renormalize)
 
 
-def _grid(values: np.ndarray, interval, renormalize: bool) -> BaseGridDensity:
+def _grid(values: np.ndarray, interval, renormalize: bool) -> DensityVector:
     # body of both constructors, so that a wrapper timing them counts one build per grid
-    factor = 1.0
-    if renormalize:
+    a, b = check_interval(interval)
+    n = values.size
+    if values.ndim != 1 or n == 0 or (n & (n - 1)) != 0 or n > MAX_CELLS:
+        raise ValueError(
+            f"values: need a power-of-two number of base cells up to "
+            f"2^{MAX_BASE_EXPONENT}, got {values.shape}"
+        )
+    delta = (b - a) / n
+    partition = WeightedPartition(np.broadcast_to(delta, (n,)), (a, b))
+    if not renormalize:
+        return DensityVector(values, partition)
+    total = float(np.sum(values)) * delta
+    if not 0.0 < total < math.inf:
         _check_vector(values, "values")
-        a, b = check_interval(interval)
-        total = float(np.sum(values)) * ((b - a) / values.size)
-        if total <= 0.0:
-            raise ValueError("values: cannot renormalize zero total mass")
-        values = values / total
-        factor = 1.0 / total
-    return BaseGridDensity(tuple(interval), values, renormalization=factor)
+        size = "zero" if total == 0.0 else "overflowing"
+        raise ValueError(f"values: cannot renormalize {size} total mass")
+    return DensityVector(values / total, partition, 1.0 / total)
+
+
+def _grid_cells(p: DensityVector, field: str = "p") -> tuple[int, float]:
+    """Cell count and weight of a base grid: (a, b) cut into 2^k cells that all
+    weigh (b - a)/2^k."""
+    partition, w, n = p.partition, p.partition.weights, p.values.size
+    if partition.interval is not None and (n & (n - 1)) == 0:
+        a, b = partition.interval
+        # a zero-stride view holds one weight, so it is checked at one entry
+        if (w.strides == (0,) or w.min() == w.max()) and w[0] == (b - a) / n:
+            return n, float(w[0])
+    raise ValueError(
+        f"{field}: need a density on an interval cut into 2^k cells of equal weight "
+        f"(build it with BaseGridDensity)"
+    )
 
 
 def check_levels(levels: Sequence[int], base_cells: int) -> list[int]:
@@ -181,7 +169,7 @@ class DyadicApproximation:
     simple function is mean_values[labels].
     """
 
-    grid: BaseGridDensity
+    grid: DensityVector
     level: int
     bin_ids: np.ndarray
     labels: np.ndarray
@@ -206,18 +194,18 @@ class DyadicApproximation:
         return self.mean_values[self.labels]
 
 
-def dyadic_approximation(p: BaseGridDensity, level: int) -> DyadicApproximation:
+def dyadic_approximation(p: DensityVector, level: int) -> DyadicApproximation:
     """Group base cells by dyadic bin of their density value at the given level.
 
     Bins are [k/2^n, (k+1)/2^n) for k = 0..n*2^n - 1 plus the overflow set
     {density >= n}.
     """
-    (level,) = check_levels([level], p.base_cells)
+    n, delta = _grid_cells(p)
+    (level,) = check_levels([level], n)
     codes = _bin_codes(p.values, level)
-    bin_ids, labels, counts, sums = _group(codes, np.ones(p.base_cells), p.values)
-    return DyadicApproximation(
-        p, level, bin_ids, labels, sums / counts, sums * p.delta, counts * p.delta
-    )
+    bin_ids, labels, counts, sums = _group(codes, np.ones(n), p.values)
+    means = sums / counts
+    return DyadicApproximation(p, level, bin_ids, labels, means, sums * delta, counts * delta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,12 +239,12 @@ def common_refinement(
     f: DyadicApproximation, g: DyadicApproximation
 ) -> CommonRefinement:
     """Shared partition on which both simple functions are constant."""
-    _check_shared_grid(f.grid, g.grid, "g")
+    n, delta = _shared_grid(f.grid, g.grid, "f", "g")
     width = g.cell_count
-    cells, labels, counts = _group(f.labels * width + g.labels, np.ones(f.grid.base_cells))
+    cells, labels, counts = _group(f.labels * width + g.labels, np.ones(n))
     return CommonRefinement(
         labels=labels,
-        mu_masses=counts * f.grid.delta,
+        mu_masses=counts * delta,
         f_means=f.mean_values[cells // width],
         g_means=g.mean_values[cells % width],
     )
@@ -270,12 +258,16 @@ class ConvergenceRow:
     abs_error: float
 
 
-def _check_shared_grid(p: BaseGridDensity, r: BaseGridDensity, field: str = "r") -> None:
-    if p.interval != r.interval or p.base_cells != r.base_cells:
+def _shared_grid(p: DensityVector, r: DensityVector, p_field="p", r_field="r"):
+    """The cell count and weight of the base grid that both densities are on."""
+    grid, other = _grid_cells(p, p_field), _grid_cells(r, r_field)
+    a, b = p.partition.interval, r.partition.interval
+    if a != b or grid[0] != other[0]:
         raise ValueError(
-            f"{field}: densities live on different base grids "
-            f"({p.interval} x {p.base_cells} vs {r.interval} x {r.base_cells})"
+            f"{r_field}: densities live on different base grids "
+            f"({a} x {grid[0]} vs {b} x {other[0]})"
         )
+    return grid
 
 
 def _divergence(kind: str):
@@ -287,24 +279,23 @@ def _divergence(kind: str):
 
 
 def reference_divergence(
-    p: BaseGridDensity,
-    r: BaseGridDensity,
+    p: DensityVector,
+    r: DensityVector,
     index: float,
     kind: str,
 ) -> float:
     """Measure-theoretic divergence at full base resolution (exact sum).
 
-    It is the discrete divergence of the base-grid pmfs v * delta, because
+    It is the discrete divergence of the induced pmfs p delta, because
     p^a r^(1-a) delta = (p delta)^a (r delta)^(1-a) on every base cell.
     """
-    _check_shared_grid(p, r)
-    P, R = ProbabilityVector(p.values * p.delta), ProbabilityVector(r.values * r.delta)
-    return _divergence(kind)(P, R, None, index)
+    _shared_grid(p, r)
+    return _divergence(kind)(induced_pmf(p), induced_pmf(r), None, index)
 
 
 def convergence_table(
-    p: BaseGridDensity,
-    r: BaseGridDensity,
+    p: DensityVector,
+    r: DensityVector,
     index: float,
     kind: str,
     levels: Sequence[int],
@@ -321,14 +312,15 @@ def convergence_table(
     """
     index = check_index(index)
     divergence = _divergence(kind)
-    levels = check_levels(levels, p.base_cells)
-    reference = reference_divergence(p, r, index, kind)  # also checks the grids match
+    n, delta = _shared_grid(p, r)
+    levels = check_levels(levels, n)
+    reference = reference_divergence(p, r, index, kind)
     finest = levels[-1]
     # finest codes are at most L 2^L with L <= MAX_BASE_EXPONENT, so the pair
     # key stays below (L 2^L + 1)^2 < 2^63
     width = finest * 2**finest + 1
     pair_codes = _bin_codes(p.values, finest) * width + _bin_codes(r.values, finest)
-    keys, _, counts, p_sums, r_sums = _group(pair_codes, np.ones(p.base_cells), p.values, r.values)
+    keys, _, counts, p_sums, r_sums = _group(pair_codes, np.ones(n), p.values, r.values)
     p_codes, r_codes = np.divmod(keys, width)
     rows = []
     for level in levels:
@@ -336,7 +328,7 @@ def convergence_table(
         _, g_labels, g_counts, g_sums = _group(_coarsen(r_codes, finest, level), counts, r_sums)
         cells, _, mu = _group(f_labels * g_sums.size + g_labels, counts)
         f_cells, g_cells = np.divmod(cells, g_sums.size)
-        mu = mu * p.delta
+        mu = mu * delta
         P = ProbabilityVector((f_sums / f_counts)[f_cells] * mu)
         R = ProbabilityVector((g_sums / g_counts)[g_cells] * mu)
         discrete = divergence(P, R, None, index)

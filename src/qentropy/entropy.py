@@ -65,6 +65,20 @@ def _paired_masses(
     return p, r
 
 
+def _closed_form(P, R, partition, index: float) -> float | None:
+    """A Renyi or Tsallis divergence that needs no power sum, else None: KL in
+    the classical band, +inf unless P << R, and exactly 0 when P = R, where
+    the sum would leave a rounding error of either sign."""
+    p, r = _paired_masses(P, R, partition)
+    if is_classical(index):
+        return kl_divergence(P, R, partition)
+    if np.any(r[p > 0.0] == 0.0):
+        return math.inf
+    if np.array_equal(p, r):
+        return 0.0
+    return None
+
+
 def shannon_entropy(p: DensityVector) -> float:
     """S(p) = -sum_k p_k ln(p_k) mu_k with 0 ln 0 = 0."""
     v = p.values
@@ -140,12 +154,11 @@ def renyi_divergence(
     classical band.
     """
     alpha = check_index(alpha)
-    p, r = _paired_masses(P, R, partition)
-    if is_classical(alpha):
-        return kl_divergence(P, R, partition)
+    closed = _closed_form(P, R, partition, alpha)
+    if closed is not None:
+        return closed
+    p, r = P.masses, R.masses
     live = p > 0.0
-    if np.any(r[live] == 0.0):
-        return math.inf
     log_sum = _logsumexp(alpha * np.log(p[live]) + (1.0 - alpha) * np.log(r[live]))
     return float(log_sum / (alpha - 1.0)) + 0.0
 
@@ -170,11 +183,10 @@ def tsallis_divergence(
 ) -> float:
     """I_q(P||R) = (sum_k P_k^q / R_k^(q-1) - 1)/(q - 1), +inf when not P << R."""
     q = check_index(q)
-    p, r = _paired_masses(P, R, partition)
-    if is_classical(q):
-        return kl_divergence(P, R, partition)
+    closed = _closed_form(P, R, partition, q)
+    if closed is not None:
+        return closed
+    p, r = P.masses, R.masses
     live = p > 0.0
-    if np.any(r[live] == 0.0):
-        return math.inf
     power_sum = float(np.sum(p[live] ** q * r[live] ** (1.0 - q)))
     return (power_sum - 1.0) / (q - 1.0) + 0.0

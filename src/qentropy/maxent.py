@@ -196,19 +196,31 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
                 f"attainable range ({lo!r}, {hi!r}) on the support; the "
                 f"maximizer would be a degenerate limit"
             )
+        if not hi - lo <= _MAX_SPAN:
+            raise ValueError(
+                f"functions[{m}]: values span {hi - lo!r} on the support, past the "
+                f"{_MAX_SPAN:.3g} at which the Newton curvature overflows; rescale the "
+                f"feature and its target"
+            )
     return support, features, features - targets[:, None], weights[support]
 
 
 _ARMIJO = 1e-4
 _ROUNDING = 64.0 * float(np.finfo(float).eps)
+# the curvature sums squares of feature deviations, which overflow past this span
+_MAX_SPAN = math.sqrt(float(np.finfo(float).max))
 _CERTIFICATE_MARGIN = 1e-12
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.abs(x).max(initial=0.0))
 
 
 def _certify_infeasible(direction: np.ndarray, centered: np.ndarray) -> None:
     """Raise InfeasibleError when d = direction/|direction| has d . (u_k - t) > 0
     on every support cell: then every pmf on the support has d . (E[u] - t) > 0,
     so no density reaches the targets."""
-    norm = float(np.max(np.abs(direction), initial=0.0))
+    norm = _max_abs(direction)
     if not (0.0 < norm < math.inf):
         return
     d = direction / norm
@@ -224,12 +236,14 @@ def _certify_infeasible(direction: np.ndarray, centered: np.ndarray) -> None:
 def _dual_newton(evaluate, centered, tolerance, max_steps, max_halvings, name):
     """Damped Newton from b = 0 on a convex dual; both MaxEnt solvers run here.
 
-    evaluate(b) returns (value, gradient, hessian, residual_norm, state), with
-    value +inf outside the dual's domain.  The loop stops once the moment
-    residual is within tolerance.  A step is taken when it passes the Armijo
-    test; a full step is also taken when the dual moved by no more than
-    rounding and the residual fell, because near the minimum the dual is flat
-    to machine precision while its gradient still carries information.
+    evaluate(b) returns (value, gradient, hessian, residual, state), with
+    value +inf outside the dual's domain and residual E[u] - t.  The loop
+    stops once each |E[u_m] - t_m| is within tolerance or, where larger, the
+    rounding of the moment, _ROUNDING max_k |u_mk - t_m|.  A step is taken
+    when it passes the Armijo test; a full step is also taken when the dual
+    moved by no more than rounding and the residual fell, because near the
+    minimum the dual is flat to machine precision while its gradient still
+    carries information.
     centered holds u_k - t for the support cells as columns; each step and
     each new iterate is tested as an infeasibility certificate.
 
@@ -237,10 +251,12 @@ def _dual_newton(evaluate, centered, tolerance, max_steps, max_halvings, name):
     """
     b = np.zeros(centered.shape[0])
     spread = np.abs(centered)
-    value, gradient, hessian, residual_norm, state = evaluate(b)
+    tolerances = np.maximum(tolerance, _ROUNDING * np.max(spread, axis=1, initial=0.0))
+    value, gradient, hessian, residual, state = evaluate(b)
     halvings = 0
     for steps in range(max_steps + 1):
-        if residual_norm <= tolerance:
+        residual_norm = _max_abs(residual)
+        if (np.abs(residual) <= tolerances).all():
             break
         if steps == max_steps:
             raise ConvergenceError(
@@ -264,7 +280,7 @@ def _dual_newton(evaluate, centered, tolerance, max_steps, max_halvings, name):
             trial_eval = evaluate(trial)
             change = trial_eval[0] - value
             if change <= scale * decrease or (
-                halving == 0 and abs(change) <= rounding and trial_eval[3] < residual_norm
+                halving == 0 and abs(change) <= rounding and _max_abs(trial_eval[3]) < residual_norm
             ):
                 break
             scale *= 0.5
@@ -277,7 +293,7 @@ def _dual_newton(evaluate, centered, tolerance, max_steps, max_halvings, name):
             )
         halvings += halving
         b = trial
-        value, gradient, hessian, residual_norm, state = trial_eval
+        value, gradient, hessian, residual, state = trial_eval
         _certify_infeasible(b, centered)
     return b, state, residual_norm, steps, halvings
 
@@ -304,10 +320,9 @@ def solve_maxent(
         masses = np.exp(exponent - log_z) * mu
         moments = features @ masses
         residual = moments - targets
-        residual_norm = float(np.max(np.abs(residual), initial=0.0))
         deviations = features - moments[:, None]
         hessian = deviations @ (deviations * masses).T
-        return value, -residual, hessian, residual_norm, (exponent, log_z, moments)
+        return value, -residual, hessian, residual, (exponent, log_z, moments)
 
     beta, (exponent, log_z, moments), residual_norm, iterations, _ = _dual_newton(
         evaluate, centered, tolerance, max_iterations, 60, "solve_maxent"

@@ -1,16 +1,17 @@
 """Finite weighted-partition model of a measure space.
 
-A WeightedPartition holds its cells as columns: the reference weights
-mu_k >= 0 and optional interval edges.  Densities (per-cell Radon-Nikodym
-values) and probability vectors (per-cell masses) live against the weights;
-every measure here is a sum over them, so no per-cell object is built.
-mu-null cells are retained rather than dropped so absolute-continuity
-violations stay detectable.  Partitions and the dyadic grids share one cap,
-MAX_CELLS, checked before anything of that size is built.
+A WeightedPartition is its reference weights mu_k >= 0, and for a
+partition of an interval [a, b] into cells, that interval.  Densities
+(per-cell Radon-Nikodym values) and probability vectors (per-cell masses)
+live against the weights; every measure here is a sum over them, so no
+per-cell object is built.  mu-null cells are retained rather than dropped so
+absolute-continuity violations stay detectable.  Partitions and the dyadic
+grids share one cap, MAX_CELLS, checked before anything of that size is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ def check_interval(interval, field: str = "interval") -> tuple[float, float]:
 def _check_vector(values: np.ndarray, what: str) -> None:
     if values.ndim != 1 or values.size == 0:
         raise ValueError(f"{what}: need a nonempty one-dimensional array")
-    if np.any(~np.isfinite(values)) or np.any(values < 0.0):
+    # two reductions, no temporary: a NaN fails both comparisons
+    if not (values.min() >= 0.0 and values.max() < math.inf):
         raise ValueError(f"{what}: entries must be finite and nonnegative")
 
 
@@ -70,46 +72,23 @@ def _check_vector(values: np.ndarray, what: str) -> None:
 class WeightedPartition:
     """Finite measurable partition with reference-measure weights mu_k >= 0.
 
-    left and right are given together: cell k is the interval
-    [left[k], right[k]), or has no interval where both are NaN.  The
-    interval cells must be ordered and disjoint.  labels names the cells;
-    None stands for c0, c1, ..., c{n-1}.
+    interval is (a, b) when the cells cut [a, b] in order, as the Lebesgue
+    partitions and the dyadic base grids do; None otherwise.
     """
 
     weights: np.ndarray
-    left: np.ndarray | None = None
-    right: np.ndarray | None = None
-    labels: tuple[str, ...] | None = None
+    interval: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", weights)
-        _check_vector(weights, "weights")
-        if not np.any(weights > 0.0):
+        # a zero-stride view, as a base grid's, holds one weight: check that one
+        distinct = weights[:1] if weights.strides == (0,) else weights
+        _check_vector(distinct, "weights")
+        if not distinct.max() > 0.0:
             raise ValueError("weights: at least one cell must carry positive weight")
-        n = weights.size
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != n:
-                raise ValueError(f"labels: need {n}, got {len(self.labels)}")
-        if self.left is None and self.right is None:
-            return
-        # a missing array reads as a NaN scalar and fails the shape test
-        left, right = np.asarray(self.left, dtype=float), np.asarray(self.right, dtype=float)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        bounded = ~np.isnan(left)
-        if not (left.shape == right.shape == (n,) and np.array_equal(bounded, ~np.isnan(right))):
-            raise ValueError(
-                f"cell interval: left and right must be given together, {n} edges each"
-            )
-        left, right = left[bounded], right[bounded]
-        inverted = ~(left < right)
-        if np.any(inverted):
-            k = int(np.argmax(inverted))
-            raise ValueError(f"cell interval: need left < right, got [{left[k]}, {right[k]})")
-        if np.any(left[1:] < right[:-1]):
-            raise ValueError("cells: interval cells must be ordered and disjoint")
+        if self.interval is not None:
+            object.__setattr__(self, "interval", check_interval(self.interval))
 
     def __len__(self) -> int:
         return self.weights.size
@@ -125,8 +104,8 @@ def uniform_partition(
     """n equal cells under one of the three standard reference measures.
 
     mode "counting" gives mu_k = 1; "uniform_probability" gives mu_k = 1/n;
-    "lebesgue" gives mu_k = (b - a)/n over interval=(a, b), with the cell
-    edges a + (b - a) k/n attached.  n is at most MAX_CELLS.
+    "lebesgue" gives mu_k = (b - a)/n over interval=(a, b), which the
+    partition records.  n is at most MAX_CELLS.
     """
     n = check_capped(n, "n", cap=MAX_CELLS)
     if mode == "counting":
@@ -137,8 +116,7 @@ def uniform_partition(
         if interval is None:
             raise ValueError("interval: mode 'lebesgue' requires interval=(a, b)")
         a, b = check_interval(interval)
-        edges = a + (b - a) * np.arange(n + 1) / n
-        return WeightedPartition(np.full(n, (b - a) / n), edges[:-1], edges[1:])
+        return WeightedPartition(np.full(n, (b - a) / n), (a, b))
     raise ValueError(f"mode: unknown partition mode {mode!r}")
 
 
@@ -162,7 +140,8 @@ class DensityVector:
             raise ValueError(
                 f"values: length {values.size} does not match partition size {len(self.partition)}"
             )
-        total = float(np.dot(values, self.partition.weights))
+        # @, not np.dot: np.dot copies a zero-stride weights view first
+        total = float(values @ self.partition.weights)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(
                 f"values: density must integrate to 1 against the partition "
@@ -180,7 +159,7 @@ class DensityVector:
         if not renormalize:
             return cls(values, partition)
         _check_vector(values, "values")
-        total = float(np.dot(values, partition.weights))
+        total = float(values @ partition.weights)
         if total <= 0.0:
             raise ValueError("values: cannot renormalize a vector with zero total mass")
         return cls(values / total, partition, renormalization=1.0 / total)

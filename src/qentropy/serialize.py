@@ -26,6 +26,7 @@ from .dyadic import BaseGridDensity
 from .measure import (
     MAX_BASE_EXPONENT,
     MAX_CELLS,
+    DensityVector,
     WeightedPartition,
     check_interval,
     uniform_partition,
@@ -41,7 +42,6 @@ __all__ = [
     "dumps",
     "load_input",
     "read_fields",
-    "partition_to_dict",
     "partition_from_obj",
     "expression_function",
 ]
@@ -129,7 +129,7 @@ class GridInput(NamedTuple):
     function: Callable | None = None
     values: np.ndarray | None = None
 
-    def build(self, interval, exponent: int) -> BaseGridDensity:
+    def build(self, interval, exponent: int) -> DensityVector:
         if self.function is not None:
             return BaseGridDensity.from_function(self.function, interval, base_exponent=exponent)
         return BaseGridDensity.from_values(self.values, interval, renormalize=True)
@@ -365,21 +365,14 @@ def read_fields(verb: str, obj: dict, flags=None) -> dict:
     return _read_object(obj, FIELDS[verb], "", flags)
 
 
-def partition_to_dict(partition: WeightedPartition) -> dict:
-    labels = partition.labels or [f"c{k}" for k in range(len(partition))]
-    cells = [{"label": label} for label in labels]
-    if partition.left is not None:
-        for entry, left, right in zip(cells, partition.left.tolist(), partition.right.tolist()):
-            if not math.isnan(left):
-                entry["left"] = left
-                entry["right"] = right
-    return {"cells": cells, "weights": json_ready(partition.weights)}
-
-
 def partition_from_obj(obj, path: str = "partition") -> WeightedPartition:
     """Full form {"cells": [...], "weights": [...]} or the uniform shorthand
     {"n": 4, "mode": "counting" | "uniform_probability" | "lebesgue",
-     "interval": [a, b]}, read through PARTITION_FIELDS and CELL_FIELDS."""
+     "interval": [a, b]}, read through PARTITION_FIELDS and CELL_FIELDS.
+
+    The cells are checked (one per weight, each a label with an optional
+    interval [left, right), the intervals ordered and disjoint) and then
+    dropped: no computation reads them."""
     if type(obj) is dict and "n" in obj:
         shorthand = _read_object(obj, PARTITION_FIELDS, path)
         return uniform_partition(shorthand["n"], shorthand["mode"], shorthand["interval"])
@@ -390,16 +383,24 @@ def partition_from_obj(obj, path: str = "partition") -> WeightedPartition:
     cells, weights = obj["cells"], obj["weights"]
     if not (type(cells) is list and type(weights) is list):
         raise ValueError(f"{path}: 'cells' and 'weights' must be arrays")
-    labels, left, right = [], [], []
+    edges = []
     for k, entry in enumerate(cells):
         cell = _read_object({"label": entry} if type(entry) is str else entry,
                             CELL_FIELDS, f"{path}.cells[{k}]")
-        labels.append(cell["label"])
-        # a missing edge is NaN, the mark of a cell without interval
-        left.append(math.nan if cell["left"] is None else cell["left"])
-        right.append(math.nan if cell["right"] is None else cell["right"])
-    weights = _read_floats(weights, Field("float array"), f"{path}.weights")
-    return WeightedPartition(weights, left, right, labels)
+        edges.append((cell["left"], cell["right"]))
+    partition = WeightedPartition(_read_floats(weights, Field("float array"), f"{path}.weights"))
+    n = len(partition)
+    if len(cells) != n:
+        raise ValueError(f"labels: need {n}, got {len(cells)}")
+    if any((left is None) != (right is None) for left, right in edges):
+        raise ValueError(f"cell interval: left and right must be given together, {n} edges each")
+    bounded = [(left, right) for left, right in edges if left is not None]
+    for left, right in bounded:
+        if not left < right:
+            raise ValueError(f"cell interval: need left < right, got [{left}, {right})")
+    if any(left < right for (_, right), (left, _) in zip(bounded, bounded[1:])):
+        raise ValueError("cells: interval cells must be ordered and disjoint")
+    return partition
 
 
 # each whitelisted function and the number of arguments it takes

@@ -212,9 +212,8 @@ def solve_tsallis_maxent(
             return math.inf, None, None, math.inf, None
         raw, ratio, zbar, escort = family
         moments = (features @ escort) / float(np.sum(escort))
-        residual_norm = float(np.max(np.abs(moments - targets), initial=0.0))
         hessian = (centered * ((1.0 - one_minus_q) * escort * ratio)) @ centered.T
-        return zbar, -(centered @ escort), hessian, residual_norm, (raw, zbar, moments)
+        return zbar, -(centered @ escort), hessian, moments - targets, (raw, zbar, moments)
 
     beta_q, (raw, zbar, moments), residual_norm, steps, halvings = _dual_newton(
         evaluate, centered, tolerance, max_outer, max_inner, "solve_tsallis_maxent"

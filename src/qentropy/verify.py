@@ -170,7 +170,7 @@ def _suite_measures(rng: np.random.Generator, samples: int) -> list[CheckResult]
     return checks
 
 
-def _random_grid_density(rng: np.random.Generator, exponent: int) -> BaseGridDensity:
+def _random_grid_density(rng: np.random.Generator, exponent: int) -> DensityVector:
     # smooth positive density: random low-order trigonometric polynomial
     c1, c2 = rng.uniform(-0.4, 0.4, 2)
     return BaseGridDensity.from_function(
@@ -185,6 +185,7 @@ def _suite_dyadic(rng: np.random.Generator, samples: int) -> list[CheckResult]:
     exponent = 14
     p = _random_grid_density(rng, exponent)
     r = _random_grid_density(rng, exponent)
+    delta = p.partition.weights[0]
 
     worst_mass, worst_point, worst_mean = 0.0, -math.inf, 0.0
     for level in (1, 2, 4, 6, 8):
@@ -218,14 +219,14 @@ def _suite_dyadic(rng: np.random.Generator, samples: int) -> list[CheckResult]:
         a = np.bincount(refinement.labels, weights=p.values) / counts
         b = np.bincount(refinement.labels, weights=r.values) / counts
         per_level = float(np.sum(a**alpha * b ** (1.0 - alpha) * refinement.mu_masses))
-        exact = float(np.sum(p.values**alpha * r.values ** (1.0 - alpha)) * p.delta)
+        exact = float(np.sum(p.values**alpha * r.values ** (1.0 - alpha)) * delta)
         worst = max(worst, per_level - exact)
     checks.append(_check("jensen_refinement_means", worst, 1e-9))
 
     # constant reference: refinement cells are exactly the level sets of p's
     # approximation, so the stored level-set means are conditional means and
     # the bound holds for the pmf pair the convergence tables actually use
-    r_const = BaseGridDensity.from_values(np.ones(p.base_cells), p.interval)
+    r_const = BaseGridDensity.from_values(np.ones(p.values.size), p.partition.interval)
     worst = -math.inf
     for level in (2, 4, 6):
         refinement = common_refinement(
@@ -234,7 +235,7 @@ def _suite_dyadic(rng: np.random.Generator, samples: int) -> list[CheckResult]:
         per_level = float(
             np.sum(refinement.f_means**alpha * refinement.g_means ** (1.0 - alpha) * refinement.mu_masses)
         )
-        exact = float(np.sum(p.values**alpha * r_const.values ** (1.0 - alpha)) * p.delta)
+        exact = float(np.sum(p.values**alpha * r_const.values ** (1.0 - alpha)) * delta)
         worst = max(worst, per_level - exact)
     checks.append(_check("jensen_per_level", worst, 1e-9))
 

@@ -347,15 +347,18 @@ def test_partition_length_mismatch_exits_one(capsys):
 
 
 def test_numpy_warnings_stay_off_stderr():
-    # the features overflow the Hessian; stderr must hold only the payload
-    spec = '{"partition": {"n": 2}, "constraints": [{"values": [0, 1e308], "target": 1e307}]}'
+    # exp overflows on the grid and the renormalization divides inf by inf;
+    # stderr must hold only the payload
+    spec = '{"p": {"expr": "exp(x)"}, "r": {"expr": "1"}, "interval": [0, 1000], "levels": [1]}'
     proc = subprocess.run(
-        [sys.executable, "-m", "qentropy.cli", "maxent", "--input", spec],
+        [sys.executable, "-m", "qentropy.cli", "approx", "--kind", "renyi", "--alpha", "2",
+         "--base-resolution", "2", "--input", spec],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 2
-    assert json.loads(proc.stderr)["error"]["type"] == "non_convergence"
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == {
+        "type": "validation", "message": "values: entries must be finite and nonnegative"}
 
 
 UNIT = '{"pmf": [1.0]}'
@@ -379,6 +382,28 @@ def test_a_zero_value_prints_without_a_sign(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert "0.0" in out and "-0.0" not in out
+
+
+@pytest.mark.parametrize("kind, flag", [("renyi", "--alpha"), ("tsallis", "--q")])
+def test_divergence_of_a_pmf_from_itself_is_exactly_zero(capsys, kind, flag):
+    # the power sum read -1.1e-16 (Renyi) and 2.2e-16 (Tsallis) here
+    code, out, err = run_cli(capsys, "divergence", "--kind", kind, flag, "0.5", "--input",
+                             '{"p": [0.2, 0.8], "r": [0.2, 0.8]}')
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 0.0 and '"value": 0.0\n' in out
+
+
+@pytest.mark.parametrize("scale, code", [("1e6", 0), ("1e8", 0), ("1e308", 1)])
+def test_feature_scale_exit_codes(capsys, scale, code):
+    # these exited 2 after stalling; past 1e154 the curvature overflows
+    spec = f'{{"partition": {{"n": 2}}, "constraints": [{{"values": [0, {scale}], "target": {scale}}}]}}'
+    spec = spec.replace(f'"target": {scale}', f'"target": {float(scale) / 10!r}')
+    got, out, err = run_cli(capsys, "maxent", "--input", spec)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["pmf"][0] == pytest.approx(0.9, rel=1e-12)
+    else:
+        assert "rescale the feature" in json.loads(err)["error"]["message"]
 
 
 FROZEN = Path(__file__).resolve().parent / "frozen"

@@ -5,8 +5,10 @@ to check the whole construction by hand; those literals are exact dyadic
 floats.  Continuous reference values regenerated by tests/_oracles.py.
 """
 
+import dataclasses
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +21,21 @@ from qentropy.dyadic import CSV_HEADER
 from qentropy import (
     BaseGridDensity,
     ConvergenceRow,
+    DensityVector,
     ProbabilityVector,
+    WeightedPartition,
     ResolutionError,
     common_refinement,
     convergence_table,
     demo_to_csv,
     dyadic_approximation,
     entropy_nonextension_demo,
+    induced_pmf,
     reference_divergence,
     renyi_divergence,
     table_to_csv,
     tsallis_divergence,
+    uniform_partition,
 )
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -122,11 +128,87 @@ def test_grid_validation():
         BaseGridDensity.from_values(np.array([2.0, 1.0]), (0.0, 1.0))  # mass 1.5
     with pytest.raises(ValueError):
         BaseGridDensity.from_values(np.array([2.0, -0.0001]), (0.0, 1.0), renormalize=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot renormalize zero total mass"):
         BaseGridDensity.from_function(lambda x: 0.0 * x, (0.0, 1.0), base_exponent=3)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflowing total mass"):
+        BaseGridDensity.from_values(np.array([1e308, 1e308]), (0.0, 1.0), renormalize=True)
     grid = BaseGridDensity.from_values(np.array([3.0, 1.0]), (0.0, 1.0), renormalize=True)
     assert np.array_equal(grid.values, [1.5, 0.5])
     assert grid.renormalization == 0.5
+
+
+def test_a_grid_is_a_density_on_an_equal_weight_lebesgue_partition():
+    grid = BaseGridDensity.from_values(np.array([1.0, 2.0, 3.0, 2.0]), (1.0, 3.0), renormalize=True)
+    assert isinstance(grid, DensityVector)
+    assert grid.partition.interval == (1.0, 3.0)
+    assert grid.partition.weights.tolist() == [0.5] * 4
+    assert grid.partition.weights.strides == (0,)  # one weight, not one per cell
+    assert np.array_equal(grid.values, [0.25, 0.5, 0.75, 0.5])
+    assert np.array_equal(induced_pmf(grid).masses, [0.125, 0.25, 0.375, 0.25])
+    assert vars(BaseGridDensity).keys() >= {"from_function", "from_values"}
+    assert not dataclasses.is_dataclass(BaseGridDensity)
+
+
+def test_grid_build_holds_no_weights_array():
+    # a 2^20-entry weights array would take 8 MiB
+    values = np.ones(2**20)
+    tracemalloc.start()
+    try:
+        grid = BaseGridDensity.from_values(values, (0.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid.partition) == 2**20
+    assert peak < 4 * 2**20
+
+
+def grid_faults():
+    """(p, r) pairs that are not two densities on one base grid."""
+    flat = flat_grid(4)
+    on_lebesgue = DensityVector(np.ones(16), uniform_partition(16, "lebesgue", (0.0, 1.0)))
+    uneven = WeightedPartition(np.r_[np.full(8, 0.5), np.full(8, 1.5)] / 16, (0.0, 1.0))
+    return {
+        "other interval": (flat, BaseGridDensity.from_values(np.ones(16), (0.0, 1.0 + 2.0**-20),
+                                                              renormalize=True)),
+        "other cell count": (flat, flat_grid(5)),
+        "counting partition": (flat, DensityVector(np.full(16, 1.0 / 16), uniform_partition(16))),
+        "counting partition first": (DensityVector(np.full(16, 1.0 / 16), uniform_partition(16)),
+                                     flat),
+        "no interval": (flat, DensityVector(np.ones(16), WeightedPartition(np.full(16, 1.0 / 16)))),
+        "unequal cells": (flat, DensityVector(np.ones(16), uneven)),
+        "not 2^k cells": (flat, DensityVector(np.ones(12), uniform_partition(12, "lebesgue",
+                                                                           (0.0, 1.0)))),
+        # a Lebesgue partition of 2^k cells is a base grid, checked at every weight
+        "contiguous grid, other interval": (on_lebesgue, BaseGridDensity.from_values(
+            np.ones(16), (0.5, 1.5))),
+    }
+
+
+@pytest.mark.parametrize("fault", list(grid_faults()))
+def test_grid_checks_refuse_densities_off_the_shared_grid(fault):
+    p, r = grid_faults()[fault]
+    with pytest.raises(ValueError):
+        convergence_table(p, r, 2.0, "renyi", [1])
+    with pytest.raises(ValueError):
+        reference_divergence(p, r, 2.0, "renyi")
+    approx = dyadic_approximation(flat_grid(4), 1)
+    with pytest.raises(ValueError):
+        common_refinement(dataclasses.replace(approx, grid=p), dataclasses.replace(approx, grid=r))
+
+
+def test_grid_checks_name_the_mismatch():
+    with pytest.raises(ValueError, match=r"r: densities live on different base grids "
+                       r"\(\(0.0, 1.0\) x 16 vs \(0.0, 1.0\) x 32\)"):
+        reference_divergence(flat_grid(4), flat_grid(5), 2.0, "renyi")
+    with pytest.raises(ValueError, match="g: densities live on different base grids"):
+        common_refinement(dyadic_approximation(flat_grid(4), 1), dyadic_approximation(flat_grid(5), 1))
+    counting = DensityVector(np.full(16, 1.0 / 16), uniform_partition(16))
+    with pytest.raises(ValueError, match="p: need a density on an interval cut into 2\\^k cells"):
+        dyadic_approximation(counting, 1)
+    # a density on a Lebesgue partition of 2^k cells is on a base grid
+    on_lebesgue = DensityVector(np.ones(16), uniform_partition(16, "lebesgue", (0.0, 1.0)))
+    assert reference_divergence(on_lebesgue, flat_grid(4), 2.0, "renyi") == 0.0
+    assert convergence_table(on_lebesgue, flat_grid(4), 0.5, "tsallis", [2])[0].abs_error == 0.0
 
 
 def test_reference_divergence_matches_closed_forms():
@@ -247,7 +329,7 @@ def brute_force_divergence(p, r, index, kind, level):
     p_mean = {a: math.fsum(p.values[idx]) / len(idx) for a, idx in p_sets.items()}
     r_mean = {b: math.fsum(r.values[idx]) / len(idx) for b, idx in r_sets.items()}
     keys = sorted(cells)
-    mu = [len(cells[key]) * p.delta for key in keys]
+    mu = [len(cells[key]) * p.partition.weights[0] for key in keys]
     P = ProbabilityVector(np.array([p_mean[a] * m for (a, _), m in zip(keys, mu)]))
     R = ProbabilityVector(np.array([r_mean[b] * m for (_, b), m in zip(keys, mu)]))
     divergence = renyi_divergence if kind == "renyi" else tsallis_divergence
@@ -316,7 +398,7 @@ def test_coarsening_is_exact_at_dyadic_boundaries():
     grid_values = np.zeros(cells)
     grid_values[: values.size] = values
     p = BaseGridDensity.from_values(grid_values, (0.0, cells / grid_values.sum()))
-    r = BaseGridDensity.from_values(np.ones(cells), p.interval, renormalize=True)
+    r = BaseGridDensity.from_values(np.ones(cells), p.partition.interval, renormalize=True)
     for level in (1, 4, finest):
         approx = dyadic_approximation(p, level)
         expected = np.where(grid_values >= level, level * 2**level, np.floor(grid_values * 2.0**level))

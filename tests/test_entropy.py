@@ -37,6 +37,16 @@ def _density(masses, partition):
     return radon_nikodym(ProbabilityVector(masses), partition)
 
 
+@pytest.mark.parametrize("divergence", [renyi_divergence, tsallis_divergence])
+@pytest.mark.parametrize("masses", [[0.2, 0.8], [0.1, 0.0, 0.3, 0.6], [1.0 / 3.0] * 3])
+def test_divergence_of_a_pmf_from_itself_is_exactly_zero(divergence, masses):
+    P = ProbabilityVector(masses)
+    for index in (0.5, 2.0, 7.0):
+        assert divergence(P, ProbabilityVector(list(masses)), None, index) == 0.0
+    # unequal vectors still take the power sum
+    assert divergence(P82, R55, None, 2.0) > 0.0 and divergence(R55, P82, None, 0.5) > 0.0
+
+
 def test_shannon_entropy_of_uniform_density():
     for n in (2, 5, 16):
         part = uniform_partition(n)

@@ -298,3 +298,31 @@ def test_audit_gives_up_below_its_step_floor():
     solution = solve_maxent(constraints, uniform_partition(3, "counting"))
     with pytest.raises(InfeasibleError):
         thermo_residuals(solution, fd_step=1e-4)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8, 1e154])
+def test_badly_scaled_features_converge(scale):
+    # E[u] carries rounding of about 1e-16 * scale, above an absolute 1e-12:
+    # the audit's re-solves stalled from 1e6 on, the solve itself from 1e8 on
+    constraints = ConstraintSet([[0.0, scale]], [scale / 10.0])
+    solution = solve_maxent(constraints, uniform_partition(2))
+    assert np.allclose(solution.pmf.masses, [0.9, 0.1], rtol=1e-12, atol=0.0)
+    # the re-solves at t +- fd_step converge; fd_step itself is absolute
+    _, sensitivity = thermo_residuals(solution)
+    assert np.all(np.isfinite(sensitivity))
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_badly_scaled_escort_features_converge(scale):
+    constraints = ConstraintSet([[0.0, scale]], [scale / 10.0], "escort", 0.5)
+    solution = solve_tsallis_maxent(constraints, uniform_partition(2))
+    assert math.isclose(solution.escort_moments[0], scale / 10.0, rel_tol=1e-14)
+    assert np.all(np.isfinite(tsallis_thermo(solution)["entropy_sensitivity"]))
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 0.5)])
+def test_features_past_the_curvature_overflow_are_refused(kind, q):
+    constraints = ConstraintSet([[0.0, 1e308]], [1e307], kind, q)
+    solve = solve_maxent if kind == "ordinary" else solve_tsallis_maxent
+    with pytest.raises(ValueError, match=r"functions\[0\]: values span 1e\+308 .* rescale"):
+        solve(constraints, uniform_partition(2))

@@ -1,5 +1,6 @@
 """Weighted partitions, densities, pmfs, and the derivative between them."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -20,18 +21,27 @@ from qentropy import (
 
 
 def test_partition_validation():
-    labels = tuple(str(k) for k in range(3))
     with pytest.raises(ValueError):
-        WeightedPartition([-0.1, 0.6, 0.5], labels=labels)
+        WeightedPartition([-0.1, 0.6, 0.5])
     with pytest.raises(ValueError):
-        WeightedPartition([0.0, 0.0, 0.0], labels=labels)
+        WeightedPartition([0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        WeightedPartition([1.0, 2.0], labels=labels)
+        WeightedPartition([1.0, np.nan])
+    with pytest.raises(ValueError):
+        WeightedPartition([1.0, np.inf])
     with pytest.raises(ValueError):
         WeightedPartition([])
-    part = WeightedPartition([0.0, 1.0, 3.0], labels=labels)  # null cells are allowed
+    with pytest.raises(ValueError, match="interval"):
+        WeightedPartition([1.0, 1.0], (1.0, 0.0))
+    # a zero-stride view is checked at its one weight
+    for weight in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="weights"):
+            WeightedPartition(np.broadcast_to(weight, (4,)))
+    assert WeightedPartition(np.broadcast_to(0.25, (4,))).total_mass == 1.0
+    part = WeightedPartition([0.0, 1.0, 3.0])  # null cells are allowed
     assert len(part) == 3
     assert part.total_mass == 4.0
+    assert part.interval is None
 
 
 def test_uniform_partition_modes():
@@ -41,7 +51,9 @@ def test_uniform_partition_modes():
     assert np.allclose(prob.weights, 0.25, rtol=0, atol=0)
     grid = uniform_partition(4, "lebesgue", interval=(0.0, 2.0))
     assert np.allclose(grid.weights, 0.5, rtol=0, atol=0)
-    assert grid.left[0] == 0.0 and grid.right[-1] == 2.0
+    assert grid.interval == (0.0, 2.0)
+    assert grid.weights.flags.c_contiguous and grid.weights.strides == (8,)
+    assert counting.interval is None and prob.interval is None
     assert math.isclose(grid.total_mass, 2.0, rel_tol=0, abs_tol=1e-12)
     for n in (0, -1, 2.5, True, None, "3", 2**24 + 1):
         with pytest.raises(ValueError, match="2\\^24"):
@@ -99,11 +111,12 @@ def test_radon_nikodym_shape_mismatch():
         radon_nikodym(ProbabilityVector([0.5, 0.5]), uniform_partition(3))
 
 
-def test_cells_carry_labels_and_bounds():
-    c = WeightedPartition([0.25], [0.25], [0.5], ["bin-3"])
-    assert (c.labels[0], c.left[0], c.right[0]) == ("bin-3", 0.25, 0.5)
+def test_partition_keeps_weights_and_interval():
+    c = WeightedPartition([0.25], (0.25, 0.5))
+    assert [f.name for f in dataclasses.fields(c)] == ["weights", "interval"]
+    assert c.interval == (0.25, 0.5) and c.weights.tolist() == [0.25]
     with pytest.raises(Exception):
-        c.left = np.zeros(1)  # frozen
+        c.interval = (0.0, 1.0)  # frozen
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,22 +142,3 @@ def test_uniform_partition_builds_only_arrays(mode):
         tracemalloc.stop()
     assert len(part) == 2**18
     assert peak < 16 * 2**20
-
-
-def test_interval_cells_are_checked():
-    nan = math.nan
-    with pytest.raises(ValueError, match="ordered and disjoint"):
-        WeightedPartition([1.0, 1.0], [0.0, 0.4], [0.5, 1.0])  # overlapping
-    with pytest.raises(ValueError, match="ordered and disjoint"):
-        WeightedPartition([1.0, 1.0, 1.0], [0.5, nan, 0.0], [1.0, nan, 0.5])  # unordered
-    with pytest.raises(ValueError, match="left < right"):
-        WeightedPartition([1.0, 1.0], [0.0, 0.5], [0.5, 0.5])
-    with pytest.raises(ValueError, match="given together"):
-        WeightedPartition([1.0, 1.0], left=[0.0, 0.5])
-    with pytest.raises(ValueError, match="given together"):
-        WeightedPartition([1.0, 1.0], [0.0, 0.5], [0.5, nan])
-    with pytest.raises(ValueError, match="given together"):
-        WeightedPartition([1.0, 1.0], [0.0], [0.5])
-    # touching intervals and cells without one are fine
-    part = WeightedPartition([1.0, 0.0, 1.0], [0.0, nan, 0.5], [0.5, nan, 1.0])
-    assert len(part) == 3

@@ -13,7 +13,6 @@ from qentropy.serialize import (
     json_ready,
     load_input,
     partition_from_obj,
-    partition_to_dict,
 )
 
 
@@ -64,14 +63,18 @@ def test_load_input_inline_and_file(tmp_path):
         load_input(str(tmp_path / "missing.json"))
 
 
-def test_partition_round_trip():
-    part = uniform_partition(3, "lebesgue", (0.0, 1.5))
-    obj = partition_to_dict(part)
-    back = partition_from_obj(obj)
-    assert isinstance(back, WeightedPartition)
-    assert np.allclose(back.weights, part.weights, rtol=0, atol=0)
-    assert back.labels == ("c0", "c1", "c2")  # part's default labels, written out
-    assert np.array_equal(back.left, part.left) and np.array_equal(back.right, part.right)
+def test_partition_keeps_weights_and_interval():
+    # the shorthand records the interval; the full form keeps only the weights
+    shorthand = partition_from_obj({"n": 3, "mode": "lebesgue", "interval": [0, 1.5]})
+    assert isinstance(shorthand, WeightedPartition)
+    assert shorthand.interval == (0.0, 1.5)
+    assert shorthand.weights.tolist() == [0.5, 0.5, 0.5]
+    full = partition_from_obj({
+        "cells": [{"label": "c0", "left": 0.0, "right": 0.5}, "c1", {"label": "c2"}],
+        "weights": [0.5, 0.5, 0.5],
+    })
+    assert full.interval is None
+    assert full.weights.tolist() == [0.5, 0.5, 0.5]
 
 
 FROZEN_PARTITIONS = [
@@ -107,9 +110,45 @@ FROZEN_PARTITIONS = [
 
 @pytest.mark.parametrize("part, frozen", FROZEN_PARTITIONS)
 def test_partition_json_is_frozen(part, frozen):
-    assert json.dumps(partition_to_dict(part)) == frozen
-    again = partition_to_dict(partition_from_obj(json.loads(frozen)))
-    assert json.dumps(again) == frozen
+    # the frozen weights are the partition's, bit for bit, and read back as such
+    obj = json.loads(frozen)
+    assert json.dumps(part.weights.tolist()) == json.dumps(obj["weights"])
+    assert partition_from_obj(obj).weights.tolist() == part.weights.tolist()
+
+
+CELL_FAULTS = [
+    # (cells, weights, message)
+    ([{"label": "a", "left": 0.0, "right": 0.5}, {"label": "b", "left": 0.4, "right": 1.0}],
+     [1.0, 1.0], "ordered and disjoint"),  # overlapping
+    ([{"label": "a", "left": 0.5, "right": 1.0}, "b", {"label": "c", "left": 0.0, "right": 0.5}],
+     [1.0, 1.0, 1.0], "ordered and disjoint"),  # unordered
+    ([{"label": "a", "left": 0.0, "right": 0.5}, {"label": "b", "left": 0.5, "right": 0.5}],
+     [1.0, 1.0], r"need left < right, got \[0.5, 0.5\)"),
+    ([{"label": "a", "left": 0.0}, {"label": "b", "left": 0.5}],
+     [1.0, 1.0], "given together, 2 edges each"),
+    ([{"label": "a", "left": 0.0, "right": 0.5}, {"label": "b", "left": 0.5}],
+     [1.0, 1.0], "given together"),
+    (["a", "b", "c"], [1.0, 2.0], "labels: need 2, got 3"),
+    (["a"], [1.0, 2.0], "labels: need 2, got 1"),
+    ([["a"], "b"], [1.0, 2.0], r"partition.cells\[0\]: need a JSON object"),
+    ([{"left": 0.0, "right": 1.0}], [1.0], r"partition.cells\[0\].label"),
+    ([{"label": True}], [1.0], r"partition.cells\[0\].label: need a string or a number"),
+]
+
+
+@pytest.mark.parametrize("cells, weights, message", CELL_FAULTS)
+def test_partition_cells_are_checked(cells, weights, message):
+    with pytest.raises(ValueError, match=message):
+        partition_from_obj({"cells": cells, "weights": weights})
+
+
+def test_touching_cells_and_cells_without_interval_are_fine():
+    part = partition_from_obj({
+        "cells": [{"label": "a", "left": 0.0, "right": 0.5}, "b",
+                  {"label": 7, "left": 0.5, "right": 1.0}],
+        "weights": [1.0, 0.0, 1.0],
+    })
+    assert part.weights.tolist() == [1.0, 0.0, 1.0] and part.interval is None
 
 
 def test_partition_shorthand():
