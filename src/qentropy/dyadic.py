@@ -9,13 +9,16 @@ quadrature enters the convergence claim.
 The approximation at level n groups base cells by which dyadic bin
 [k/2^n, (k+1)/2^n), k = 0..n*2^n - 1, their density value falls in, with one
 overflow cell for values >= n.  The simple function f_n takes the mu-mean of
-the density on each nonempty group; the masses of those groups
-(DyadicApproximation.masses) form the approximating pmf, whose discrete
-Renyi/Tsallis divergences converge to the measure-theoretic value as n grows.
+the density on each nonempty group; the masses of those groups form the
+approximating pmf, whose discrete Renyi/Tsallis divergences converge to the
+measure-theoretic value as n grows.
 
 The levels form a refining chain: a level-n bin is a union of level-L bins,
-floor(v 2^n) = floor(v 2^L) >> (L-n), so convergence_table bins each density
-once at the finest level L and reads every coarser level off that.
+floor(v 2^n) = floor(v 2^L) >> (L-n).  So one pass, _levels, bins a pair of
+densities once at the finest level L, groups base cells into a table of
+finest code pairs, and reads every level's level sets and common refinement
+off that table.  convergence_table maps the divergence over the pass;
+dyadic_approximation and common_refinement are its one-level case.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .measure import (
     WeightedPartition,
     _check_vector,
     check_capped,
+    check_carries_density,
     check_interval,
     induced_pmf,
 )
@@ -100,6 +104,7 @@ def _grid(values: np.ndarray, interval, renormalize: bool) -> DensityVector:
             f"values: need a power-of-two number of base cells up to "
             f"2^{MAX_BASE_EXPONENT}, got {values.shape}"
         )
+    check_carries_density(a, b, n)
     delta = (b - a) / n
     partition = WeightedPartition(np.broadcast_to(delta, (n,)), (a, b))
     if not renormalize:
@@ -146,11 +151,6 @@ def _bin_codes(values: np.ndarray, level: int) -> np.ndarray:
     return np.floor(np.minimum(values, level) * float(2**level)).astype(np.int64)
 
 
-def _coarsen(codes: np.ndarray, finest: int, level: int) -> np.ndarray:
-    """Level-n codes from level-L codes: floor(v 2^n) = floor(v 2^L) >> (L - n)."""
-    return np.minimum(codes >> (finest - level), level * 2**level)
-
-
 def _group(codes: np.ndarray, *weights: np.ndarray):
     """Merge rows that share a code: returns the distinct codes in ascending
     order, each row's group label, and per group the total of each weight."""
@@ -194,20 +194,6 @@ class DyadicApproximation:
         return self.mean_values[self.labels]
 
 
-def dyadic_approximation(p: DensityVector, level: int) -> DyadicApproximation:
-    """Group base cells by dyadic bin of their density value at the given level.
-
-    Bins are [k/2^n, (k+1)/2^n) for k = 0..n*2^n - 1 plus the overflow set
-    {density >= n}.
-    """
-    n, delta = _grid_cells(p)
-    (level,) = check_levels([level], n)
-    codes = _bin_codes(p.values, level)
-    bin_ids, labels, counts, sums = _group(codes, np.ones(n), p.values)
-    means = sums / counts
-    return DyadicApproximation(p, level, bin_ids, labels, means, sums * delta, counts * delta)
-
-
 @dataclass(frozen=True, eq=False)
 class CommonRefinement:
     """Nonempty pairwise intersections of two approximations' level sets.
@@ -235,19 +221,53 @@ class CommonRefinement:
         return self.g_means * self.mu_masses
 
 
-def common_refinement(
-    f: DyadicApproximation, g: DyadicApproximation
-) -> CommonRefinement:
-    """Shared partition on which both simple functions are constant."""
-    n, delta = _shared_grid(f.grid, g.grid, "f", "g")
-    width = g.cell_count
-    cells, labels, counts = _group(f.labels * width + g.labels, np.ones(n))
-    return CommonRefinement(
-        labels=labels,
-        mu_masses=counts * delta,
-        f_means=f.mean_values[cells // width],
-        g_means=g.mean_values[cells % width],
-    )
+def _levels(p: DensityVector, r: DensityVector, levels: Sequence[int],
+            labels: bool = False, fields=("p", "r")) -> list[tuple]:
+    """(f, g, cells) per level, ascending: the DyadicApproximation of p and of
+    r and their CommonRefinement.  Base cells sharing a pair of finest codes
+    merge into one row of the pair table; each level groups those rows.  The
+    per-base-cell labels compose the table's np.unique inverse, or are None
+    unless asked for."""
+    n, delta = _shared_grid(p, r, *fields)
+    levels = check_levels(levels, n)
+    finest = levels[-1]
+    # finest codes are at most L 2^L with L <= MAX_BASE_EXPONENT, so the pair
+    # key stays below (L 2^L + 1)^2 < 2^63
+    width = finest * 2**finest + 1
+    pair_codes = _bin_codes(p.values, finest) * width + _bin_codes(r.values, finest)
+    keys, inverse, counts, p_sums, r_sums = _group(pair_codes, np.ones(n), p.values, r.values)
+    per_cell = (lambda rows, inverse=inverse: rows[inverse]) if labels else (lambda rows: None)
+    del pair_codes, inverse
+    codes = np.stack(np.divmod(keys, width))  # each row's finest codes of p and of r
+    passes = []
+    for level in levels:
+        # level-n codes: floor(v 2^n) = floor(v 2^L) >> (L - n), capped at the overflow code
+        coarse = np.minimum(codes >> (finest - level), level * 2**level)
+        f_ids, f_rows, f_counts, f_sums = _group(coarse[0], counts, p_sums)
+        g_ids, g_rows, g_counts, g_sums = _group(coarse[1], counts, r_sums)
+        ids, rows, mu = _group(f_rows * g_ids.size + g_rows, counts)
+        f_cells, g_cells = np.divmod(ids, g_ids.size)
+        f_means, g_means = f_sums / f_counts, g_sums / g_counts
+        f = DyadicApproximation(p, level, f_ids, per_cell(f_rows), f_means, f_sums * delta, f_counts * delta)
+        g = DyadicApproximation(r, level, g_ids, per_cell(g_rows), g_means, g_sums * delta, g_counts * delta)
+        cells = CommonRefinement(per_cell(rows), mu * delta, f_means[f_cells], g_means[g_cells])
+        passes.append((f, g, cells))
+    return passes
+
+
+def dyadic_approximation(p: DensityVector, level: int) -> DyadicApproximation:
+    """Group base cells by dyadic bin of their density value at the given level
+    (the one-level pass on (p, p)).  Bins are [k/2^n, (k+1)/2^n) for
+    k = 0..n*2^n - 1 plus the overflow set {density >= n}."""
+    return _levels(p, p, [level], labels=True)[0][0]
+
+
+def common_refinement(f: DyadicApproximation, g: DyadicApproximation) -> CommonRefinement:
+    """Shared partition on which both simple functions are constant (the
+    one-level pass on both approximations' grids)."""
+    if f.level != g.level:
+        raise ValueError(f"g: level {g.level} differs from f's level {f.level}; refine at one level")
+    return _levels(f.grid, g.grid, [f.level], labels=True, fields=("f", "g"))[0][2]
 
 
 @dataclass(frozen=True)
@@ -302,51 +322,29 @@ def convergence_table(
 ) -> list[ConvergenceRow]:
     """Discrete divergence of the approximating pmfs per level vs the reference.
 
-    Each density is binned once, at the finest level L requested, and base
-    cells sharing a pair of finest codes merge into one row carrying its cell
-    count and the sums of p and r.  Every level n groups those rows by their
-    coarsened codes into the level sets and their common refinement, and
-    pairs each function's level-set mean with each refinement cell's mu: the
-    pmfs of common_refinement, without revisiting the base grid.  Rows come
-    in ascending level order.
+    The pmfs of a level are the f and g masses of the common refinement of
+    the two densities' level sets.  Rows come in ascending level order.
     """
     index = check_index(index)
     divergence = _divergence(kind)
-    n, delta = _shared_grid(p, r)
-    levels = check_levels(levels, n)
+    passes = _levels(p, r, levels)
     reference = reference_divergence(p, r, index, kind)
-    finest = levels[-1]
-    # finest codes are at most L 2^L with L <= MAX_BASE_EXPONENT, so the pair
-    # key stays below (L 2^L + 1)^2 < 2^63
-    width = finest * 2**finest + 1
-    pair_codes = _bin_codes(p.values, finest) * width + _bin_codes(r.values, finest)
-    keys, _, counts, p_sums, r_sums = _group(pair_codes, np.ones(n), p.values, r.values)
-    p_codes, r_codes = np.divmod(keys, width)
     rows = []
-    for level in levels:
-        _, f_labels, f_counts, f_sums = _group(_coarsen(p_codes, finest, level), counts, p_sums)
-        _, g_labels, g_counts, g_sums = _group(_coarsen(r_codes, finest, level), counts, r_sums)
-        cells, _, mu = _group(f_labels * g_sums.size + g_labels, counts)
-        f_cells, g_cells = np.divmod(cells, g_sums.size)
-        mu = mu * delta
-        P = ProbabilityVector((f_sums / f_counts)[f_cells] * mu)
-        R = ProbabilityVector((g_sums / g_counts)[g_cells] * mu)
-        discrete = divergence(P, R, None, index)
-        if math.isinf(discrete) or math.isinf(reference):
-            err = 0.0 if discrete == reference else math.inf
-        else:
-            err = abs(discrete - reference)
-        rows.append(ConvergenceRow(level, discrete, reference, err))
+    for f, _, cells in passes:
+        discrete = divergence(
+            ProbabilityVector(cells.f_masses), ProbabilityVector(cells.g_masses), None, index
+        )
+        # equal infinities are no error
+        err = 0.0 if discrete == reference else abs(discrete - reference)
+        rows.append(ConvergenceRow(f.level, discrete, reference, err))
     return rows
 
 
 def table_to_csv(rows: Sequence[ConvergenceRow]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.level},{row.discrete_divergence!r},"
-            f"{row.reference_divergence!r},{row.abs_error!r}"
-        )
+    lines = [CSV_HEADER] + [
+        f"{row.level},{row.discrete_divergence!r},{row.reference_divergence!r},{row.abs_error!r}"
+        for row in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -384,8 +382,7 @@ def entropy_nonextension_demo(
         raise ValueError("n_list: need at least one cell count")
     sizes = [check_capped(n, "n_list entries", cap=MAX_CELLS) for n in n_list]
     cells = 2 ** check_capped(continuous_exponent, "continuous_exponent", minimum=0)
-    if not (math.isfinite(b - a) and math.isfinite(1.0 / (b - a)) and (b - a) / cells > 0.0):
-        raise ValueError(f"interval: ({a}, {b}) cannot carry a density on {cells} cells")
+    check_carries_density(a, b, cells)
     weights = np.full(cells, (b - a) / cells)
     values = np.full(cells, 1.0 / (b - a))
     values = values / float(np.dot(values, weights))

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import (
-    BaseGridDensity,
-    common_refinement,
-    convergence_table,
-    dyadic_approximation,
-)
+from .dyadic import BaseGridDensity, _levels, convergence_table
 from .entropy import (
     kl_divergence,
     measure_entropy,
@@ -187,21 +182,21 @@ def _suite_dyadic(rng: np.random.Generator, samples: int) -> list[CheckResult]:
     r = _random_grid_density(rng, exponent)
     delta = p.partition.weights[0]
 
+    # the pass the convergence tables run, here with per-base-cell labels
+    passes = {f.level: (f, cells) for f, _, cells in _levels(p, r, [1, 2, 4, 5, 6, 8], labels=True)}
+
     worst_mass, worst_point, worst_mean = 0.0, -math.inf, 0.0
     for level in (1, 2, 4, 6, 8):
-        approx = dyadic_approximation(p, level)
+        approx = passes[level][0]
         worst_mass = max(worst_mass, abs(float(np.sum(approx.masses)) - 1.0))
         f_n = approx.simple_function()
         below = p.values < level
         gap = np.max(np.abs(f_n[below] - p.values[below])) if np.any(below) else 0.0
         worst_point = max(worst_point, float(gap) - 2.0 ** (-level))
+        regular = approx.bin_ids != approx.overflow_id
+        k, mean = approx.bin_ids[regular], approx.mean_values[regular]
         scale = 2.0 ** level
-        for i, k in enumerate(approx.bin_ids):
-            if k == approx.overflow_id:
-                continue
-            mean = approx.mean_values[i]
-            if not (k / scale <= mean < (k + 1) / scale):
-                worst_mean += 1.0
+        worst_mean += np.count_nonzero(~((k / scale <= mean) & (mean < (k + 1) / scale)))
     checks.append(_check("mass_conservation", worst_mass, 1e-12))
     checks.append(_check("pointwise_bound_margin", worst_point, 0.0))
     checks.append(_check("mean_inside_bin", worst_mean, 0.0))
@@ -212,9 +207,7 @@ def _suite_dyadic(rng: np.random.Generator, samples: int) -> list[CheckResult]:
     # (a, b) -> a^alpha * b^(1-alpha) is jointly convex for alpha > 1
     worst = -math.inf
     for level in (2, 4, 6):
-        refinement = common_refinement(
-            dyadic_approximation(p, level), dyadic_approximation(r, level)
-        )
+        refinement = passes[level][1]
         counts = np.bincount(refinement.labels)
         a = np.bincount(refinement.labels, weights=p.values) / counts
         b = np.bincount(refinement.labels, weights=r.values) / counts
@@ -227,22 +220,19 @@ def _suite_dyadic(rng: np.random.Generator, samples: int) -> list[CheckResult]:
     # approximation, so the stored level-set means are conditional means and
     # the bound holds for the pmf pair the convergence tables actually use
     r_const = BaseGridDensity.from_values(np.ones(p.values.size), p.partition.interval)
+    exact = float(np.sum(p.values**alpha * r_const.values ** (1.0 - alpha)) * delta)
     worst = -math.inf
-    for level in (2, 4, 6):
-        refinement = common_refinement(
-            dyadic_approximation(p, level), dyadic_approximation(r_const, level)
-        )
+    for _, _, refinement in _levels(p, r_const, [2, 4, 6]):
         per_level = float(
             np.sum(refinement.f_means**alpha * refinement.g_means ** (1.0 - alpha) * refinement.mu_masses)
         )
-        exact = float(np.sum(p.values**alpha * r_const.values ** (1.0 - alpha)) * delta)
         worst = max(worst, per_level - exact)
     checks.append(_check("jensen_per_level", worst, 1e-9))
 
     rows = convergence_table(p, r, 2.0, "renyi", [3, 8])
     improvement = rows[1].abs_error - rows[0].abs_error
     checks.append(_check("error_decreases", improvement, 0.0))
-    pmf = ProbabilityVector(dyadic_approximation(p, 5).masses)
+    pmf = ProbabilityVector(passes[5][0].masses)
     checks.append(_check("pmf_sums_to_one", abs(float(np.sum(pmf.masses)) - 1.0), 1e-12))
     return checks
 

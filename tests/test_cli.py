@@ -338,6 +338,28 @@ def test_partition_fields_are_checked_before_the_partition_is_built(capsys, part
     assert message.startswith(field + ":")
 
 
+def test_an_interval_whose_width_overflows_is_refused_under_its_field(capsys):
+    spec = '{"p": [1, 2], "r": [1, 1], "interval": [-1e308, 1e308]}'
+    message = validation_message(capsys, "approx", "--kind", "renyi", "--alpha", "2", "--levels", "1",
+                                 "--input", spec)
+    assert message == "interval: the width b - a of (-1e+308, 1e+308) overflows; need a finite width"
+    spec = ('{"partition": {"n": 2, "mode": "lebesgue", "interval": [-1e308, 1e308]}, '
+            '"density": [1, 1]}')
+    message = validation_message(capsys, "entropy", "--kind", "shannon", "--input", spec)
+    assert message.startswith("partition.interval: the width b - a of (-1e+308, 1e+308) overflows")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"p": [1, 2], "r": [1, 1], "interval": [0, 1e-320]}',
+     "interval: (0.0, 1e-320) cannot carry a density on 2 cells"),
+    ('{"p": {"expr": "2*x"}, "r": {"expr": "1.0"}, "interval": [0, 1e-310], "base_exponent": 4}',
+     "interval: (0.0, 1e-310) cannot carry a density on 16 cells"),
+])
+def test_an_interval_too_narrow_for_the_grid_is_refused(capsys, spec, message):
+    argv = ("approx", "--kind", "renyi", "--alpha", "2", "--levels", "1", "--input", spec)
+    assert validation_message(capsys, *argv) == message
+
+
 def test_partition_length_mismatch_exits_one(capsys):
     # 2e6 cells is under the cap; the length check then fails without a
     # per-cell build (6.8 s and 424 MiB when each cell was an object)

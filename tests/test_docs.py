@@ -84,7 +84,7 @@ def _number(v) -> str:
 
 
 FIXED_RANGES = {
-    "interval": "finite a < b",
+    "interval": "finite a < b; finite b - a that can carry the grid",
     "partition": "see Partition",
     "grid density": "see Density expressions",
     "label": "string or number",

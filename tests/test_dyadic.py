@@ -33,6 +33,7 @@ from qentropy import (
     induced_pmf,
     reference_divergence,
     renyi_divergence,
+    run_suite,
     table_to_csv,
     tsallis_divergence,
     uniform_partition,
@@ -196,6 +197,11 @@ def test_grid_checks_refuse_densities_off_the_shared_grid(fault):
         common_refinement(dataclasses.replace(approx, grid=p), dataclasses.replace(approx, grid=r))
 
 
+def test_refinement_refuses_approximations_at_different_levels():
+    with pytest.raises(ValueError, match="g: level 2 differs from f's level 1"):
+        common_refinement(dyadic_approximation(linear_grid(), 1), dyadic_approximation(flat_grid(), 2))
+
+
 def test_grid_checks_name_the_mismatch():
     with pytest.raises(ValueError, match=r"r: densities live on different base grids "
                        r"\(\(0.0, 1.0\) x 16 vs \(0.0, 1.0\) x 32\)"):
@@ -258,6 +264,19 @@ def test_csv_format_is_byte_stable():
         "4,0.3333333333333333,0.5,inf\n"
     )
     assert got.splitlines()[0] == CSV_HEADER
+
+
+VERIFY_DYADIC_CHECKS = [
+    "mass_conservation", "pointwise_bound_margin", "mean_inside_bin", "jensen_refinement_means",
+    "jensen_per_level", "error_decreases", "pmf_sums_to_one",
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_dyadic_suite_passes(seed):
+    result = run_suite("dyadic", seed)
+    assert [check.name for check in result.checks] == VERIFY_DYADIC_CHECKS
+    assert result.passed, result.checks
 
 
 def test_demo_unit_interval():
@@ -339,12 +358,17 @@ def brute_force_divergence(p, r, index, kind, level):
 def assert_matches_brute_force(p, r, index, kind, levels, tol=1e-13):
     rows = convergence_table(p, r, index, kind, levels)
     assert [row.level for row in rows] == sorted(set(levels))
+    divergence = renyi_divergence if kind == "renyi" else tsallis_divergence
     for row in rows:
         expected = brute_force_divergence(p, r, index, kind, row.level)
         if math.isinf(expected):
             assert row.discrete_divergence == expected
         else:
             assert abs(row.discrete_divergence - expected) <= tol * max(1.0, abs(expected))
+        # the single-level API runs the table's pass: the same bits
+        cells = common_refinement(dyadic_approximation(p, row.level), dyadic_approximation(r, row.level))
+        single = divergence(ProbabilityVector(cells.f_masses), ProbabilityVector(cells.g_masses), None, index)
+        assert single == convergence_table(p, r, index, kind, [row.level])[0].discrete_divergence
 
 
 def dyadic_pair(rng, cells, zero_share):
