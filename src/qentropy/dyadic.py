@@ -327,17 +327,14 @@ def convergence_table(
     """
     index = check_index(index)
     divergence = _divergence(kind)
-    passes = _levels(p, r, levels)
+    discrete = [
+        (f.level, divergence(ProbabilityVector(cells.f_masses), ProbabilityVector(cells.g_masses), None, index))
+        for f, _, cells in _levels(p, r, levels)
+    ]
+    # after the pass has been let go, so that the two never share the peak
     reference = reference_divergence(p, r, index, kind)
-    rows = []
-    for f, _, cells in passes:
-        discrete = divergence(
-            ProbabilityVector(cells.f_masses), ProbabilityVector(cells.g_masses), None, index
-        )
-        # equal infinities are no error
-        err = 0.0 if discrete == reference else abs(discrete - reference)
-        rows.append(ConvergenceRow(f.level, discrete, reference, err))
-    return rows
+    # equal infinities are no error
+    return [ConvergenceRow(n, d, reference, 0.0 if d == reference else abs(d - reference)) for n, d in discrete]
 
 
 def table_to_csv(rows: Sequence[ConvergenceRow]) -> str:
