@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -222,10 +222,11 @@ class CommonRefinement:
 
 
 def _levels(p: DensityVector, r: DensityVector, levels: Sequence[int],
-            labels: bool = False, fields=("p", "r")) -> list[tuple]:
+            labels: bool = False, fields=("p", "r")) -> Iterator[tuple]:
     """(f, g, cells) per level, ascending: the DyadicApproximation of p and of
-    r and their CommonRefinement.  Base cells sharing a pair of finest codes
-    merge into one row of the pair table; each level groups those rows.  The
+    r and their CommonRefinement.  The checks and the binning run at the call;
+    base cells sharing a pair of finest codes merge into one row of the pair
+    table, and each level, built as it is iterated, groups those rows.  The
     per-base-cell labels compose the table's np.unique inverse, or are None
     unless asked for."""
     n, delta = _shared_grid(p, r, *fields)
@@ -239,8 +240,8 @@ def _levels(p: DensityVector, r: DensityVector, levels: Sequence[int],
     per_cell = (lambda rows, inverse=inverse: rows[inverse]) if labels else (lambda rows: None)
     del pair_codes, inverse
     codes = np.stack(np.divmod(keys, width))  # each row's finest codes of p and of r
-    passes = []
-    for level in levels:
+
+    def level_sets(level: int) -> tuple:
         # level-n codes: floor(v 2^n) = floor(v 2^L) >> (L - n), capped at the overflow code
         coarse = np.minimum(codes >> (finest - level), level * 2**level)
         f_ids, f_rows, f_counts, f_sums = _group(coarse[0], counts, p_sums)
@@ -251,15 +252,16 @@ def _levels(p: DensityVector, r: DensityVector, levels: Sequence[int],
         f = DyadicApproximation(p, level, f_ids, per_cell(f_rows), f_means, f_sums * delta, f_counts * delta)
         g = DyadicApproximation(r, level, g_ids, per_cell(g_rows), g_means, g_sums * delta, g_counts * delta)
         cells = CommonRefinement(per_cell(rows), mu * delta, f_means[f_cells], g_means[g_cells])
-        passes.append((f, g, cells))
-    return passes
+        return f, g, cells
+
+    return map(level_sets, levels)
 
 
 def dyadic_approximation(p: DensityVector, level: int) -> DyadicApproximation:
     """Group base cells by dyadic bin of their density value at the given level
     (the one-level pass on (p, p)).  Bins are [k/2^n, (k+1)/2^n) for
     k = 0..n*2^n - 1 plus the overflow set {density >= n}."""
-    return _levels(p, p, [level], labels=True)[0][0]
+    return next(_levels(p, p, [level], labels=True))[0]
 
 
 def common_refinement(f: DyadicApproximation, g: DyadicApproximation) -> CommonRefinement:
@@ -267,7 +269,7 @@ def common_refinement(f: DyadicApproximation, g: DyadicApproximation) -> CommonR
     one-level pass on both approximations' grids)."""
     if f.level != g.level:
         raise ValueError(f"g: level {g.level} differs from f's level {f.level}; refine at one level")
-    return _levels(f.grid, g.grid, [f.level], labels=True, fields=("f", "g"))[0][2]
+    return next(_levels(f.grid, g.grid, [f.level], labels=True, fields=("f", "g")))[2]
 
 
 @dataclass(frozen=True)
@@ -331,7 +333,7 @@ def convergence_table(
         (f.level, divergence(ProbabilityVector(cells.f_masses), ProbabilityVector(cells.g_masses), None, index))
         for f, _, cells in _levels(p, r, levels)
     ]
-    # after the pass has been let go, so that the two never share the peak
+    # after the pass is let go, so that the two never share the peak
     reference = reference_divergence(p, r, index, kind)
     # equal infinities are no error
     return [ConvergenceRow(n, d, reference, 0.0 if d == reference else abs(d - reference)) for n, d in discrete]

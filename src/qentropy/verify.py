@@ -182,12 +182,15 @@ def _suite_dyadic(rng: np.random.Generator, samples: int) -> list[CheckResult]:
     r = _random_grid_density(rng, exponent)
     delta = p.partition.weights[0]
 
+    alpha = 2.0
+    exact = float(np.sum(p.values**alpha * r.values ** (1.0 - alpha)) * delta)
+    worst_mass, worst_point, worst_mean, worst_jensen = 0.0, -math.inf, 0.0, -math.inf
     # the pass the convergence tables run, here with per-base-cell labels
-    passes = {f.level: (f, cells) for f, _, cells in _levels(p, r, [1, 2, 4, 5, 6, 8], labels=True)}
-
-    worst_mass, worst_point, worst_mean = 0.0, -math.inf, 0.0
-    for level in (1, 2, 4, 6, 8):
-        approx = passes[level][0]
+    for approx, _, refinement in _levels(p, r, [1, 2, 4, 5, 6, 8], labels=True):
+        level = approx.level
+        if level == 5:
+            pmf = ProbabilityVector(approx.masses)
+            continue
         worst_mass = max(worst_mass, abs(float(np.sum(approx.masses)) - 1.0))
         f_n = approx.simple_function()
         below = p.values < level
@@ -197,24 +200,19 @@ def _suite_dyadic(rng: np.random.Generator, samples: int) -> list[CheckResult]:
         k, mean = approx.bin_ids[regular], approx.mean_values[regular]
         scale = 2.0 ** level
         worst_mean += np.count_nonzero(~((k / scale <= mean) & (mean < (k + 1) / scale)))
+        if level in (2, 4, 6):
+            # generic pair: with the true conditional means over each refinement
+            # cell the per-level power sum cannot exceed the exact one, because
+            # (a, b) -> a^alpha * b^(1-alpha) is jointly convex for alpha > 1
+            counts = np.bincount(refinement.labels)
+            a = np.bincount(refinement.labels, weights=p.values) / counts
+            b = np.bincount(refinement.labels, weights=r.values) / counts
+            per_level = float(np.sum(a**alpha * b ** (1.0 - alpha) * refinement.mu_masses))
+            worst_jensen = max(worst_jensen, per_level - exact)
     checks.append(_check("mass_conservation", worst_mass, 1e-12))
     checks.append(_check("pointwise_bound_margin", worst_point, 0.0))
     checks.append(_check("mean_inside_bin", worst_mean, 0.0))
-
-    alpha = 2.0
-    # generic pair: with the true conditional means over each refinement cell
-    # the per-level power sum cannot exceed the exact one, because
-    # (a, b) -> a^alpha * b^(1-alpha) is jointly convex for alpha > 1
-    worst = -math.inf
-    for level in (2, 4, 6):
-        refinement = passes[level][1]
-        counts = np.bincount(refinement.labels)
-        a = np.bincount(refinement.labels, weights=p.values) / counts
-        b = np.bincount(refinement.labels, weights=r.values) / counts
-        per_level = float(np.sum(a**alpha * b ** (1.0 - alpha) * refinement.mu_masses))
-        exact = float(np.sum(p.values**alpha * r.values ** (1.0 - alpha)) * delta)
-        worst = max(worst, per_level - exact)
-    checks.append(_check("jensen_refinement_means", worst, 1e-9))
+    checks.append(_check("jensen_refinement_means", worst_jensen, 1e-9))
 
     # constant reference: refinement cells are exactly the level sets of p's
     # approximation, so the stored level-set means are conditional means and
@@ -232,7 +230,6 @@ def _suite_dyadic(rng: np.random.Generator, samples: int) -> list[CheckResult]:
     rows = convergence_table(p, r, 2.0, "renyi", [3, 8])
     improvement = rows[1].abs_error - rows[0].abs_error
     checks.append(_check("error_decreases", improvement, 0.0))
-    pmf = ProbabilityVector(passes[5][0].masses)
     checks.append(_check("pmf_sums_to_one", abs(float(np.sum(pmf.masses)) - 1.0), 1e-12))
     return checks
 
