@@ -329,21 +329,23 @@ def convergence_table(
     """
     index = check_index(index)
     divergence = _divergence(kind)
-    discrete = [
-        (f.level, divergence(ProbabilityVector(cells.f_masses), ProbabilityVector(cells.g_masses), None, index))
-        for f, _, cells in _levels(p, r, levels)
-    ]
-    # after the pass is let go, so that the two never share the peak
+    discrete = []
+    for f, _, cells in _levels(p, r, levels):
+        P, R = ProbabilityVector(cells.f_masses), ProbabilityVector(cells.g_masses)
+        discrete.append((f.level, divergence(P, R, None, index)))
     reference = reference_divergence(p, r, index, kind)
     # equal infinities are no error
-    return [ConvergenceRow(n, d, reference, 0.0 if d == reference else abs(d - reference)) for n, d in discrete]
+    return [ConvergenceRow(n, d, reference, 0.0 if d == reference else abs(d - reference))
+            for n, d in discrete]
 
 
 def table_to_csv(rows: Sequence[ConvergenceRow]) -> str:
-    lines = [CSV_HEADER] + [
-        f"{row.level},{row.discrete_divergence!r},{row.reference_divergence!r},{row.abs_error!r}"
-        for row in rows
-    ]
+    lines = [CSV_HEADER]
+    for row in rows:
+        lines.append(
+            f"{row.level},{row.discrete_divergence!r},"
+            f"{row.reference_divergence!r},{row.abs_error!r}"
+        )
     return "\n".join(lines) + "\n"
 
 
