@@ -36,9 +36,9 @@ from .measure import (
     DensityVector,
     ProbabilityVector,
     WeightedPartition,
+    _check_carries_density,
     _check_vector,
     check_capped,
-    check_carries_density,
     check_interval,
     induced_pmf,
 )
@@ -104,7 +104,7 @@ def _grid(values: np.ndarray, interval, renormalize: bool) -> DensityVector:
             f"values: need a power-of-two number of base cells up to "
             f"2^{MAX_BASE_EXPONENT}, got {values.shape}"
         )
-    check_carries_density(a, b, n)
+    _check_carries_density(a, b, n)
     delta = (b - a) / n
     partition = WeightedPartition(np.broadcast_to(delta, (n,)), (a, b))
     if not renormalize:
@@ -383,7 +383,7 @@ def entropy_nonextension_demo(
         raise ValueError("n_list: need at least one cell count")
     sizes = [check_capped(n, "n_list entries", cap=MAX_CELLS) for n in n_list]
     cells = 2 ** check_capped(continuous_exponent, "continuous_exponent", minimum=0)
-    check_carries_density(a, b, cells)
+    _check_carries_density(a, b, cells)
     weights = np.full(cells, (b - a) / cells)
     values = np.full(cells, 1.0 / (b - a))
     values = values / float(np.dot(values, weights))

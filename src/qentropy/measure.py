@@ -62,12 +62,12 @@ def check_interval(interval, field: str = "interval") -> tuple[float, float]:
     return a, b
 
 
-def check_carries_density(a: float, b: float, cells: int, field: str = "interval") -> None:
+def _check_carries_density(a: float, b: float, cells: int) -> None:
     """Refuse an interval (a, b) from check_interval that cannot carry a
     density on `cells` equal cells: its uniform density 1/(b - a) overflows,
     or its cell width rounds to zero."""
     if not (math.isfinite(1.0 / (b - a)) and (b - a) / cells > 0.0):
-        raise ValueError(f"{field}: ({a}, {b}) cannot carry a density on {cells} cells")
+        raise ValueError(f"interval: ({a}, {b}) cannot carry a density on {cells} cells")
 
 
 def _check_vector(values: np.ndarray, what: str) -> None:

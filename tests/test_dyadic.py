@@ -185,6 +185,19 @@ def grid_faults():
     }
 
 
+@pytest.mark.parametrize("faults, field", [
+    ({"index": 0.0, "kind": "hellinger", "r": flat_grid(5), "levels": [9]}, "q"),
+    ({"kind": "hellinger", "r": flat_grid(5), "levels": [9]}, "kind"),
+    ({"r": flat_grid(5), "levels": [9]}, "r"),
+    ({"levels": [9]}, "level"),
+])
+def test_table_checks_its_input_in_order(faults, field):
+    # index, kind, grid, levels: the first fault named is the first checked
+    args = {"p": flat_grid(4), "r": flat_grid(4), "index": 2.0, "kind": "renyi", "levels": [2], **faults}
+    with pytest.raises(ValueError, match=f"^{field}:"):
+        convergence_table(**args)
+
+
 @pytest.mark.parametrize("fault", list(grid_faults()))
 def test_grid_checks_refuse_densities_off_the_shared_grid(fault):
     p, r = grid_faults()[fault]
@@ -304,6 +317,8 @@ def test_demo_validation():
         entropy_nonextension_demo([2.5])
     with pytest.raises(ValueError):
         entropy_nonextension_demo([2], interval=(1.0, 0.0))
+    with pytest.raises(ValueError, match=r"^interval: \(0.0, 1e-310\) cannot carry a density on 65536 cells$"):
+        entropy_nonextension_demo([2], interval=(0.0, 1e-310))
 
 
 @settings(max_examples=60, deadline=None)
