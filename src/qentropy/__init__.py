@@ -55,11 +55,8 @@ from .maxent import (
 from .tsallis import (
     ConsistencyReport,
     EmptySupportError,
-    EscortView,
     TsallisSolution,
     discrete_consistency_report,
-    escort_expectation,
-    escort_view,
     identity_residuals,
     solve_tsallis_maxent,
     tsallis_thermo,

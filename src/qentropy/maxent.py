@@ -8,13 +8,19 @@ and the dual is log Z(beta) + beta . t (gradient t - E[u], curvature the
 moment covariance).  The escort dual that tsallis.py hands to the same
 routine is described there.
 
-Both solvers pose their dual on _support_setup (the support cells, the
-features and the target-centred features on them, and mu) and check their
-arguments with _check_arguments.  A direction d with d . (u_k - t) > 0 on the
-whole support proves the targets jointly infeasible, and along it the dual
-decreases without bound; the routine tests each Newton step and iterate as
-such a d and raises InfeasibleError naming it.  Both audits check dS/dt_m =
-beta_m by re-solving at t_m +- h in _resolved_sensitivity.
+Both solvers pose their dual on _support_setup and check their arguments
+with _check_arguments.  The dual is written in span units: each feature is
+centred on its target and divided by s_m, the power of two nearest its span
+on the support, z_k = (u_k - t)/s, and the dual variable is b = beta s.
+Dividing by a power of two is exact, so z, every Newton step, the pmf and the
+stopping test are the same floats whatever the units of a feature; tolerance
+bounds each |E[z_m]|, and beta = b/s and E[u] = t + s E[z] are formed once,
+after the solve.  A direction d with d . z_k > 0 on the whole support proves
+the targets jointly infeasible, and along it the dual decreases without
+bound; the routine tests each Newton step and iterate as such a d and raises
+InfeasibleError naming it.  Both audits step by fd_step/s_m in beta and
+check dS/dt_m = beta_m by re-solving at t_m +- fd_step s_m in
+_resolved_sensitivity.
 """
 
 from __future__ import annotations
@@ -174,11 +180,13 @@ def _check_arguments(**arguments) -> None:
 
 def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kind: str):
     """The problem both MaxEnt duals are posed on: the support cells (mu_k > 0),
-    the features u_k on them, the centred features u_k - t, and mu_k.
+    the features there in span units z_k = (u_k - t)/s, the scales s, and mu_k.
 
-    The constraints must be of the solver's kind, and each target strictly
-    inside its feature's range on the support; on the range's edge the
-    maximizer would be a degenerate limit.
+    s_m = 2^round(log2 span_m), span_m the range of u_m on the support.  It is
+    read off half the span, hi/2 - lo/2, and z as u/s - t/s, so that neither an
+    overflowing hi - lo nor u - t is formed.  The constraints must be of the
+    solver's kind, and each target strictly inside its feature's range on the
+    support; on the range's edge the maximizer would be a degenerate limit.
     """
     if constraints.kind != kind:
         raise ValueError(
@@ -188,6 +196,7 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
     targets = constraints.targets
     support = weights > 0.0
     features = constraints.feature_matrix(len(partition))[:, support]
+    scales = np.empty(constraints.size)
     for m, u in enumerate(features):
         lo, hi = float(np.min(u)), float(np.max(u))
         if not (lo < targets[m] < hi):
@@ -196,19 +205,31 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
                 f"attainable range ({lo!r}, {hi!r}) on the support; the "
                 f"maximizer would be a degenerate limit"
             )
-        if not hi - lo <= _MAX_SPAN:
-            raise ValueError(
-                f"functions[{m}]: values span {hi - lo!r} on the support, past the "
-                f"{_MAX_SPAN:.3g} at which the Newton curvature overflows; rescale the "
-                f"feature and its target"
-            )
-    return support, features, features - targets[:, None], weights[support]
+        # span = 2 mantissa 2^exponent; half a span of two subnormal ulps can
+        # round to 0, and is then the smallest subnormal
+        mantissa, exponent = math.frexp(max(hi / 2.0 - lo / 2.0, _TINY))
+        scales[m] = math.ldexp(1.0, exponent + round(math.log2(2.0 * mantissa)))
+    z = features / scales[:, None] - (targets / scales)[:, None]
+    return support, z, scales, weights[support]
+
+
+def _per_unit(b: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """The multipliers beta = b/s, refused where one overflows: its feature
+    spans too little on the support (about 1e-307 or less) for beta to be a float."""
+    beta = b / scales
+    if not np.all(np.isfinite(beta)):
+        m = int(np.argmin(np.isfinite(beta)))
+        raise ValueError(
+            f"functions[{m}]: the multiplier b/s = {float(b[m])!r}/{float(scales[m])!r} "
+            f"overflows, because the feature spans too little on the support; rescale "
+            f"the feature and its target"
+        )
+    return beta
 
 
 _ARMIJO = 1e-4
 _ROUNDING = 64.0 * float(np.finfo(float).eps)
-# the curvature sums squares of feature deviations, which overflow past this span
-_MAX_SPAN = math.sqrt(float(np.finfo(float).max))
+_TINY = math.ulp(0.0)
 _CERTIFICATE_MARGIN = 1e-12
 
 
@@ -216,41 +237,41 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.abs(x).max(initial=0.0))
 
 
-def _certify_infeasible(direction: np.ndarray, centered: np.ndarray) -> None:
-    """Raise InfeasibleError when d = direction/|direction| has d . (u_k - t) > 0
-    on every support cell: then every pmf on the support has d . (E[u] - t) > 0,
-    so no density reaches the targets."""
+def _certify_infeasible(direction: np.ndarray, z: np.ndarray) -> None:
+    """Raise InfeasibleError when d = direction/|direction| has d . z_k > 0 on
+    every support cell: then every pmf on the support has d . E[z] > 0, so no
+    density reaches the targets."""
     norm = _max_abs(direction)
     if not (0.0 < norm < math.inf):
         return
     d = direction / norm
-    margin = float(np.min(d @ centered))
+    margin = float(np.min(d @ z))
     if margin > _CERTIFICATE_MARGIN:
         raise InfeasibleError(
             f"targets: jointly infeasible; the direction d = {d.tolist()!r} has "
-            f"d . (u_k - t) >= {margin!r} on every support cell, so no density "
-            f"meets all the targets at once"
+            f"d . (u_k - t)/s >= {margin!r} on every support cell (s: each feature's "
+            f"span, rounded to a power of two), so no density meets all the targets at once"
         )
 
 
-def _dual_newton(evaluate, centered, tolerance, max_steps, max_halvings, name):
+def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name):
     """Damped Newton from b = 0 on a convex dual; both MaxEnt solvers run here.
 
     evaluate(b) returns (value, gradient, hessian, residual, state), with
-    value +inf outside the dual's domain and residual E[u] - t.  The loop
-    stops once each |E[u_m] - t_m| is within tolerance or, where larger, the
-    rounding of the moment, _ROUNDING max_k |u_mk - t_m|.  A step is taken
+    value +inf outside the dual's domain and residual E[z].  The loop stops
+    once each |E[z_m]| is within tolerance or, where larger, the rounding of
+    the moment, _ROUNDING max_k |z_mk|.  A step is taken
     when it passes the Armijo test; a full step is also taken when the dual
     moved by no more than rounding and the residual fell, because near the
     minimum the dual is flat to machine precision while its gradient still
     carries information.
-    centered holds u_k - t for the support cells as columns; each step and
-    each new iterate is tested as an infeasibility certificate.
+    z holds the support cells as columns; each step and each new iterate is
+    tested as an infeasibility certificate.
 
     Returns (b, state, residual_norm, newton_steps, total_halvings).
     """
-    b = np.zeros(centered.shape[0])
-    spread = np.abs(centered)
+    b = np.zeros(z.shape[0])
+    spread = np.abs(z)
     tolerances = np.maximum(tolerance, _ROUNDING * np.max(spread, axis=1, initial=0.0))
     value, gradient, hessian, residual, state = evaluate(b)
     halvings = 0
@@ -269,10 +290,10 @@ def _dual_newton(evaluate, centered, tolerance, max_steps, max_halvings, name):
             step = np.linalg.solve(hessian, -gradient)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hessian, -gradient, rcond=None)[0]
-        _certify_infeasible(step, centered)
+        _certify_infeasible(step, z)
         decrease = _ARMIJO * float(gradient @ step)
         # the dual's rounding error grows with |f| and with the size of the
-        # terms of the exponents b . (u_k - t) it is summed from
+        # terms of the exponents b . z_k it is summed from
         rounding = _ROUNDING * (1.0 + abs(value)) * (1.0 + float(np.max(np.abs(b) @ spread)))
         scale = 1.0
         for halving in range(max_halvings + 1):
@@ -294,7 +315,7 @@ def _dual_newton(evaluate, centered, tolerance, max_steps, max_halvings, name):
         halvings += halving
         b = trial
         value, gradient, hessian, residual, state = trial_eval
-        _certify_infeasible(b, centered)
+        _certify_infeasible(b, z)
     return b, state, residual_norm, steps, halvings
 
 
@@ -304,40 +325,42 @@ def solve_maxent(
     tolerance: float = 1e-10,
     max_iterations: int = 200,
 ) -> GibbsSolution:
-    """Damped Newton on the convex dual log Z(beta) + beta . t from beta = 0."""
+    """Damped Newton on the convex dual log Z(beta) + beta . t from beta = 0.
+
+    In span units the dual is L(b) = log sum_k mu_k exp(-b . z_k), which is
+    log Z(beta) + beta . t; summing it on the centred exponent keeps the
+    digits that adding beta . t to log Z would cancel.
+    """
     _check_arguments(tolerance=tolerance, max_iterations=max_iterations)
-    support, features, centered, mu = _support_setup(constraints, partition, "ordinary")
+    support, z, scales, mu = _support_setup(constraints, partition, "ordinary")
     targets = constraints.targets
 
     def evaluate(b: np.ndarray):
-        # log Z + b . t summed on the centred exponent: adding b . t to log Z
-        # would cancel digits and hide the dual's last decrease in rounding
-        value = float(_logsumexp(-(b @ centered), b=mu))
+        exponent = -(b @ z)
+        value = float(_logsumexp(exponent, b=mu))
         if not math.isfinite(value):
             return math.inf, None, None, math.inf, None
-        exponent = -(b @ features)
-        log_z = float(_logsumexp(exponent, b=mu))
-        masses = np.exp(exponent - log_z) * mu
-        moments = features @ masses
-        residual = moments - targets
-        deviations = features - moments[:, None]
+        masses = np.exp(exponent - value) * mu
+        moments = z @ masses
+        deviations = z - moments[:, None]
         hessian = deviations @ (deviations * masses).T
-        return value, -residual, hessian, residual, (exponent, log_z, moments)
+        return value, -moments, hessian, moments, (exponent, value, moments)
 
-    beta, (exponent, log_z, moments), residual_norm, iterations, _ = _dual_newton(
-        evaluate, centered, tolerance, max_iterations, 60, "solve_maxent"
+    b, (exponent, dual, moments), residual_norm, iterations, _ = _dual_newton(
+        evaluate, z, tolerance, max_iterations, 60, "solve_maxent"
     )
+    beta = _per_unit(b, scales)
     values = np.zeros(len(partition))
-    values[support] = np.exp(exponent - log_z)
+    values[support] = np.exp(exponent - dual)
     density = DensityVector(values, partition)
     entropy = shannon_entropy(density)
     return GibbsSolution(
         constraints=constraints,
         partition=partition,
         beta=beta,
-        log_z=log_z,
+        log_z=dual - float(beta @ targets),
         density=density,
-        achieved_moments=moments,
+        achieved_moments=targets + scales * moments,
         entropy=entropy,
         residual_norm=residual_norm,
         iterations=iterations,
@@ -349,15 +372,16 @@ def solve_maxent(
 FD_STEP_SHRINKS = 5
 
 
-def _resolved_sensitivity(solve, entropy_field: str, solution, fd_step: float) -> np.ndarray:
+def _resolved_sensitivity(solve, entropy_field: str, solution, steps: np.ndarray) -> np.ndarray:
     """|dS/dt_m - beta_m| per constraint, S read from entropy_field of the
     solution that solve returns at the shifted targets.
 
     dS/dt_m is the central difference (S(t_m + h) - S(t_m - h)) / 2h of
-    re-solves at tolerance 1e-12.  h starts at fd_step and is divided by 10
-    while either re-solve raises ValueError: the shifted target left the
-    feasible set, which can be thinner than fd_step around a solvable target.
-    Below fd_step / 10^FD_STEP_SHRINKS the last error is raised.
+    re-solves at tolerance 1e-12.  h starts at steps[m] (fd_step s_m) and is
+    divided by 10 while either re-solve raises ValueError: the shifted target
+    left the feasible set, which can be thinner than the step around a
+    solvable target.  Below steps[m] / 10^FD_STEP_SHRINKS the last error is
+    raised.
     """
     constraints, partition = solution.constraints, solution.partition
     targets = constraints.targets
@@ -369,8 +393,7 @@ def _resolved_sensitivity(solve, entropy_field: str, solution, fd_step: float) -
         return getattr(resolved, entropy_field)
 
     residual = np.zeros(constraints.size)
-    for m in range(constraints.size):
-        step = fd_step
+    for m, step in enumerate(steps):
         for shrinks in range(FD_STEP_SHRINKS + 1):
             try:
                 rise = entropy_at(m, targets[m] + step) - entropy_at(m, targets[m] - step)
@@ -386,20 +409,24 @@ def _resolved_sensitivity(solve, entropy_field: str, solution, fd_step: float) -
 def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
     """Finite-difference checks of the two thermodynamic identities.
 
-    grad_residual[m]:        |d(log Z)/d(beta_m) + <u_m>|   (central difference)
-    sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (re-solve at t +- h,
-                             h shrinking as in _resolved_sensitivity)
+    grad_residual[m]:        |d(log Z)/d(beta_m) + <u_m>|   (central difference
+                             at beta_m +- fd_step/s_m)
+    sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (re-solve at
+                             t_m +- fd_step s_m, the step shrinking as in
+                             _resolved_sensitivity)
 
+    The gradient is differenced in span units, on L(b) = log Z + beta . t,
+    whose b-gradient is -E[z]: the residual is s_m |dL/db_m + E[z_m]|.
     The sensitivity sign follows from S(t) = log Z(beta(t)) + beta(t) . t and
     the envelope theorem: dS/dt_m = beta_m for the Gibbs form used here.
     """
     _check_arguments(fd_step=fd_step)
-    constraints, partition = solution.constraints, solution.partition
-    M = constraints.size
-    grad_residual = np.zeros(M)
-    for m, unit in enumerate(np.eye(M)):
-        log_plus = partition_function(solution.beta + fd_step * unit, constraints, partition)
-        log_minus = partition_function(solution.beta - fd_step * unit, constraints, partition)
-        grad_fd = (log_plus - log_minus) / (2.0 * fd_step)
-        grad_residual[m] = abs(grad_fd + solution.achieved_moments[m])
-    return grad_residual, _resolved_sensitivity(solve_maxent, "entropy", solution, fd_step)
+    constraints = solution.constraints
+    _, z, scales, mu = _support_setup(constraints, solution.partition, "ordinary")
+    b = solution.beta * scales
+    offset = (solution.achieved_moments - constraints.targets) / scales
+    grad_residual = np.zeros(constraints.size)
+    for m, step in enumerate(fd_step * np.eye(constraints.size)):
+        rise = _logsumexp(-((b + step) @ z), b=mu) - _logsumexp(-((b - step) @ z), b=mu)
+        grad_residual[m] = scales[m] * abs(float(rise) / (2.0 * fd_step) + offset[m])
+    return grad_residual, _resolved_sensitivity(solve_maxent, "entropy", solution, fd_step * scales)

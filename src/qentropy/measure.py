@@ -103,10 +103,6 @@ class WeightedPartition:
     def __len__(self) -> int:
         return self.weights.size
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
 
 def uniform_partition(
     n: int, mode: str = "counting", interval: tuple[float, float] | None = None
@@ -126,6 +122,7 @@ def uniform_partition(
         if interval is None:
             raise ValueError("interval: mode 'lebesgue' requires interval=(a, b)")
         a, b = check_interval(interval)
+        _check_carries_density(a, b, n)
         return WeightedPartition(np.full(n, (b - a) / n), (a, b))
     raise ValueError(f"mode: unknown partition mode {mode!r}")
 

@@ -14,12 +14,13 @@ whose gradient -sum_k mu_k e_q^q (u_k - t) vanishes exactly where the escort
 moments meet the targets (the "optimal Lagrange multipliers" reading of
 Martinez, Nicolas, Pennini & Plastino, Physica A 286 (2000) 489).  The
 Hessian is sum_k mu_k q e_q^(2q-1) (u_k - t)(u_k - t)^T over the live cells.
-maxent._dual_newton minimizes it on the same support setup as the Gibbs
-solver: the dual is +inf past the q > 1 pole, cells past the q < 1 cut-off
-drop out, and inside the classical band e_q = exp.  Afterwards
-w = sum_k p_k^q mu_k and beta = lambda w.  _escort_family is the one
-evaluation of e_q, zbar and the escort weights, for the solver and for the
-log_z_gradient audit.
+maxent._dual_newton minimizes it in the span units of the Gibbs solver: on
+z_k = (u_k - t)/s in the variable lambda s, so that lambda . (u_k - t) is read
+as (lambda s) . z_k.  The dual is +inf past the q > 1 pole, cells past the
+q < 1 cut-off drop out, and inside the classical band e_q = exp.  Afterwards
+lambda = (lambda s)/s, w = sum_k p_k^q mu_k, beta = lambda w and the escort
+moments are t + s E[z].  _escort_family is the one evaluation of e_q, zbar
+and the escort weights, for the solver and for the log_z_gradient audit.
 
 Identity checks are returned as a named residual map rather than asserted, so
 a caller can log them; solutions additionally satisfy w = zbar^(1-q) and
@@ -38,6 +39,7 @@ from .maxent import (
     ConstraintSet,
     _check_arguments,
     _dual_newton,
+    _per_unit,
     _resolved_sensitivity,
     _support_setup,
 )
@@ -51,11 +53,8 @@ from .qcalc import check_index, is_classical, q_exp, q_log
 
 __all__ = [
     "EmptySupportError",
-    "EscortView",
     "TsallisSolution",
     "ConsistencyReport",
-    "escort_view",
-    "escort_expectation",
     "solve_tsallis_maxent",
     "identity_residuals",
     "tsallis_thermo",
@@ -67,40 +66,10 @@ class EmptySupportError(ValueError):
     """Every cell fell below the q-exponential cutoff (beta too extreme)."""
 
 
-@dataclass(frozen=True, eq=False)
-class EscortView:
-    """Normalized q-power reweighting of a density: weights p_k^q mu_k / w."""
-
-    q: float
-    weights: np.ndarray
-    q_mass: float
-
-    def expectation(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        if u.shape != self.weights.shape:
-            raise ValueError(
-                f"u: need {self.weights.size} per-cell values, got shape {u.shape}"
-            )
-        return float(self.weights @ u)
-
-
-def _q_powers(values: np.ndarray, weights: np.ndarray, q: float):
-    """p_k^q per cell (0 where p_k = 0) and the q-mass w = sum_k p_k^q mu_k."""
-    powers = np.zeros_like(values)
+def _q_mass(values: np.ndarray, weights: np.ndarray, q: float) -> float:
+    """The q-mass w = sum_k p_k^q mu_k, over the cells where p_k > 0."""
     live = values > 0.0
-    powers[live] = np.exp(q * np.log(values[live]))
-    return powers, float(powers @ weights)
-
-
-def escort_view(p: DensityVector, q: float) -> EscortView:
-    q = check_index(q)
-    powers, q_mass = _q_powers(p.values, p.partition.weights, q)
-    return EscortView(q=q, weights=powers * p.partition.weights / q_mass, q_mass=q_mass)
-
-
-def escort_expectation(p: DensityVector, u, q: float) -> float:
-    """Normalized q-expectation of u: integral of u p^q dmu over integral p^q dmu."""
-    return escort_view(p, q).expectation(u)
+    return float(np.exp(q * np.log(values[live])) @ weights[live])
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,15 +105,15 @@ def _one_minus_q(q: float) -> float:
     return 0.0 if is_classical(q) else 1.0 - q
 
 
-def _escort_family(lam: np.ndarray, centered: np.ndarray, mu: np.ndarray, one_minus_q: float):
-    """The target-centred family at lam, one entry per column of centered.
+def _escort_family(lam: np.ndarray, z: np.ndarray, mu: np.ndarray, one_minus_q: float):
+    """The target-centred family at lam (in span units), one entry per column of z.
 
     Returns (raw, ratio, zbar, escort): raw = e_q(x_k) and ratio = e_q(x_k)^(q-1)
-    at x_k = -lam . (u_k - t), both 0 past the q < 1 cut-off; zbar = mu . raw;
+    at x_k = -lam . z_k, both 0 past the q < 1 cut-off; zbar = mu . raw;
     and the escort weights mu_k e_q(x_k)^q.  None where no density exists:
     past the q > 1 pole, or with every cell cut off.
     """
-    x = -(lam @ centered)
+    x = -(lam @ z)
     if one_minus_q == 0.0:
         raw, ratio = np.exp(x), np.ones_like(x)
     else:
@@ -178,7 +147,7 @@ def identity_residuals(
     beta_q = np.atleast_1d(np.asarray(beta_q, dtype=float))
     escort_moments = np.atleast_1d(np.asarray(escort_moments, dtype=float))
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    _, q_mass = _q_powers(density.values, density.partition.weights, q)
+    q_mass = _q_mass(density.values, density.partition.weights, q)
     zbar_power = math.exp((1.0 - q) * math.log(zbar))
     entropy = tsallis_entropy(density, q)
     return {
@@ -202,26 +171,28 @@ def solve_tsallis_maxent(
     one Newton step.
     """
     _check_arguments(tolerance=tolerance, max_outer=max_outer, max_inner=max_inner)
-    support, features, centered, mu = _support_setup(constraints, partition, "escort")
+    support, z, scales, mu = _support_setup(constraints, partition, "escort")
     q, targets = constraints.q, constraints.targets
     one_minus_q = _one_minus_q(q)
 
     def evaluate(lam: np.ndarray):
-        family = _escort_family(lam, centered, mu, one_minus_q)
+        family = _escort_family(lam, z, mu, one_minus_q)
         if family is None:
             return math.inf, None, None, math.inf, None
         raw, ratio, zbar, escort = family
-        moments = (features @ escort) / float(np.sum(escort))
-        hessian = (centered * ((1.0 - one_minus_q) * escort * ratio)) @ centered.T
-        return zbar, -(centered @ escort), hessian, moments - targets, (raw, zbar, moments)
+        moments = (z @ escort) / float(np.sum(escort))
+        hessian = (z * ((1.0 - one_minus_q) * escort * ratio)) @ z.T
+        return zbar, -(z @ escort), hessian, moments, (raw, zbar, moments)
 
-    beta_q, (raw, zbar, moments), residual_norm, steps, halvings = _dual_newton(
-        evaluate, centered, tolerance, max_outer, max_inner, "solve_tsallis_maxent"
+    lam, (raw, zbar, moments), residual_norm, steps, halvings = _dual_newton(
+        evaluate, z, tolerance, max_outer, max_inner, "solve_tsallis_maxent"
     )
+    moments = targets + scales * moments
     values = np.zeros(len(partition))
     values[support] = raw / zbar
     density = DensityVector(values, partition)
-    _, q_mass = _q_powers(values, partition.weights, q)
+    q_mass = _q_mass(values, partition.weights, q)
+    beta_q = _per_unit(lam, scales)
     beta = beta_q * q_mass
     entropy_q = tsallis_entropy(density, q)
     residuals = identity_residuals(density, q, zbar, beta, beta_q, moments, targets)
@@ -242,34 +213,32 @@ def solve_tsallis_maxent(
     )
 
 
-def _lnq_z_gradient(solution: TsallisSolution, fd_step: float) -> np.ndarray:
-    """d(ln_q Z_q)/d(beta) by central differences at beta_q +- h e_m.
+def _lnq_z_gradient(lam: np.ndarray, q: float, z, mu, fd_step: float) -> np.ndarray:
+    """d(ln_q Z_q + beta . t)/d(beta s) by central differences at lam +- fd_step e_m,
+    everything in span units: lam = beta_q s, and the family lives on z.
 
     At each shifted gamma the solver's target-centred density is re-centred on
-    its own escort mean c, in closed form through
+    its own escort mean, c = E[z] in span units, in closed form through
     e_q(x + y) = e_q(x) e_q(y / (1 + (1-q) x)):
-    lambda' = gamma / (1 - (1-q) gamma . (c - t)), beta' = lambda' w and
-    zbar_c = e_q(lambda' . (c - t)) zbar(gamma), so ln_q Z_q = ln_q zbar_c - beta' . c,
+    lambda' = gamma / (1 - (1-q) gamma . c), beta' = lambda' w and
+    zbar_c = e_q(lambda' . c) zbar(gamma), so ln_q Z_q + beta . t = ln_q zbar_c - beta' . c,
     differenced as zbar_c^(1-q)/(1-q) - beta' . c (ln zbar_c - beta' . c in the
     classical band).
     The shifts move beta' along no coordinate axis, so the gradient solves the
     M x M system of central differences.
     """
-    q, constraints = solution.q, solution.constraints
-    _, features, centered, mu = _support_setup(constraints, solution.partition, "escort")
-    targets = constraints.targets
     one_minus_q = _one_minus_q(q)
 
     outside = ValueError(f"fd_step: a step of {fd_step!r} leaves the escort family (past "
                          "the q > 1 pole, or every cell cut off); use a smaller fd_step")
 
     def point(gamma: np.ndarray):
-        family = _escort_family(gamma, centered, mu, one_minus_q)
+        family = _escort_family(gamma, z, mu, one_minus_q)
         if family is None:
             raise outside
         _, _, zbar, escort = family
         escort_mass = float(np.sum(escort))
-        offset = (features @ escort) / escort_mass - targets
+        offset = (z @ escort) / escort_mass
         w = escort_mass / zbar ** (1.0 - one_minus_q)
         lam = gamma / (1.0 - one_minus_q * float(gamma @ offset))
         beta = lam * w
@@ -280,14 +249,14 @@ def _lnq_z_gradient(solution: TsallisSolution, fd_step: float) -> np.ndarray:
         # differences: at large q, zbar_c^(1-q) is far below that constant's
         # rounding
         lnq = math.log(zbar_c) if one_minus_q == 0.0 else zbar_c**one_minus_q / one_minus_q
-        return beta, lnq - float(beta @ (targets + offset))
+        return beta, lnq - float(beta @ offset)
 
-    M = constraints.size
+    M = lam.size
     beta_steps = np.zeros((M, M))
     rises = np.zeros(M)
     for m, shift in enumerate(fd_step * np.eye(M)):
-        beta_plus, plus = point(solution.beta_q + shift)
-        beta_minus, minus = point(solution.beta_q - shift)
+        beta_plus, plus = point(lam + shift)
+        beta_minus, minus = point(lam - shift)
         beta_steps[m] = beta_plus - beta_minus
         rises[m] = plus - minus
     return np.linalg.solve(beta_steps, rises)
@@ -300,21 +269,26 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
                          ln_q Z_q = ln_q zbar - beta . moments when moments
                          are read at the targets instead of the achieved values
     log_z_gradient[m]:   |d(ln_q Z_q)/d(beta_m) + <<u_m>>|, differencing the
-                         family re-centred on its own escort mean (see
-                         _lnq_z_gradient)
-    entropy_sensitivity[m]: |dS_q/d(t_m) - beta_m|, re-solving at t_m +- h
-                         (h shrinking as in maxent._resolved_sensitivity)
+                         family re-centred on its own escort mean at
+                         beta_q +- fd_step/s_m (see _lnq_z_gradient), which
+                         is s_m |d(ln_q Z_q + beta . t)/d(beta_m s_m) + E[z_m]|
+    entropy_sensitivity[m]: |dS_q/d(t_m) - beta_m|, re-solving at
+                         t_m +- fd_step s_m (the step shrinking as in
+                         maxent._resolved_sensitivity)
 
     The sensitivity sign matches the classical solver: for this family
     dS_q/dt_m = beta_m (the two-point closed form fixes the sign).
     """
     _check_arguments(fd_step=fd_step)
-    gap = solution.escort_moments - solution.constraints.targets
+    constraints = solution.constraints
+    _, z, scales, mu = _support_setup(constraints, solution.partition, "escort")
+    gap = solution.escort_moments - constraints.targets
+    gradient = _lnq_z_gradient(solution.beta_q * scales, solution.q, z, mu, fd_step)
     return {
-        "legendre_gap": float(abs(solution.beta @ gap)) if solution.constraints.size else 0.0,
-        "log_z_gradient": np.abs(_lnq_z_gradient(solution, fd_step) + solution.escort_moments),
+        "legendre_gap": float(abs(solution.beta @ gap)) if constraints.size else 0.0,
+        "log_z_gradient": scales * np.abs(gradient + gap / scales),
         "entropy_sensitivity": _resolved_sensitivity(
-            solve_tsallis_maxent, "entropy_q", solution, fd_step
+            solve_tsallis_maxent, "entropy_q", solution, fd_step * scales
         ),
     }
 
@@ -342,15 +316,11 @@ class ConsistencyReport:
 def discrete_consistency_report(
     P: ProbabilityVector,
     q: float,
-    n: int | None = None,
     zbar: float | None = None,
 ) -> ConsistencyReport:
     q = check_index(q)
     masses = P.masses
-    if n is None:
-        n = masses.size
-    if n != masses.size:
-        raise ValueError(f"n: pmf has {masses.size} cells, got n = {n}")
+    n = masses.size
     live = masses > 0.0
     power_sum = float(np.sum(np.exp(q * np.log(masses[live]))))
     if is_classical(q):
@@ -373,7 +343,7 @@ def discrete_consistency_report(
         constant_residual = abs(power_sum - n_inv_pow * zbar_power)
     return ConsistencyReport(
         q=q,
-        n=int(n),
+        n=n,
         measure_entropy=measure,
         discrete_entropy=discrete,
         power_sum=power_sum,

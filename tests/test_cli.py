@@ -360,6 +360,18 @@ def test_an_interval_too_narrow_for_the_grid_is_refused(capsys, spec, message):
     assert validation_message(capsys, *argv) == message
 
 
+@pytest.mark.parametrize("verb, fields", [
+    (("maxent",), '"constraints": [{"values": [1, 2, 3, 4], "target": 2}]'),
+    (("entropy", "--kind", "shannon"), '"density": [1, 1, 1, 1]'),
+])
+def test_a_lebesgue_partition_too_narrow_for_its_cells_is_refused(capsys, verb, fields):
+    # maxent exited 2 with "line search stalled at residual inf", and entropy
+    # blamed the density's values
+    spec = '{"partition": {"n": 4, "mode": "lebesgue", "interval": [0, 1e-320]}, %s}' % fields
+    message = validation_message(capsys, *verb, "--input", spec)
+    assert message == "interval: (0.0, 1e-320) cannot carry a density on 4 cells"
+
+
 def test_partition_length_mismatch_exits_one(capsys):
     # 2e6 cells is under the cap; the length check then fails without a
     # per-cell build (6.8 s and 424 MiB when each cell was an object)
@@ -415,17 +427,19 @@ def test_divergence_of_a_pmf_from_itself_is_exactly_zero(capsys, kind, flag):
     assert json.loads(out)["value"] == 0.0 and '"value": 0.0\n' in out
 
 
-@pytest.mark.parametrize("scale, code", [("1e6", 0), ("1e8", 0), ("1e308", 1)])
-def test_feature_scale_exit_codes(capsys, scale, code):
-    # these exited 2 after stalling; past 1e154 the curvature overflows
-    spec = f'{{"partition": {{"n": 2}}, "constraints": [{{"values": [0, {scale}], "target": {scale}}}]}}'
-    spec = spec.replace(f'"target": {scale}', f'"target": {float(scale) / 10!r}')
-    got, out, err = run_cli(capsys, "maxent", "--input", spec)
-    assert got == code
-    if code == 0:
-        assert json.loads(out)["pmf"][0] == pytest.approx(0.9, rel=1e-12)
-    else:
-        assert "rescale the feature" in json.loads(err)["error"]["message"]
+@pytest.mark.parametrize("scale", ["1e6", "1e8", "1e308"])
+def test_feature_scale_exit_codes(capsys, scale):
+    # 1e6 and 1e8 exited 2 after stalling, and 1e308 exited 1 while the
+    # curvature of the raw features overflowed; in span units each is the
+    # unit-span problem
+    def pmf(top, target):
+        spec = (f'{{"partition": {{"n": 2}}, '
+                f'"constraints": [{{"values": [0, {top}], "target": {target!r}}}]}}')
+        code, out, err = run_cli(capsys, "maxent", "--input", spec)
+        assert (code, err) == (0, "")
+        return json.loads(out)["pmf"]
+
+    assert pmf(scale, float(scale) / 10)[0] == pytest.approx(pmf(1, 0.1)[0], rel=1e-12)
 
 
 FROZEN = Path(__file__).resolve().parent / "frozen"

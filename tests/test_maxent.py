@@ -18,7 +18,6 @@ from qentropy import (
     InfeasibleError,
     ProbabilityVector,
     WeightedPartition,
-    escort_view,
     partition_function,
     radon_nikodym,
     shannon_entropy,
@@ -197,7 +196,9 @@ def test_thermo_step_shrinks_near_the_boundary():
     # target close enough to the range edge that the default fd step would
     # leave the feasible set; the check retries with a smaller one
     sol = solve_maxent(*dice_problem(5.99995))
-    grad, sens = thermo_residuals(sol, fd_step=1e-4)
+    # fd_step is in span units, and the dice span 5 rounds to s = 4: this is
+    # the absolute step 1e-4
+    grad, sens = thermo_residuals(sol, fd_step=1e-4 / 4.0)
     assert np.all(np.isfinite(grad)) and np.all(np.isfinite(sens))
     # the entropy surface is sharply curved this close to the edge, so the
     # finite difference is only good to a few percent here
@@ -257,7 +258,8 @@ def test_moments_of_a_positive_pmf_always_solve_and_audit(masses, q, count, mode
     x = midpoints(n)
     U = np.vstack([x, x * x][:count])
     if escort:
-        targets = U @ escort_view(radon_nikodym(P, partition), q).weights
+        powers = radon_nikodym(P, partition).values ** q * partition.weights
+        targets = U @ (powers / np.sum(powers))
         sol = solve_tsallis_maxent(ConstraintSet(list(U), targets, "escort", q), partition)
         audit = tsallis_thermo(sol)
         assert np.all(np.isfinite(audit["log_z_gradient"]))
@@ -303,11 +305,12 @@ def test_audit_gives_up_below_its_step_floor():
 @pytest.mark.parametrize("scale", [1e6, 1e8, 1e154])
 def test_badly_scaled_features_converge(scale):
     # E[u] carries rounding of about 1e-16 * scale, above an absolute 1e-12:
-    # the audit's re-solves stalled from 1e6 on, the solve itself from 1e8 on
+    # the audit's re-solves stalled from 1e6 on, the solve itself from 1e8 on.
+    # tolerance is in span units; 1e-10 / scale is the absolute 1e-10
     constraints = ConstraintSet([[0.0, scale]], [scale / 10.0])
-    solution = solve_maxent(constraints, uniform_partition(2))
+    solution = solve_maxent(constraints, uniform_partition(2), tolerance=1e-10 / scale)
     assert np.allclose(solution.pmf.masses, [0.9, 0.1], rtol=1e-12, atol=0.0)
-    # the re-solves at t +- fd_step converge; fd_step itself is absolute
+    # the re-solves at t +- fd_step s converge
     _, sensitivity = thermo_residuals(solution)
     assert np.all(np.isfinite(sensitivity))
 
@@ -320,9 +323,67 @@ def test_badly_scaled_escort_features_converge(scale):
     assert np.all(np.isfinite(tsallis_thermo(solution)["entropy_sensitivity"]))
 
 
-@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 0.5)])
-def test_features_past_the_curvature_overflow_are_refused(kind, q):
-    constraints = ConstraintSet([[0.0, 1e308]], [1e307], kind, q)
+def solve_and_audit(constraints, partition):
+    """(solution, log_z_gradient, entropy_sensitivity) as the CLI computes them."""
+    if constraints.kind == "ordinary":
+        solution = solve_maxent(constraints, partition)
+        return (solution, *thermo_residuals(solution))
+    solution = solve_tsallis_maxent(constraints, partition)
+    audit = tsallis_thermo(solution)
+    return solution, audit["log_z_gradient"], audit["entropy_sensitivity"]
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 0.5), ("escort", 2.0)])
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6, 1e8, 1e100, 1e160, 1e308])
+def test_two_cell_problem_is_the_same_at_every_scale(kind, q, s):
+    # values [0, s] and target s/10.  Before the features were divided by
+    # their power-of-two span, s = 1e6 audited log_z_gradient 3.9e5, s = 1e-6
+    # stopped at p = (0.8999992, 0.1000008), escort q = 0.5 at 1e100 left the
+    # escort family in the audit, and spans past 1.3e154 were refused
+    unit = solve_and_audit(ConstraintSet([[0.0, 1.0]], [0.1], kind, q), uniform_partition(2))[0]
+    constraints = ConstraintSet([[0.0, s]], [s / 10.0], kind, q)
+    solution, gradient, sensitivity = solve_and_audit(constraints, uniform_partition(2))
+    assert np.max(np.abs(solution.pmf.masses - unit.pmf.masses)) <= 1e-15
+    assert gradient[0] / s < 1e-6 and sensitivity[0] * s < 1e-6
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 0.7), ("escort", 2.0)])
+def test_scaling_a_feature_by_a_power_of_two_scales_only_its_multiplier(kind, q):
+    # x 2^k and its target: z = (u - t)/s is the same floats for every k, so
+    # the pmf is bit-identical, beta_0 is exactly 2^-k times as large, and the
+    # audit residuals scale with the units of u_0 (gradient) and beta_0
+    n = 50
+    x = midpoints(n)
+    partition = uniform_partition(n, "lebesgue", (0.0, 1.0))
+
+    def run(k):
+        scale = 2.0**k
+        constraints = ConstraintSet([x * scale, np.sin(3.0 * x)], [0.4 * scale, 0.5], kind, q)
+        return solve_and_audit(constraints, partition)
+
+    base, base_gradient, base_sensitivity = run(0)
+    for k in (-40, -7, 3, 40):
+        solution, gradient, sensitivity = run(k)
+        assert np.array_equal(solution.pmf.masses, base.pmf.masses)
+        assert solution.beta[0] == base.beta[0] * 2.0**-k
+        assert solution.beta[1] == base.beta[1]
+        assert gradient[0] == base_gradient[0] * 2.0**k
+        assert sensitivity[0] == base_sensitivity[0] * 2.0**-k
+
+
+def test_an_offset_feature_solves():
+    # values 1e6 + (0, 0, 1): E[u] - t cancels six digits in the units of u,
+    # and the line search stalled at residual 1.2e-5
+    constraints = ConstraintSet([[1e6, 1e6, 1000001.0]], [1000000.3])
+    solution = solve_maxent(constraints, uniform_partition(3))
+    assert np.max(np.abs(solution.pmf.masses - [0.35, 0.35, 0.3])) <= 1e-9
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
+def test_a_multiplier_that_overflows_is_refused(kind, q):
+    # beta = b/s is past the largest float when the span s is about 1e-310
+    constraints = ConstraintSet([[0.0, 1e-310]], [1e-311], kind, q)
     solve = solve_maxent if kind == "ordinary" else solve_tsallis_maxent
-    with pytest.raises(ValueError, match=r"functions\[0\]: values span 1e\+308 .* rescale"):
+    message = r"functions\[0\]: the multiplier b/s = .* rescale"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
         solve(constraints, uniform_partition(2))

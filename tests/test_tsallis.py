@@ -12,14 +12,10 @@ import pytest
 
 from qentropy import (
     ConstraintSet,
-    DensityVector,
     ProbabilityVector,
     WeightedPartition,
     discrete_consistency_report,
-    escort_expectation,
-    escort_view,
     q_log,
-    radon_nikodym,
     solve_maxent,
     solve_tsallis_maxent,
     tsallis_thermo,
@@ -47,15 +43,15 @@ def two_point_problem(measure="counting", target=0.3, q=2.0):
 
 
 def test_escort_expectation_by_hand():
-    part = uniform_partition(2)
-    p = DensityVector([0.8, 0.2], part)
-    # squared masses (0.64, 0.04) normalize to (16/17, 1/17)
-    assert math.isclose(escort_expectation(p, [0.0, 1.0], 2.0), 1.0 / 17.0, rel_tol=1e-14)
-    view = escort_view(p, 2.0)
-    assert math.isclose(view.q_mass, 0.68, rel_tol=1e-15)
-    assert np.allclose(view.weights, [16.0 / 17.0, 1.0 / 17.0], rtol=1e-14)
+    # on two cells one escort moment fixes the pmf: (0.8, 0.2) has squared
+    # masses (0.64, 0.04), which normalize to (16/17, 1/17), so its order-2
+    # escort mean of (0, 1) is 1/17 and its q-mass is 0.68
+    sol = solve_tsallis_maxent(*two_point_problem(target=1.0 / 17.0), tolerance=1e-12)
+    assert np.allclose(sol.pmf.masses, [0.8, 0.2], rtol=0, atol=1e-12)
+    assert math.isclose(sol.q_mass, 0.68, rel_tol=1e-12)
     # order 1 is the plain expectation
-    assert math.isclose(escort_expectation(p, [0.0, 1.0], 1.0), 0.2, rel_tol=1e-14)
+    sol = solve_tsallis_maxent(*two_point_problem(target=0.2, q=1.0), tolerance=1e-12)
+    assert np.allclose(sol.pmf.masses, [0.8, 0.2], rtol=0, atol=1e-12)
 
 
 def test_two_point_solution_matches_closed_form():
@@ -120,8 +116,6 @@ def test_discrete_identity_on_random_pmfs():
             report = discrete_consistency_report(P, q)
             assert report.identity_residual < 1e-12
             assert report.constant_residual is None
-    with pytest.raises(ValueError):
-        discrete_consistency_report(ProbabilityVector([0.5, 0.5]), 2.0, n=3)
 
 
 def test_classical_band_matches_gibbs():
@@ -225,10 +219,9 @@ def test_null_cells_stay_null():
 
 def test_escort_moment_against_direct_recomputation():
     sol = solve_tsallis_maxent(*two_point_problem(), tolerance=1e-12)
-    partition = uniform_partition(2)
-    direct = escort_expectation(
-        radon_nikodym(sol.pmf, partition), [0.0, 1.0], 2.0
-    )
+    # counting cells: the density is the pmf, and its escort weights are p^2 / sum p^2
+    powers = sol.pmf.masses**2
+    direct = float(powers @ [0.0, 1.0]) / float(np.sum(powers))
     assert abs(direct - 0.3) < 1e-11
 
 
