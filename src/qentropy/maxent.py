@@ -55,7 +55,8 @@ class InfeasibleError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap reached; carries the last residual for diagnostics."""
+    """Iteration cap reached; carries the last residual, max_m |E[u_m] - t_m|/s_m
+    in span units, for diagnostics."""
 
     def __init__(self, message: str, residual_norm: float, iterations: int):
         super().__init__(message)

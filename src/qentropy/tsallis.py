@@ -213,9 +213,9 @@ def solve_tsallis_maxent(
     )
 
 
-def _lnq_z_gradient(lam: np.ndarray, q: float, z, mu, fd_step: float) -> np.ndarray:
-    """d(ln_q Z_q + beta . t)/d(beta s) by central differences at lam +- fd_step e_m,
-    everything in span units: lam = beta_q s, and the family lives on z.
+def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.ndarray:
+    """d(ln_q Z_q + beta . t)/d(beta s) by central differences at center +- fd_step e_m,
+    everything in span units: center = beta_q s, and the family lives on z.
 
     At each shifted gamma the solver's target-centred density is re-centred on
     its own escort mean, c = E[z] in span units, in closed form through
@@ -251,12 +251,12 @@ def _lnq_z_gradient(lam: np.ndarray, q: float, z, mu, fd_step: float) -> np.ndar
         lnq = math.log(zbar_c) if one_minus_q == 0.0 else zbar_c**one_minus_q / one_minus_q
         return beta, lnq - float(beta @ offset)
 
-    M = lam.size
+    M = center.size
     beta_steps = np.zeros((M, M))
     rises = np.zeros(M)
     for m, shift in enumerate(fd_step * np.eye(M)):
-        beta_plus, plus = point(lam + shift)
-        beta_minus, minus = point(lam - shift)
+        beta_plus, plus = point(center + shift)
+        beta_minus, minus = point(center - shift)
         beta_steps[m] = beta_plus - beta_minus
         rises[m] = plus - minus
     return np.linalg.solve(beta_steps, rises)

@@ -44,11 +44,13 @@ def two_point_problem(measure="counting", target=0.3, q=2.0):
 
 def test_escort_expectation_by_hand():
     # on two cells one escort moment fixes the pmf: (0.8, 0.2) has squared
-    # masses (0.64, 0.04), which normalize to (16/17, 1/17), so its order-2
-    # escort mean of (0, 1) is 1/17 and its q-mass is 0.68
+    # masses (0.64, 0.04), which normalize to (16/17, 1/17), so the solve at
+    # the order-2 escort mean 1/17 of (0, 1) returns it, with q-mass 0.68
     sol = solve_tsallis_maxent(*two_point_problem(target=1.0 / 17.0), tolerance=1e-12)
-    assert np.allclose(sol.pmf.masses, [0.8, 0.2], rtol=0, atol=1e-12)
-    assert math.isclose(sol.q_mass, 0.68, rel_tol=1e-12)
+    powers = sol.pmf.masses**2  # p^q mu on counting cells
+    assert math.isclose(sol.q_mass, 0.68, rel_tol=1e-15)
+    assert np.allclose(powers / np.sum(powers), [16.0 / 17.0, 1.0 / 17.0], rtol=1e-14)
+    assert math.isclose(sol.escort_moments[0], 1.0 / 17.0, rel_tol=1e-14)
     # order 1 is the plain expectation
     sol = solve_tsallis_maxent(*two_point_problem(target=0.2, q=1.0), tolerance=1e-12)
     assert np.allclose(sol.pmf.masses, [0.8, 0.2], rtol=0, atol=1e-12)
