@@ -36,6 +36,7 @@ def classical_section(target):
     print(f"pmf {fmt(sol.pmf.masses)}")
     print(f"entropy {sol.entropy:.10f}, iterations {sol.iterations}")
     print(f"moment residual      {sol.residual_norm:.3e}")
+    print(f"entropy identity     {sol.entropy_identity:.3e}")
     print(f"log Z gradient check {float(np.max(grad)):.3e}")
     print(f"sensitivity check    {float(np.max(sens)):.3e}")
 

@@ -57,7 +57,6 @@ from .tsallis import (
     EmptySupportError,
     TsallisSolution,
     discrete_consistency_report,
-    identity_residuals,
     solve_tsallis_maxent,
     tsallis_thermo,
 )

@@ -212,8 +212,6 @@ def _run_maxent(spec: argparse.Namespace) -> dict:
         solution = solve_maxent(ConstraintSet(functions, targets), partition,
                                 tolerance=tolerance, max_iterations=fields["max_iterations"])
         grad_res, sens_res = thermo_residuals(solution, fd_step=fd_step)
-        moments = float(solution.beta @ solution.achieved_moments)
-        identity = abs(solution.entropy - (solution.log_z + moments))
         return {
             "command": "maxent",
             "kind": "shannon",
@@ -223,7 +221,7 @@ def _run_maxent(spec: argparse.Namespace) -> dict:
             **_pick(solution, "achieved_moments entropy iterations"),
             "residuals": {
                 "moment": solution.residual_norm,
-                "entropy_identity": identity,
+                "entropy_identity": solution.entropy_identity,
                 "log_z_gradient": grad_res,
                 "entropy_sensitivity": sens_res,
             },

@@ -19,6 +19,10 @@ densities once at the finest level L, groups base cells into a table of
 finest code pairs, and reads every level's level sets and common refinement
 off that table.  convergence_table maps the divergence over the pass;
 dyadic_approximation and common_refinement are its one-level case.
+
+No entropy or divergence is summed here: the tables take entropy's
+divergences, and entropy_nonextension_demo takes shannon_entropy on a
+Lebesgue partition and measure_entropy on counting partitions.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .entropy import renyi_divergence, tsallis_divergence
+from .entropy import measure_entropy, renyi_divergence, shannon_entropy, tsallis_divergence
 from .measure import (
     MAX_BASE_EXPONENT,
     MAX_CELLS,
@@ -41,6 +45,7 @@ from .measure import (
     check_capped,
     check_interval,
     induced_pmf,
+    uniform_partition,
 )
 from .qcalc import check_index
 
@@ -374,26 +379,24 @@ def entropy_nonextension_demo(
     measure-theoretic entropy is the constant ln(b - a), negative when
     b - a < 1.  Discrete entropy is not the n -> inf limit of anything here.
 
-    The sums are shannon_entropy's (uniform density on 2^continuous_exponent
-    Lebesgue cells) and measure_entropy's (uniform pmf on n counting cells),
-    taken on the value and weight arrays so that no partition is built.
+    The continuous value is shannon_entropy of the uniform density on
+    2^continuous_exponent Lebesgue cells of [a, b]; each discrete one is
+    measure_entropy of the uniform pmf on n counting cells.
     """
     a, b = check_interval(interval)
     if len(n_list) == 0:
         raise ValueError("n_list: need at least one cell count")
     sizes = [check_capped(n, "n_list entries", cap=MAX_CELLS) for n in n_list]
     cells = 2 ** check_capped(continuous_exponent, "continuous_exponent", minimum=0)
-    _check_carries_density(a, b, cells)
-    weights = np.full(cells, (b - a) / cells)
-    values = np.full(cells, 1.0 / (b - a))
-    values = values / float(np.dot(values, weights))
-    # + 0.0 keeps a unit density, here and at n = 1 below, from reporting -0.0
-    continuous = float(-np.dot(values * np.log(values), weights)) + 0.0
-    rows = []
-    for n in sizes:
-        masses = np.full(n, 1.0 / n)
-        rows.append(DemoRow(n, float(-np.dot(masses, np.log(masses))) + 0.0, continuous))
-    return DemoReport(tuple(rows), continuous, continuous < 0.0)
+    lebesgue = uniform_partition(cells, "lebesgue", (a, b))
+    density = DensityVector.from_values(np.full(cells, 1.0 / (b - a)), lebesgue, renormalize=True)
+    continuous = shannon_entropy(density)
+    rows = tuple(
+        DemoRow(n, measure_entropy(ProbabilityVector(np.full(n, 1.0 / n)), uniform_partition(n)),
+                continuous)
+        for n in sizes
+    )
+    return DemoReport(rows, continuous, continuous < 0.0)
 
 
 def demo_to_csv(report: DemoReport) -> str:

@@ -88,6 +88,24 @@ def shannon_entropy(p: DensityVector) -> float:
     return float(-np.dot(v[live] * np.log(v[live]), w[live])) + 0.0
 
 
+def _kl(p: np.ndarray, r: np.ndarray) -> float:
+    """sum_k p_k ln(p_k/r_k) over the cells where p_k > 0, +inf where r_k = 0.
+
+    A cell whose ratio p_k/r_k overflows to inf or underflows to 0 takes
+    ln p_k - ln r_k instead, so a subnormal mass gives its finite term.
+    """
+    live = p > 0.0
+    p, r = p[live], r[live]
+    if np.any(r == 0.0):
+        return math.inf
+    with np.errstate(over="ignore", divide="ignore"):
+        log_ratio = np.log(p / r)
+    off = np.isinf(log_ratio)
+    if np.any(off):
+        log_ratio[off] = np.log(p[off]) - np.log(r[off])
+    return float(np.dot(p, log_ratio))
+
+
 def kl_divergence(
     P: ProbabilityVector,
     R: ProbabilityVector,
@@ -98,11 +116,7 @@ def kl_divergence(
     The partition argument is only consulted to validate cell counts; the
     discrete divergence itself does not involve the reference weights.
     """
-    p, r = _paired_masses(P, R, partition)
-    live = p > 0.0
-    if np.any(r[live] == 0.0):
-        return math.inf
-    return float(np.dot(p[live], np.log(p[live] / r[live])))
+    return _kl(*_paired_masses(P, R, partition))
 
 
 def measure_entropy(P: ProbabilityVector, partition: WeightedPartition) -> float:
@@ -118,16 +132,16 @@ def measure_entropy(P: ProbabilityVector, partition: WeightedPartition) -> float
             f"partition: size {len(partition)} does not match vector of length {p.size}"
         )
     w = partition.weights
-    live = p > 0.0
-    if np.any(w[live] == 0.0):
-        k = int(np.argmax(live & (w == 0.0)))
+    null = (p > 0.0) & (w == 0.0)
+    if np.any(null):
+        k = int(np.argmax(null))
         warnings.warn(
             f"mass {p[k]} on mu-null cell {k}: measure entropy is -inf",
             RuntimeWarning,
             stacklevel=2,
         )
-        return -math.inf
-    return float(-np.dot(p[live], np.log(p[live] / w[live]))) + 0.0
+    # + 0.0 keeps a point mass on a unit cell from reporting -0.0
+    return -_kl(p, w) + 0.0
 
 
 def renyi_entropy(p: DensityVector, alpha: float) -> float:

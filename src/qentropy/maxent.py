@@ -135,8 +135,8 @@ class ConstraintSet:
 class GibbsSolution:
     """Converged classical MaxEnt output.
 
-    entropy always equals log_z + beta . achieved_moments up to rounding;
-    that identity is re-checked downstream rather than assumed.
+    entropy equals log_z + beta . achieved_moments up to rounding;
+    entropy_identity reports the defect rather than assuming it is zero.
     """
 
     constraints: ConstraintSet
@@ -152,6 +152,11 @@ class GibbsSolution:
     @property
     def pmf(self) -> ProbabilityVector:
         return induced_pmf(self.density)
+
+    @property
+    def entropy_identity(self) -> float:
+        """|entropy - (log_z + beta . achieved_moments)|."""
+        return abs(self.entropy - (self.log_z + float(self.beta @ self.achieved_moments)))
 
 
 def partition_function(

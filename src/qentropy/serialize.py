@@ -28,6 +28,7 @@ from .measure import (
     MAX_CELLS,
     DensityVector,
     WeightedPartition,
+    _check_carries_density,
     check_interval,
     uniform_partition,
 )
@@ -375,7 +376,11 @@ def partition_from_obj(obj, path: str = "partition") -> WeightedPartition:
     dropped: no computation reads them."""
     if type(obj) is dict and "n" in obj:
         shorthand = _read_object(obj, PARTITION_FIELDS, path)
-        return uniform_partition(shorthand["n"], shorthand["mode"], shorthand["interval"])
+        n, mode, interval = shorthand["n"], shorthand["mode"], shorthand["interval"]
+        if mode == "lebesgue":
+            # refused here so that the message names the field as read
+            _check_carries_density(*interval, n, f"{path}.interval")
+        return uniform_partition(n, mode, interval)
     if type(obj) is not dict:
         _fail(path, "a JSON object", obj)
     if "cells" not in obj or "weights" not in obj:

@@ -22,9 +22,13 @@ lambda = (lambda s)/s, w = sum_k p_k^q mu_k, beta = lambda w and the escort
 moments are t + s E[z].  _escort_family is the one evaluation of e_q, zbar
 and the escort weights, for the solver and for the log_z_gradient audit.
 
-Identity checks are returned as a named residual map rather than asserted, so
-a caller can log them; solutions additionally satisfy w = zbar^(1-q) and
-S_q = ln_q zbar, which the test suite pins at 1e-8.
+The solver returns its identity checks as a named residual map rather than
+asserting them, so a caller can log them: w = zbar^(1-q), S_q = ln_q zbar,
+beta = beta_q w and the escort moments, each read off the q-mass, entropy and
+moments the solve has just computed (the test suite pins them at 1e-8).
+discrete_consistency_report sets the measure-theoretic Tsallis entropy against
+the discrete one; both are entropy.tsallis_entropy, on the uniform-probability
+and the counting partition.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from .measure import (
     ProbabilityVector,
     WeightedPartition,
     induced_pmf,
+    radon_nikodym,
+    uniform_partition,
 )
 from .qcalc import check_index, is_classical, q_exp, q_log
 
@@ -56,7 +62,6 @@ __all__ = [
     "TsallisSolution",
     "ConsistencyReport",
     "solve_tsallis_maxent",
-    "identity_residuals",
     "tsallis_thermo",
     "discrete_consistency_report",
 ]
@@ -78,8 +83,9 @@ class TsallisSolution:
 
     beta are the true multipliers; beta_q = beta / q_mass the renormalized
     ones appearing inside the q-exponential.  iterations = (Newton steps,
-    total step halvings).  identity_residuals is the map from
-    identity_residuals().
+    total step halvings).  identity_residuals maps escort_moment,
+    power_mass_vs_zbar, entropy_vs_lnq_zbar and multiplier_scaling to the
+    defects of those identities, computed from the fields above.
     """
 
     constraints: ConstraintSet
@@ -132,32 +138,6 @@ def _escort_family(lam: np.ndarray, z: np.ndarray, mu: np.ndarray, one_minus_q: 
     return raw, ratio, zbar, mu * raw * ratio
 
 
-def identity_residuals(
-    density: DensityVector,
-    q: float,
-    zbar: float,
-    beta,
-    beta_q,
-    escort_moments,
-    targets,
-) -> dict:
-    """Named self-consistency checks of a (purported) Tsallis MaxEnt solution."""
-    q = check_index(q)
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    beta_q = np.atleast_1d(np.asarray(beta_q, dtype=float))
-    escort_moments = np.atleast_1d(np.asarray(escort_moments, dtype=float))
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    q_mass = _q_mass(density.values, density.partition.weights, q)
-    zbar_power = math.exp((1.0 - q) * math.log(zbar))
-    entropy = tsallis_entropy(density, q)
-    return {
-        "escort_moment": float(np.max(np.abs(escort_moments - targets), initial=0.0)),
-        "power_mass_vs_zbar": abs(q_mass - zbar_power),
-        "entropy_vs_lnq_zbar": abs(entropy - q_log(zbar, q)),
-        "multiplier_scaling": float(np.max(np.abs(beta_q * q_mass - beta), initial=0.0)),
-    }
-
-
 def solve_tsallis_maxent(
     constraints: ConstraintSet,
     partition: WeightedPartition,
@@ -195,7 +175,12 @@ def solve_tsallis_maxent(
     beta_q = _per_unit(lam, scales)
     beta = beta_q * q_mass
     entropy_q = tsallis_entropy(density, q)
-    residuals = identity_residuals(density, q, zbar, beta, beta_q, moments, targets)
+    residuals = {
+        "escort_moment": float(np.max(np.abs(moments - targets), initial=0.0)),
+        "power_mass_vs_zbar": abs(q_mass - math.exp((1.0 - q) * math.log(zbar))),
+        "entropy_vs_lnq_zbar": abs(entropy_q - q_log(zbar, q)),
+        "multiplier_scaling": float(np.max(np.abs(beta_q * q_mass - beta), initial=0.0)),
+    }
     return TsallisSolution(
         constraints=constraints,
         partition=partition,
@@ -297,8 +282,9 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
 class ConsistencyReport:
     """Measure-theoretic vs discrete Tsallis entropy on the uniform reference.
 
-    measure_entropy uses mu_k = 1/n; discrete_entropy is the plain pmf form;
-    identity_residual is the defect in
+    measure_entropy is tsallis_entropy of the density n P_k against
+    mu_k = 1/n, discrete_entropy that of P on counting cells (both Shannon
+    in the classical band); identity_residual is the defect in
     measure = discrete - n^(q-1) ln_q(n) sum P^q, which vanishes analytically.
     constant_residual (when zbar is supplied) checks
     sum P^q = n^(1-q) zbar^(1-q), constant across the constraint set.
@@ -319,23 +305,14 @@ def discrete_consistency_report(
     zbar: float | None = None,
 ) -> ConsistencyReport:
     q = check_index(q)
-    masses = P.masses
-    n = masses.size
-    live = masses > 0.0
-    power_sum = float(np.sum(np.exp(q * np.log(masses[live]))))
-    if is_classical(q):
-        n_pow = 1.0
-        discrete = -float(masses[live] @ np.log(masses[live]))
-    else:
-        n_pow = math.exp((q - 1.0) * math.log(n))
-        discrete = (1.0 - power_sum) / (q - 1.0)
-    # measure side: density n P_k against mu_k = 1/n, evaluated directly
-    if is_classical(q):
-        measure = -float(masses[live] @ np.log(n * masses[live]))
-    else:
-        measure = (1.0 - n_pow * power_sum) / (q - 1.0)
-    lnq_n = q_log(float(n), q)
-    rhs = discrete - n_pow * lnq_n * power_sum
+    n = P.masses.size
+    counting = uniform_partition(n)
+    power_sum = _q_mass(P.masses, counting.weights, q)
+    discrete = tsallis_entropy(radon_nikodym(P, counting), q)
+    # measure side: density n P_k against mu_k = 1/n
+    measure = tsallis_entropy(radon_nikodym(P, uniform_partition(n, "uniform_probability")), q)
+    n_pow = 1.0 if is_classical(q) else math.exp((q - 1.0) * math.log(n))
+    rhs = discrete - n_pow * q_log(float(n), q) * power_sum
     constant_residual = None
     if zbar is not None:
         zbar_power = math.exp((1.0 - q) * math.log(zbar))

@@ -369,7 +369,25 @@ def test_a_lebesgue_partition_too_narrow_for_its_cells_is_refused(capsys, verb, 
     # blamed the density's values
     spec = '{"partition": {"n": 4, "mode": "lebesgue", "interval": [0, 1e-320]}, %s}' % fields
     message = validation_message(capsys, *verb, "--input", spec)
-    assert message == "interval: (0.0, 1e-320) cannot carry a density on 4 cells"
+    assert message == "partition.interval: (0.0, 1e-320) cannot carry a density on 4 cells"
+
+
+@pytest.mark.parametrize("interval, message", [
+    ("[0, 1e-320]", "partition.interval: (0.0, 1e-320) cannot carry a density on 4 cells"),
+    ("[-1e308, 1e308]", "partition.interval: the width b - a of (-1e+308, 1e+308) overflows; "
+                        "need a finite width"),
+])
+def test_a_partition_interval_is_refused_under_one_name(capsys, interval, message):
+    # the narrow interval was reported as "interval:", the wide one as
+    # "partition.interval:"
+    spec = '{"partition": {"n": 4, "mode": "lebesgue", "interval": %s}, "density": [1, 1, 1, 1]}' % interval
+    assert validation_message(capsys, "entropy", "--kind", "shannon", "--input", spec) == message
+    # a top-level interval keeps its own name
+    spec = '{"n_list": [2], "interval": %s}' % interval
+    assert validation_message(capsys, "demo", "--input", spec).startswith("interval: ")
+    spec = '{"p": [1, 2], "r": [1, 1], "interval": %s}' % interval
+    argv = ("approx", "--kind", "renyi", "--alpha", "2", "--levels", "1", "--input", spec)
+    assert validation_message(capsys, *argv).startswith("interval: ")
 
 
 def test_partition_length_mismatch_exits_one(capsys):

@@ -1,5 +1,5 @@
-"""docs/schemas.md stays executable: its examples run and its field tables
-are serialize.FIELDS."""
+"""The docs stay executable: docs/schemas.md's examples run and its field
+tables are serialize.FIELDS, and README.md's library tour runs."""
 
 import contextlib
 import io
@@ -12,7 +12,9 @@ import pytest
 from qentropy.cli import main
 from qentropy.serialize import CELL_FIELDS, CONSTRAINT_FIELDS, FIELDS, PARTITION_FIELDS, REQUIRED
 
-SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas.md"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMAS = ROOT / "docs" / "schemas.md"
+README = ROOT / "README.md"
 TABLES = {
     **FIELDS,
     "Partition shorthand": PARTITION_FIELDS,
@@ -131,3 +133,19 @@ def test_field_table_matches_the_reader(heading):
     ]
     assert rows[0] == ["field", "type", "range or cap", "default", "flag"]
     assert rows[1:] == [_row(name, field) for name, field in TABLES[heading].items()]
+
+
+def test_readme_tour_runs(capsys):
+    # the python blocks run in order in one namespace, as a reader pastes them,
+    # so a public name the tour imports cannot be removed unnoticed
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) == 4
+    namespace = {}
+    for k, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python block {k}", "exec"), namespace)
+        if k == 1:
+            commented = re.search(r"^shannon_entropy\(p\) +# (\S+)$", blocks[0], re.M).group(1)
+            assert commented == "1.0397207708399179"
+            assert repr(namespace["shannon_entropy"](namespace["p"])) == commented
+    assert capsys.readouterr().out.count("\n") == 4  # one line per convergence-table level

@@ -31,9 +31,11 @@ from qentropy import (
     dyadic_approximation,
     entropy_nonextension_demo,
     induced_pmf,
+    measure_entropy,
     reference_divergence,
     renyi_divergence,
     run_suite,
+    shannon_entropy,
     table_to_csv,
     tsallis_divergence,
     uniform_partition,
@@ -303,11 +305,25 @@ def test_demo_unit_interval():
 
 
 def test_demo_half_interval_goes_negative():
-    report = entropy_nonextension_demo([2], interval=(0.0, 0.5))
+    report = entropy_nonextension_demo([2, 3], interval=(0.0, 0.5))
     assert report.continuous_negative
     assert math.isclose(report.continuous_entropy, math.log(0.5), rel_tol=0, abs_tol=1e-12)
     # discrete side is measured against counting and does not move
     assert math.isclose(report.rows[0].discrete_entropy, math.log(2.0), rel_tol=0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.0, 0.3), (-2.0, 5.0)])
+def test_demo_rows_are_the_entropy_functions(interval):
+    # the demo sums nothing itself: each value is shannon_entropy or measure_entropy
+    report = entropy_nonextension_demo([1, 2, 3, 7, 1000], interval, continuous_exponent=10)
+    lebesgue = uniform_partition(2**10, "lebesgue", interval)
+    uniform = np.full(2**10, 1.0 / (interval[1] - interval[0]))
+    continuous = shannon_entropy(DensityVector.from_values(uniform, lebesgue, renormalize=True))
+    assert report.continuous_entropy == continuous
+    for row in report.rows:
+        P = ProbabilityVector(np.full(row.n, 1.0 / row.n))
+        assert row.discrete_entropy == measure_entropy(P, uniform_partition(row.n))
+        assert row.continuous_entropy == continuous
 
 
 def test_demo_validation():

@@ -6,6 +6,7 @@ Frozen literals regenerated by tests/_oracles.py (mpmath, 50 dps).
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,22 @@ def test_kl_divergence_infinite_off_support():
     assert kl_divergence(ProbabilityVector([0.0, 1.0]), R55) == math.log(2.0)
 
 
+# the correctly rounded values (mpmath, 50 dps); each naive ratio p/r leaves the floats
+KL_TINY_R = 367.720473264927  # I([0.5, 0.5] || [1e-320, 1]); p/r overflows
+MEASURE_TINY_P = 3.6893989311501579e-321  # S([5e-324, 1]) against weights (10, 1); p/mu underflows
+
+
+def test_kl_takes_the_log_difference_where_the_ratio_leaves_the_floats():
+    # each of these read +-inf when every cell took ln(p/r)
+    P, R = ProbabilityVector([0.5, 0.5]), ProbabilityVector([1e-320, 1.0])
+    assert math.isclose(kl_divergence(P, R), KL_TINY_R, rel_tol=1e-15)
+    assert renyi_divergence(P, R, None, 1.0) == kl_divergence(P, R)
+    tiny_weight = WeightedPartition([1e-320, 1.0])
+    assert measure_entropy(P, tiny_weight) == -kl_divergence(P, R)
+    tiny_mass = ProbabilityVector([5e-324, 1.0])
+    assert measure_entropy(tiny_mass, WeightedPartition([10.0, 1.0])) == MEASURE_TINY_P
+
+
 def test_measure_entropy_discrete_consistency():
     # against the uniform probability reference the value is S_n - ln n
     rng = np.random.default_rng(11)
@@ -72,14 +89,21 @@ def test_measure_entropy_discrete_consistency():
         n = int(rng.integers(2, 9))
         P = ProbabilityVector.from_values(rng.dirichlet(np.ones(n)), renormalize=True)
         s_n = -float(np.sum(P.masses[P.masses > 0] * np.log(P.masses[P.masses > 0])))
-        got = measure_entropy(P, uniform_partition(n, "uniform_probability"))
+        part = uniform_partition(n, "uniform_probability")
+        got = measure_entropy(P, part)
         assert math.isclose(got, s_n - math.log(n), rel_tol=0, abs_tol=1e-13)
+        # one kernel: the negated divergence from the reference, bit for bit
+        assert got == -kl_divergence(P, ProbabilityVector(part.weights))
 
 
 def test_measure_entropy_on_null_cell_warns_and_is_minus_inf():
     part = WeightedPartition([1.0, 0.0])
-    with pytest.warns(RuntimeWarning):
-        assert measure_entropy(ProbabilityVector([0.5, 0.5]), part) == -math.inf
+    with pytest.warns(RuntimeWarning, match=r"^mass 0\.25 on mu-null cell 1: measure entropy is -inf$"):
+        assert measure_entropy(ProbabilityVector([0.75, 0.25]), part) == -math.inf
+    # a null cell without mass is no violation: no warning, a finite value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert measure_entropy(ProbabilityVector([1.0, 0.0]), part) == 0.0
 
 
 def test_renyi_entropy_frozen_value():

@@ -80,6 +80,7 @@ def test_entropy_equals_dual_value():
     sol = solve_maxent(constraints, partition)
     dual = sol.log_z + float(sol.beta @ sol.achieved_moments)
     assert math.isclose(sol.entropy, dual, rel_tol=0, abs_tol=1e-12)
+    assert sol.entropy_identity == abs(sol.entropy - dual)
     assert math.isclose(sol.entropy, shannon_entropy(sol.density), rel_tol=0, abs_tol=1e-12)
 
 

@@ -16,8 +16,10 @@ from qentropy import (
     WeightedPartition,
     discrete_consistency_report,
     q_log,
+    radon_nikodym,
     solve_maxent,
     solve_tsallis_maxent,
+    tsallis_entropy,
     tsallis_thermo,
     uniform_partition,
 )
@@ -87,6 +89,15 @@ def test_identity_residuals_are_small():
     assert res["power_mass_vs_zbar"] < 1e-11
     assert res["entropy_vs_lnq_zbar"] < 1e-11
     assert res["multiplier_scaling"] == 0.0
+    # the map is read off the solution's own fields
+    q = sol.q
+    assert sol.entropy_q == tsallis_entropy(sol.density, q)
+    assert res == {
+        "escort_moment": float(np.max(np.abs(sol.escort_moments - sol.constraints.targets))),
+        "power_mass_vs_zbar": abs(sol.q_mass - math.exp((1.0 - q) * math.log(sol.zbar))),
+        "entropy_vs_lnq_zbar": abs(sol.entropy_q - q_log(sol.zbar, q)),
+        "multiplier_scaling": float(np.max(np.abs(sol.beta_q * sol.q_mass - sol.beta))),
+    }
 
 
 def test_uniform_probability_reference_scales_the_normalizer():
@@ -114,10 +125,14 @@ def test_discrete_identity_on_random_pmfs():
     for _ in range(50):
         n = int(rng.integers(2, 8))
         P = ProbabilityVector.from_values(rng.dirichlet(np.ones(n)) + 1e-3, renormalize=True)
-        for q in (0.5, 2.0, 3.0):
+        counting, uniform = uniform_partition(n), uniform_partition(n, "uniform_probability")
+        for q in (0.5, 1.0, 2.0, 3.0):
             report = discrete_consistency_report(P, q)
             assert report.identity_residual < 1e-12
             assert report.constant_residual is None
+            # both sides are the entropy verb's own tsallis_entropy
+            assert report.discrete_entropy == tsallis_entropy(radon_nikodym(P, counting), q)
+            assert report.measure_entropy == tsallis_entropy(radon_nikodym(P, uniform), q)
 
 
 def test_classical_band_matches_gibbs():
