@@ -385,9 +385,6 @@ def test_a_partition_interval_is_refused_under_one_name(capsys, interval, messag
     # a top-level interval keeps its own name
     spec = '{"n_list": [2], "interval": %s}' % interval
     assert validation_message(capsys, "demo", "--input", spec).startswith("interval: ")
-    spec = '{"p": [1, 2], "r": [1, 1], "interval": %s}' % interval
-    argv = ("approx", "--kind", "renyi", "--alpha", "2", "--levels", "1", "--input", spec)
-    assert validation_message(capsys, *argv).startswith("interval: ")
 
 
 def test_partition_length_mismatch_exits_one(capsys):

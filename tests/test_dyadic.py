@@ -305,7 +305,7 @@ def test_demo_unit_interval():
 
 
 def test_demo_half_interval_goes_negative():
-    report = entropy_nonextension_demo([2, 3], interval=(0.0, 0.5))
+    report = entropy_nonextension_demo([2], interval=(0.0, 0.5))
     assert report.continuous_negative
     assert math.isclose(report.continuous_entropy, math.log(0.5), rel_tol=0, abs_tol=1e-12)
     # discrete side is measured against counting and does not move
