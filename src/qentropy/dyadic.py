@@ -27,7 +27,6 @@ Lebesgue partition and measure_entropy on counting partitions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -41,7 +40,7 @@ from .measure import (
     ProbabilityVector,
     WeightedPartition,
     _check_carries_density,
-    _check_vector,
+    _renormalized,
     check_capped,
     check_interval,
     induced_pmf,
@@ -114,12 +113,8 @@ def _grid(values: np.ndarray, interval, renormalize: bool) -> DensityVector:
     partition = WeightedPartition(np.broadcast_to(delta, (n,)), (a, b))
     if not renormalize:
         return DensityVector(values, partition)
-    total = float(np.sum(values)) * delta
-    if not 0.0 < total < math.inf:
-        _check_vector(values, "values")
-        size = "zero" if total == 0.0 else "overflowing"
-        raise ValueError(f"values: cannot renormalize {size} total mass")
-    return DensityVector(values / total, partition, 1.0 / total)
+    values, factor = _renormalized(values, lambda v: float(np.sum(v)) * delta, "values")
+    return DensityVector(values, partition, factor)
 
 
 def _grid_cells(p: DensityVector, field: str = "p") -> tuple[int, float]:

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .measure import DensityVector, ProbabilityVector, WeightedPartition
-from .qcalc import check_index, is_classical
+from .qcalc import check_index
 
 __all__ = [
     "shannon_entropy",
@@ -70,7 +70,7 @@ def _closed_form(P, R, partition, index: float) -> float | None:
     the classical band, +inf unless P << R, and exactly 0 when P = R, where
     the sum would leave a rounding error of either sign."""
     p, r = _paired_masses(P, R, partition)
-    if is_classical(index):
+    if index == 1.0:
         return kl_divergence(P, R, partition)
     if np.any(r[p > 0.0] == 0.0):
         return math.inf
@@ -147,7 +147,7 @@ def measure_entropy(P: ProbabilityVector, partition: WeightedPartition) -> float
 def renyi_entropy(p: DensityVector, alpha: float) -> float:
     """S_alpha(p) = (1/(1-alpha)) ln sum_k p_k^alpha mu_k; Shannon in the band."""
     alpha = check_index(alpha)
-    if is_classical(alpha):
+    if alpha == 1.0:
         return shannon_entropy(p)
     v = p.values
     w = p.partition.weights
@@ -177,16 +177,20 @@ def renyi_divergence(
     return float(log_sum / (alpha - 1.0)) + 0.0
 
 
-def tsallis_entropy(p: DensityVector, q: float) -> float:
-    """S_q(p) = (1 - sum_k p_k^q mu_k)/(q - 1); Shannon in the band."""
-    q = check_index(q)
-    if is_classical(q):
-        return shannon_entropy(p)
+def _power_sum(p: DensityVector, q: float) -> float:
+    """The q-mass sum_k p_k^q mu_k over the cells where p_k > 0 and mu_k > 0."""
     v = p.values
     w = p.partition.weights
     live = (v > 0.0) & (w > 0.0)
-    power_integral = float(np.dot(v[live] ** q, w[live]))
-    return (1.0 - power_integral) / (q - 1.0) + 0.0
+    return float(np.dot(v[live] ** q, w[live]))
+
+
+def tsallis_entropy(p: DensityVector, q: float) -> float:
+    """S_q(p) = (1 - sum_k p_k^q mu_k)/(q - 1); Shannon in the band."""
+    q = check_index(q)
+    if q == 1.0:
+        return shannon_entropy(p)
+    return (1.0 - _power_sum(p, q)) / (q - 1.0) + 0.0
 
 
 def tsallis_divergence(

@@ -78,6 +78,18 @@ def _check_vector(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: entries must be finite and nonnegative")
 
 
+def _renormalized(values: np.ndarray, total_of, what: str) -> tuple[np.ndarray, float]:
+    """values / total and 1 / total for the caller's own total_of(values);
+    a zero or overflowing total is refused, after any bad entry."""
+    with np.errstate(over="ignore"):
+        total = float(total_of(values))
+    if not 0.0 < total < math.inf:
+        _check_vector(values, what)
+        size = "zero" if total == 0.0 else "overflowing"
+        raise ValueError(f"{what}: cannot renormalize {size} total mass")
+    return values / total, 1.0 / total
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedPartition:
     """Finite measurable partition with reference-measure weights mu_k >= 0.
@@ -166,10 +178,8 @@ class DensityVector:
         if not renormalize:
             return cls(values, partition)
         _check_vector(values, "values")
-        total = float(values @ partition.weights)
-        if total <= 0.0:
-            raise ValueError("values: cannot renormalize a vector with zero total mass")
-        return cls(values / total, partition, renormalization=1.0 / total)
+        values, factor = _renormalized(values, lambda v: v @ partition.weights, "values")
+        return cls(values, partition, renormalization=factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +208,8 @@ class ProbabilityVector:
         if not renormalize:
             return cls(masses)
         _check_vector(masses, "masses")
-        total = float(np.sum(masses))
-        if total <= 0.0:
-            raise ValueError("masses: cannot renormalize a vector with zero total mass")
-        return cls(masses / total, renormalization=1.0 / total)
+        masses, factor = _renormalized(masses, np.sum, "masses")
+        return cls(masses, renormalization=factor)
 
 
 def induced_pmf(p: DensityVector) -> ProbabilityVector:

@@ -4,9 +4,9 @@ The deformed logarithm is ln_q(x) = (x^(1-q) - 1)/(1 - q) and its inverse on
 the surviving branch is e_q(x) = [1 + (1-q) x]_+^(1/(1-q)), with the positive
 part sending out-of-domain arguments to 0 (the usual cutoff convention, which
 keeps densities nonnegative).  Both reduce to ln/exp as q -> 1, but the raw
-power formulas lose all precision there, so indices within CLASSICAL_BAND of
-1 take the classical branch.  The index is a plain float throughout the
-library; check_index refuses the values no formula accepts.
+power formulas lose all precision there: check_index takes every index
+within CLASSICAL_BAND of 1 as exactly 1, and refuses the values no formula
+accepts.  The index is a plain float throughout the library.
 """
 
 from __future__ import annotations
@@ -23,12 +23,15 @@ CLASSICAL_BAND = 1e-9
 
 def check_index(q):
     """The entropic index q (or alpha) as a float, or as an array for an
-    array; it must be finite and positive."""
+    array; it must be finite and positive.  Within CLASSICAL_BAND of 1 it
+    comes back as exactly 1.0 (elementwise), the classical case."""
     arr = np.asarray(q, dtype=float)
     # a nan fails both comparisons
     if not (0.0 < arr.min() and arr.max() < math.inf):
         raise ValueError(f"q: must be a finite positive real, got {q!r}")
-    return float(arr) if arr.ndim == 0 else arr
+    if arr.ndim:
+        return np.where(is_classical(arr), 1.0, arr)
+    return 1.0 if is_classical(float(arr)) else float(arr)
 
 
 def is_classical(q):
@@ -40,7 +43,7 @@ def _branches(q):
     """The band mask of the checked index, and 1 - q with 1 in the band, where
     the general formulas are evaluated and then discarded."""
     q = check_index(q)
-    classical = is_classical(q)
+    classical = q == 1.0
     return classical, np.where(classical, 1.0, 1.0 - q)
 
 

@@ -388,23 +388,23 @@ def partition_from_obj(obj, path: str = "partition") -> WeightedPartition:
     cells, weights = obj["cells"], obj["weights"]
     if not (type(cells) is list and type(weights) is list):
         raise ValueError(f"{path}: 'cells' and 'weights' must be arrays")
-    edges = []
+    last_right = -math.inf
     for k, entry in enumerate(cells):
-        cell = _read_object({"label": entry} if type(entry) is str else entry,
-                            CELL_FIELDS, f"{path}.cells[{k}]")
-        edges.append((cell["left"], cell["right"]))
-    partition = WeightedPartition(_read_floats(weights, Field("float array"), f"{path}.weights"))
-    n = len(partition)
-    if len(cells) != n:
-        raise ValueError(f"labels: need {n}, got {len(cells)}")
-    if any((left is None) != (right is None) for left, right in edges):
-        raise ValueError(f"cell interval: left and right must be given together, {n} edges each")
-    bounded = [(left, right) for left, right in edges if left is not None]
-    for left, right in bounded:
+        field = f"{path}.cells[{k}]"
+        cell = _read_object({"label": entry} if type(entry) is str else entry, CELL_FIELDS, field)
+        left, right = cell["left"], cell["right"]
+        if (left is None) != (right is None):
+            raise ValueError(f"{field}: left and right must be given together")
+        if left is None:
+            continue
         if not left < right:
-            raise ValueError(f"cell interval: need left < right, got [{left}, {right})")
-    if any(left < right for (_, right), (left, _) in zip(bounded, bounded[1:])):
-        raise ValueError("cells: interval cells must be ordered and disjoint")
+            raise ValueError(f"{field}: need left < right, got [{left}, {right})")
+        if left < last_right:
+            raise ValueError(f"{field}: interval cells must be ordered and disjoint")
+        last_right = right
+    partition = WeightedPartition(_read_floats(weights, Field("float array"), f"{path}.weights"))
+    if len(cells) != len(partition):
+        raise ValueError(f"{path}.cells: need {len(partition)}, one per weight, got {len(cells)}")
     return partition
 
 

@@ -17,10 +17,10 @@ Hessian is sum_k mu_k q e_q^(2q-1) (u_k - t)(u_k - t)^T over the live cells.
 maxent._dual_newton minimizes it in the span units of the Gibbs solver: on
 z_k = (u_k - t)/s in the variable lambda s, so that lambda . (u_k - t) is read
 as (lambda s) . z_k.  The dual is +inf past the q > 1 pole, cells past the
-q < 1 cut-off drop out, and inside the classical band e_q = exp.  Afterwards
-lambda = (lambda s)/s, w = sum_k p_k^q mu_k, beta = lambda w and the escort
-moments are t + s E[z].  _escort_family is the one evaluation of e_q, zbar
-and the escort weights, for the solver and for the log_z_gradient audit.
+q < 1 cut-off drop out, and at q = 1 (the whole classical band) e_q = exp.
+Afterwards lambda = (lambda s)/s, w = sum_k p_k^q mu_k, beta = lambda w and
+the escort moments are t + s E[z].  _escort_family is the one evaluation of
+e_q, zbar and the escort weights, for the solver and the log_z_gradient audit.
 
 The solver returns its identity checks as a named residual map rather than
 asserting them, so a caller can log them: w = zbar^(1-q), S_q = ln_q zbar,
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import tsallis_entropy
+from .entropy import _power_sum, tsallis_entropy
 from .maxent import (
     ConstraintSet,
     _check_arguments,
@@ -55,7 +55,7 @@ from .measure import (
     radon_nikodym,
     uniform_partition,
 )
-from .qcalc import check_index, is_classical, q_exp, q_log
+from .qcalc import check_index, q_exp, q_log
 
 __all__ = [
     "EmptySupportError",
@@ -69,12 +69,6 @@ __all__ = [
 
 class EmptySupportError(ValueError):
     """Every cell fell below the q-exponential cutoff (beta too extreme)."""
-
-
-def _q_mass(values: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """The q-mass w = sum_k p_k^q mu_k, over the cells where p_k > 0."""
-    live = values > 0.0
-    return float(np.exp(q * np.log(values[live])) @ weights[live])
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +99,6 @@ class TsallisSolution:
     @property
     def pmf(self) -> ProbabilityVector:
         return induced_pmf(self.density)
-
-
-def _one_minus_q(q: float) -> float:
-    return 0.0 if is_classical(q) else 1.0 - q
 
 
 def _escort_family(lam: np.ndarray, z: np.ndarray, mu: np.ndarray, one_minus_q: float):
@@ -153,7 +143,7 @@ def solve_tsallis_maxent(
     _check_arguments(tolerance=tolerance, max_outer=max_outer, max_inner=max_inner)
     support, z, scales, mu = _support_setup(constraints, partition, "escort")
     q, targets = constraints.q, constraints.targets
-    one_minus_q = _one_minus_q(q)
+    one_minus_q = 1.0 - q
 
     def evaluate(lam: np.ndarray):
         family = _escort_family(lam, z, mu, one_minus_q)
@@ -171,13 +161,13 @@ def solve_tsallis_maxent(
     values = np.zeros(len(partition))
     values[support] = raw / zbar
     density = DensityVector(values, partition)
-    q_mass = _q_mass(values, partition.weights, q)
+    q_mass = _power_sum(density, q)
     beta_q = _per_unit(lam, scales)
     beta = beta_q * q_mass
     entropy_q = tsallis_entropy(density, q)
     residuals = {
         "escort_moment": float(np.max(np.abs(moments - targets), initial=0.0)),
-        "power_mass_vs_zbar": abs(q_mass - math.exp((1.0 - q) * math.log(zbar))),
+        "power_mass_vs_zbar": abs(q_mass - zbar ** (1.0 - q)),
         "entropy_vs_lnq_zbar": abs(entropy_q - q_log(zbar, q)),
         "multiplier_scaling": float(np.max(np.abs(beta_q * q_mass - beta), initial=0.0)),
     }
@@ -212,7 +202,7 @@ def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.n
     The shifts move beta' along no coordinate axis, so the gradient solves the
     M x M system of central differences.
     """
-    one_minus_q = _one_minus_q(q)
+    one_minus_q = 1.0 - q
 
     outside = ValueError(f"fd_step: a step of {fd_step!r} leaves the escort family (past "
                          "the q > 1 pole, or every cell cut off); use a smaller fd_step")
@@ -284,8 +274,10 @@ class ConsistencyReport:
 
     measure_entropy is tsallis_entropy of the density n P_k against
     mu_k = 1/n, discrete_entropy that of P on counting cells (both Shannon
-    in the classical band); identity_residual is the defect in
-    measure = discrete - n^(q-1) ln_q(n) sum P^q, which vanishes analytically.
+    at q = 1, the whole classical band); identity_residual is the defect in
+    measure = discrete - n^(q-1) ln_q(n) sum P^q, which vanishes analytically:
+    it is rounding in the band, and just outside it the cancellation in
+    (1 - sum)/(q - 1), about eps/|q - 1| (9.2e-8 at q = 1 + 2e-9).
     constant_residual (when zbar is supplied) checks
     sum P^q = n^(1-q) zbar^(1-q), constant across the constraint set.
     """
@@ -306,18 +298,13 @@ def discrete_consistency_report(
 ) -> ConsistencyReport:
     q = check_index(q)
     n = P.masses.size
-    counting = uniform_partition(n)
-    power_sum = _q_mass(P.masses, counting.weights, q)
-    discrete = tsallis_entropy(radon_nikodym(P, counting), q)
-    # measure side: density n P_k against mu_k = 1/n
+    # discrete side: P_k on counting cells; measure side: n P_k against mu_k = 1/n
+    counted = radon_nikodym(P, uniform_partition(n))
+    power_sum = _power_sum(counted, q)
+    discrete = tsallis_entropy(counted, q)
     measure = tsallis_entropy(radon_nikodym(P, uniform_partition(n, "uniform_probability")), q)
-    n_pow = 1.0 if is_classical(q) else math.exp((q - 1.0) * math.log(n))
-    rhs = discrete - n_pow * q_log(float(n), q) * power_sum
-    constant_residual = None
-    if zbar is not None:
-        zbar_power = math.exp((1.0 - q) * math.log(zbar))
-        n_inv_pow = math.exp((1.0 - q) * math.log(n))
-        constant_residual = abs(power_sum - n_inv_pow * zbar_power)
+    rhs = discrete - n ** (q - 1.0) * q_log(float(n), q) * power_sum
+    constant_residual = None if zbar is None else abs(power_sum - n ** (1.0 - q) * zbar ** (1.0 - q))
     return ConsistencyReport(
         q=q,
         n=n,

@@ -298,7 +298,8 @@ def _suite_tsallis(rng: np.random.Generator, samples: int) -> list[CheckResult]:
     for _ in range(max(50, samples // 100)):
         n = int(rng.integers(2, 7))
         P = ProbabilityVector(_random_pmf(rng, n, floor=0.01))
-        for q in (0.5, 2.0):
+        # 1 + 5e-10 lies in the classical band
+        for q in (0.5, 1.0 + 5e-10, 2.0):
             report = discrete_consistency_report(P, q)
             worst = max(worst, report.identity_residual)
     checks.append(_check("discrete_identity", worst, 1e-12))

@@ -118,6 +118,16 @@ def test_maxent_escort_two_point(capsys):
     assert payload["thermo_residuals"]["legendre_gap"] < 1e-8
 
 
+def test_maxent_escort_in_the_classical_band_reads_q_one(capsys):
+    # an index within 1e-9 of 1 is the classical problem, and the output says so
+    code, out, _ = run_cli(capsys, "maxent", "--kind", "tsallis", "--q", "1.0000000005",
+                           "--input", ESCORT_SPEC)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["q"] == 1.0
+    assert math.isclose(payload["q_mass"], 1.0, rel_tol=0, abs_tol=1e-15)
+
+
 def test_demo_csv_default(capsys):
     code, out, _ = run_cli(capsys, "demo", "--base-resolution", "10")
     assert code == 0

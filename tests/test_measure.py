@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qentropy import (
     AbsoluteContinuityError,
+    BaseGridDensity,
     DensityVector,
     ProbabilityVector,
     WeightedPartition,
@@ -87,6 +88,22 @@ def test_probability_vector_normalization_gate():
     scaled = ProbabilityVector.from_values([2.0, 6.0], renormalize=True)
     assert np.allclose(scaled.masses, [0.25, 0.75], rtol=0, atol=1e-15)
     assert scaled.renormalization == 0.125
+
+
+RENORMALIZERS = {
+    "density": lambda v: DensityVector.from_values(v, uniform_partition(2), renormalize=True),
+    "pmf": lambda v: ProbabilityVector.from_values(v, renormalize=True),
+    "grid": lambda v: BaseGridDensity.from_values(v, (0.0, 1.0), renormalize=True),
+}
+
+
+@pytest.mark.parametrize("build", sorted(RENORMALIZERS))
+def test_renormalize_refuses_zero_and_overflowing_totals(build):
+    # one refusal for all three constructors, with no numpy warning on the way
+    what = "masses" if build == "pmf" else "values"
+    for values, size in (([0.0, 0.0], "zero"), ([1e308, 1e308], "overflowing")):
+        with pytest.raises(ValueError, match=f"^{what}: cannot renormalize {size} total mass$"):
+            RENORMALIZERS[build](np.array(values))
 
 
 def test_density_pmf_roundtrip():

@@ -73,6 +73,16 @@ def test_classical_band():
     assert is_classical(np.array([1.0 + 5e-10, 1.0 + 2e-9])).tolist() == [True, False]
 
 
+def test_check_index_takes_the_band_as_one():
+    for q in (1.0 + 5e-10, 1.0 - 5e-10):
+        assert check_index(q) == 1.0 and type(check_index(q)) is float
+    for q in (1.0 + 2e-9, 1.0 - 2e-9):
+        assert check_index(q) == q
+    # elementwise for an array: only the in-band entries move
+    snapped = check_index([0.5, 1.0 + 5e-10, 1.0 - 5e-10, 1.0 + 2e-9])
+    assert snapped.tolist() == [0.5, 1.0, 1.0, 1.0 + 2e-9]
+
+
 def test_against_high_precision_oracle():
     # spot values from tests/_oracles.py at 50 dps
     cases = [

@@ -117,19 +117,19 @@ def test_partition_json_is_frozen(part, frozen):
 
 
 CELL_FAULTS = [
-    # (cells, weights, message)
+    # (cells, weights, message); the first offending cell is named
     ([{"label": "a", "left": 0.0, "right": 0.5}, {"label": "b", "left": 0.4, "right": 1.0}],
-     [1.0, 1.0], "ordered and disjoint"),  # overlapping
+     [1.0, 1.0], r"^partition.cells\[1\]: interval cells must be ordered and disjoint$"),
     ([{"label": "a", "left": 0.5, "right": 1.0}, "b", {"label": "c", "left": 0.0, "right": 0.5}],
-     [1.0, 1.0, 1.0], "ordered and disjoint"),  # unordered
+     [1.0, 1.0, 1.0], r"^partition.cells\[2\]: interval cells must be ordered and disjoint$"),
     ([{"label": "a", "left": 0.0, "right": 0.5}, {"label": "b", "left": 0.5, "right": 0.5}],
-     [1.0, 1.0], r"need left < right, got \[0.5, 0.5\)"),
+     [1.0, 1.0], r"^partition.cells\[1\]: need left < right, got \[0.5, 0.5\)$"),
     ([{"label": "a", "left": 0.0}, {"label": "b", "left": 0.5}],
-     [1.0, 1.0], "given together, 2 edges each"),
+     [1.0, 1.0], r"^partition.cells\[0\]: left and right must be given together$"),
     ([{"label": "a", "left": 0.0, "right": 0.5}, {"label": "b", "left": 0.5}],
-     [1.0, 1.0], "given together"),
-    (["a", "b", "c"], [1.0, 2.0], "labels: need 2, got 3"),
-    (["a"], [1.0, 2.0], "labels: need 2, got 1"),
+     [1.0, 1.0], r"^partition.cells\[1\]: left and right must be given together$"),
+    (["a", "b", "c"], [1.0, 2.0], r"^partition.cells: need 2, one per weight, got 3$"),
+    (["a"], [1.0, 2.0], r"^partition.cells: need 2, one per weight, got 1$"),
     ([["a"], "b"], [1.0, 2.0], r"partition.cells\[0\]: need a JSON object"),
     ([{"left": 0.0, "right": 1.0}], [1.0], r"partition.cells\[0\].label"),
     ([{"label": True}], [1.0], r"partition.cells\[0\].label: need a string or a number"),

@@ -94,7 +94,7 @@ def test_identity_residuals_are_small():
     assert sol.entropy_q == tsallis_entropy(sol.density, q)
     assert res == {
         "escort_moment": float(np.max(np.abs(sol.escort_moments - sol.constraints.targets))),
-        "power_mass_vs_zbar": abs(sol.q_mass - math.exp((1.0 - q) * math.log(sol.zbar))),
+        "power_mass_vs_zbar": abs(sol.q_mass - sol.zbar ** (1.0 - q)),
         "entropy_vs_lnq_zbar": abs(sol.entropy_q - q_log(sol.zbar, q)),
         "multiplier_scaling": float(np.max(np.abs(sol.beta_q * sol.q_mass - sol.beta))),
     }
@@ -126,13 +126,37 @@ def test_discrete_identity_on_random_pmfs():
         n = int(rng.integers(2, 8))
         P = ProbabilityVector.from_values(rng.dirichlet(np.ones(n)) + 1e-3, renormalize=True)
         counting, uniform = uniform_partition(n), uniform_partition(n, "uniform_probability")
-        for q in (0.5, 1.0, 2.0, 3.0):
+        for q in (0.5, 1.0, 1.0 + 5e-10, 1.0 - 9e-10, 2.0, 3.0):
             report = discrete_consistency_report(P, q)
             assert report.identity_residual < 1e-12
             assert report.constant_residual is None
             # both sides are the entropy verb's own tsallis_entropy
             assert report.discrete_entropy == tsallis_entropy(radon_nikodym(P, counting), q)
             assert report.measure_entropy == tsallis_entropy(radon_nikodym(P, uniform), q)
+
+
+@pytest.mark.parametrize("q", [1.0 + 5e-10, 1.0 - 9e-10])
+def test_discrete_identity_inside_the_classical_band(q):
+    report = discrete_consistency_report(ProbabilityVector([0.1, 0.2, 0.3, 0.4]), q)
+    assert report.q == 1.0 and report.power_sum == 1.0
+    assert report.identity_residual <= 1e-12
+
+
+def test_escort_solve_inside_the_band_is_the_gibbs_solve():
+    # q = 1 + 5e-10 is taken as 1: w = sum p mu, so beta and beta_q agree
+    sol = solve_tsallis_maxent(*two_point_problem(q=1.0 + 5e-10), tolerance=1e-12)
+    gibbs = solve_maxent(ConstraintSet([[0.0, 1.0]], [0.3]), uniform_partition(2),
+                         tolerance=1e-12)
+    assert sol.q == 1.0
+    assert np.array_equal(sol.beta, sol.beta_q * sol.q_mass)
+    assert abs(float(sol.beta[0]) - float(gibbs.beta[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0 + 2e-9, 2.0, 3.0])
+def test_entropy_is_read_off_the_q_mass(q):
+    # one power sum for the q-mass and for tsallis_entropy
+    sol = solve_tsallis_maxent(*two_point_problem(q=q), tolerance=1e-12)
+    assert sol.entropy_q == (1.0 - sol.q_mass) / (q - 1.0) + 0.0
 
 
 def test_classical_band_matches_gibbs():
