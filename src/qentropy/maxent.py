@@ -20,7 +20,9 @@ the targets jointly infeasible, and along it the dual decreases without
 bound; the routine tests each Newton step and iterate as such a d and raises
 InfeasibleError naming it.  Both audits step by fd_step/s_m in beta and
 check dS/dt_m = beta_m by re-solving at t_m +- fd_step s_m in
-_resolved_sensitivity.
+_resolved_sensitivity.  Each re-solve starts from the audited solution's
+multipliers (the start keyword of both solvers), next to its answer, in
+place of 0.
 """
 
 from __future__ import annotations
@@ -198,10 +200,16 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
         raise ValueError(
             f"constraints: kind must be {kind!r} for this solver, got {constraints.kind!r}"
         )
-    weights = partition.weights
-    targets = constraints.targets
+    weights, targets = partition.weights, constraints.targets
     support = weights > 0.0
-    features = constraints.feature_matrix(len(partition))[:, support]
+    features = constraints.feature_matrix(len(partition))
+    if support.all():
+        # a contiguous mu: a zero-stride one would change the order of mu @ x
+        mu = np.ascontiguousarray(weights)
+    else:
+        # compress, not [:, support]: that copy is Fortran-ordered, and every
+        # evaluation walks z a row at a time
+        features, mu = features.compress(support, axis=1), weights[support]
     scales = np.empty(constraints.size)
     for m, u in enumerate(features):
         lo, hi = float(np.min(u)), float(np.max(u))
@@ -216,7 +224,20 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
         mantissa, exponent = math.frexp(max(hi / 2.0 - lo / 2.0, _TINY))
         scales[m] = math.ldexp(1.0, exponent + round(math.log2(2.0 * mantissa)))
     z = features / scales[:, None] - (targets / scales)[:, None]
-    return support, z, scales, weights[support]
+    return support, z, scales, mu
+
+
+def _start_point(start, scales: np.ndarray) -> np.ndarray | None:
+    """b = start s for a solver's start multipliers; None where none were given
+    or where a product overflows, and the solve then starts from b = 0."""
+    if start is None:
+        return None
+    start = np.atleast_1d(np.asarray(start, dtype=float))
+    if start.shape != scales.shape or not np.all(np.isfinite(start)):
+        raise ValueError(f"start: need {scales.size} finite multipliers, got {start!r}")
+    with np.errstate(over="ignore"):
+        b = start * scales
+    return b if np.all(np.isfinite(b)) else None
 
 
 def _per_unit(b: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -260,11 +281,13 @@ def _certify_infeasible(direction: np.ndarray, z: np.ndarray) -> None:
         )
 
 
-def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name):
-    """Damped Newton from b = 0 on a convex dual; both MaxEnt solvers run here.
+def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, start=None):
+    """Damped Newton on a convex dual; both MaxEnt solvers run here.
 
-    evaluate(b) returns (value, gradient, hessian, residual, state), with
-    value +inf outside the dual's domain and residual E[z].  The loop stops
+    The iteration starts at b = start, or at b = 0 where start is None or
+    lies outside the dual's domain.  evaluate(b) returns (value, gradient,
+    hessian, residual, state), with value +inf outside the dual's domain and
+    residual E[z].  The loop stops
     once each |E[z_m]| is within tolerance or, where larger, the rounding of
     the moment, _ROUNDING max_k |z_mk|.  A step is taken
     when it passes the Armijo test; a full step is also taken when the dual
@@ -276,10 +299,15 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name):
 
     Returns (b, state, residual_norm, newton_steps, total_halvings).
     """
-    b = np.zeros(z.shape[0])
     spread = np.abs(z)
     tolerances = np.maximum(tolerance, _ROUNDING * np.max(spread, axis=1, initial=0.0))
-    value, gradient, hessian, residual, state = evaluate(b)
+    point = None if start is None else evaluate(start)
+    if point is not None and math.isfinite(point[0]):
+        b = start
+    else:
+        b = np.zeros(z.shape[0])
+        point = evaluate(b)
+    value, gradient, hessian, residual, state = point
     halvings = 0
     for steps in range(max_steps + 1):
         residual_norm = _max_abs(residual)
@@ -330,30 +358,46 @@ def solve_maxent(
     partition: WeightedPartition,
     tolerance: float = 1e-10,
     max_iterations: int = 200,
+    *,
+    start=None,
 ) -> GibbsSolution:
-    """Damped Newton on the convex dual log Z(beta) + beta . t from beta = 0.
+    """Damped Newton on the convex dual log Z(beta) + beta . t.
 
+    The iteration starts at beta = start, the multipliers of a nearby
+    problem, or at beta = 0 where start is None or log Z is not finite there.
     In span units the dual is L(b) = log sum_k mu_k exp(-b . z_k), which is
     log Z(beta) + beta . t; summing it on the centred exponent keeps the
-    digits that adding beta . t to log Z would cancel.
+    digits that adding beta . t to log Z would cancel.  Each evaluation takes
+    one exp, shifted by the largest exponent, for the value and the masses.
     """
     _check_arguments(tolerance=tolerance, max_iterations=max_iterations)
     support, z, scales, mu = _support_setup(constraints, partition, "ordinary")
     targets = constraints.targets
 
+    with np.errstate(over="ignore"):
+        finite_mass = math.isfinite(mu.sum())
+
     def evaluate(b: np.ndarray):
         exponent = -(b @ z)
-        value = float(_logsumexp(exponent, b=mu))
-        if not math.isfinite(value):
-            return math.inf, None, None, math.inf, None
-        masses = np.exp(exponent - value) * mu
+        shift = float(exponent.max())
+        # each term is at most its mu_k, and the top one is mu_k, so with a
+        # finite total mass and shift the sum is a positive finite float
+        if finite_mass and math.isfinite(shift):
+            terms = np.exp(exponent - shift) * mu
+            total = float(terms.sum())
+            value, masses = shift + math.log(total), terms / total
+        else:
+            value = float(_logsumexp(exponent, b=mu))
+            if not math.isfinite(value):
+                return math.inf, None, None, math.inf, None
+            masses = np.exp(exponent - value) * mu
         moments = z @ masses
         deviations = z - moments[:, None]
         hessian = deviations @ (deviations * masses).T
         return value, -moments, hessian, moments, (exponent, value, moments)
 
     b, (exponent, dual, moments), residual_norm, iterations, _ = _dual_newton(
-        evaluate, z, tolerance, max_iterations, 60, "solve_maxent"
+        evaluate, z, tolerance, max_iterations, 60, "solve_maxent", _start_point(start, scales)
     )
     beta = _per_unit(b, scales)
     values = np.zeros(len(partition))
@@ -378,16 +422,19 @@ def solve_maxent(
 FD_STEP_SHRINKS = 5
 
 
-def _resolved_sensitivity(solve, entropy_field: str, solution, steps: np.ndarray) -> np.ndarray:
+def _resolved_sensitivity(
+    solve, entropy_field: str, solution, steps: np.ndarray, start: np.ndarray
+) -> np.ndarray:
     """|dS/dt_m - beta_m| per constraint, S read from entropy_field of the
     solution that solve returns at the shifted targets.
 
     dS/dt_m is the central difference (S(t_m + h) - S(t_m - h)) / 2h of
-    re-solves at tolerance 1e-12.  h starts at steps[m] (fd_step s_m) and is
-    divided by 10 while either re-solve raises ValueError: the shifted target
-    left the feasible set, which can be thinner than the step around a
-    solvable target.  Below steps[m] / 10^FD_STEP_SHRINKS the last error is
-    raised.
+    re-solves at tolerance 1e-12, each started from the solution's own
+    multipliers start, which lie next to its answer.  h starts at steps[m]
+    (fd_step s_m) and is divided by 10 while either re-solve raises
+    ValueError: the shifted target left the feasible set, which can be
+    thinner than the step around a solvable target.  Below
+    steps[m] / 10^FD_STEP_SHRINKS the last error is raised.
     """
     constraints, partition = solution.constraints, solution.partition
     targets = constraints.targets
@@ -395,7 +442,7 @@ def _resolved_sensitivity(solve, entropy_field: str, solution, steps: np.ndarray
     def entropy_at(m: int, value: float) -> float:
         shifted = targets.copy()
         shifted[m] = value
-        resolved = solve(constraints.with_targets(shifted), partition, tolerance=1e-12)
+        resolved = solve(constraints.with_targets(shifted), partition, tolerance=1e-12, start=start)
         return getattr(resolved, entropy_field)
 
     residual = np.zeros(constraints.size)
@@ -418,8 +465,8 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
     grad_residual[m]:        |d(log Z)/d(beta_m) + <u_m>|   (central difference
                              at beta_m +- fd_step/s_m)
     sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (re-solve at
-                             t_m +- fd_step s_m, the step shrinking as in
-                             _resolved_sensitivity)
+                             t_m +- fd_step s_m from the solution's beta,
+                             the step shrinking as in _resolved_sensitivity)
 
     The gradient is differenced in span units, on L(b) = log Z + beta . t,
     whose b-gradient is -E[z]: the residual is s_m |dL/db_m + E[z_m]|.
@@ -435,4 +482,6 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
     for m, step in enumerate(fd_step * np.eye(constraints.size)):
         rise = _logsumexp(-((b + step) @ z), b=mu) - _logsumexp(-((b - step) @ z), b=mu)
         grad_residual[m] = scales[m] * abs(float(rise) / (2.0 * fd_step) + offset[m])
-    return grad_residual, _resolved_sensitivity(solve_maxent, "entropy", solution, fd_step * scales)
+    return grad_residual, _resolved_sensitivity(
+        solve_maxent, "entropy", solution, fd_step * scales, solution.beta
+    )

@@ -78,6 +78,13 @@ def _check_vector(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: entries must be finite and nonnegative")
 
 
+def _check_length(values: np.ndarray, partition: "WeightedPartition") -> None:
+    if values.shape != (len(partition),):
+        raise ValueError(
+            f"values: length {values.size} does not match partition size {len(partition)}"
+        )
+
+
 def _renormalized(values: np.ndarray, total_of, what: str) -> tuple[np.ndarray, float]:
     """values / total and 1 / total for the caller's own total_of(values);
     a zero or overflowing total is refused, after any bad entry."""
@@ -155,10 +162,7 @@ class DensityVector:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         _check_vector(values, "values")
-        if values.shape != (len(self.partition),):
-            raise ValueError(
-                f"values: length {values.size} does not match partition size {len(self.partition)}"
-            )
+        _check_length(values, self.partition)
         # @, not np.dot: np.dot copies a zero-stride weights view first
         total = float(values @ self.partition.weights)
         if abs(total - 1.0) > NORMALIZATION_TOL:
@@ -178,6 +182,8 @@ class DensityVector:
         if not renormalize:
             return cls(values, partition)
         _check_vector(values, "values")
+        # before the total, which would fail inside matmul
+        _check_length(values, partition)
         values, factor = _renormalized(values, lambda v: v @ partition.weights, "values")
         return cls(values, partition, renormalization=factor)
 

@@ -45,6 +45,7 @@ from .maxent import (
     _dual_newton,
     _per_unit,
     _resolved_sensitivity,
+    _start_point,
     _support_setup,
 )
 from .measure import (
@@ -134,11 +135,15 @@ def solve_tsallis_maxent(
     tolerance: float = 1e-10,
     max_outer: int = 100,
     max_inner: int = 500,
+    *,
+    start=None,
 ) -> TsallisSolution:
-    """Damped Newton on the escort dual zbar(lambda), lambda = beta_q, from 0.
+    """Damped Newton on the escort dual zbar(lambda), lambda = beta_q.
 
-    max_outer caps the Newton steps and max_inner the step halvings within
-    one Newton step.
+    The iteration starts at lambda = start, the beta_q of a nearby problem,
+    or at lambda = 0 where start is None or no density exists there (past
+    the q > 1 pole, or with every cell cut off).  max_outer caps the Newton
+    steps and max_inner the step halvings within one Newton step.
     """
     _check_arguments(tolerance=tolerance, max_outer=max_outer, max_inner=max_inner)
     support, z, scales, mu = _support_setup(constraints, partition, "escort")
@@ -155,7 +160,8 @@ def solve_tsallis_maxent(
         return zbar, -(z @ escort), hessian, moments, (raw, zbar, moments)
 
     lam, (raw, zbar, moments), residual_norm, steps, halvings = _dual_newton(
-        evaluate, z, tolerance, max_outer, max_inner, "solve_tsallis_maxent"
+        evaluate, z, tolerance, max_outer, max_inner, "solve_tsallis_maxent",
+        _start_point(start, scales),
     )
     moments = targets + scales * moments
     values = np.zeros(len(partition))
@@ -248,8 +254,8 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
                          beta_q +- fd_step/s_m (see _lnq_z_gradient), which
                          is s_m |d(ln_q Z_q + beta . t)/d(beta_m s_m) + E[z_m]|
     entropy_sensitivity[m]: |dS_q/d(t_m) - beta_m|, re-solving at
-                         t_m +- fd_step s_m (the step shrinking as in
-                         maxent._resolved_sensitivity)
+                         t_m +- fd_step s_m from the solution's beta_q (the
+                         step shrinking as in maxent._resolved_sensitivity)
 
     The sensitivity sign matches the classical solver: for this family
     dS_q/dt_m = beta_m (the two-point closed form fixes the sign).
@@ -263,7 +269,7 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
         "legendre_gap": float(abs(solution.beta @ gap)) if constraints.size else 0.0,
         "log_z_gradient": scales * np.abs(gradient + gap / scales),
         "entropy_sensitivity": _resolved_sensitivity(
-            solve_tsallis_maxent, "entropy_q", solution, fd_step * scales
+            solve_tsallis_maxent, "entropy_q", solution, fd_step * scales, solution.beta_q
         ),
     }
 

@@ -27,6 +27,7 @@ from qentropy import (
     tsallis_thermo,
     uniform_partition,
 )
+from qentropy.maxent import _support_setup
 
 DICE_U = np.arange(1.0, 7.0)
 DICE_BETA = -0.37104893808103334
@@ -388,3 +389,66 @@ def test_a_multiplier_that_overflows_is_refused(kind, q):
     message = r"functions\[0\]: the multiplier b/s = .* rescale"
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
         solve(constraints, uniform_partition(2))
+
+
+def test_a_solve_restarted_from_its_own_multipliers_takes_no_step():
+    constraints, partition = dice_problem()
+    cold = solve_maxent(constraints, partition)
+    warm = solve_maxent(constraints, partition, start=cold.beta)
+    assert (cold.iterations, warm.iterations) == (4, 0)
+    assert np.array_equal(warm.beta, cold.beta)
+    assert np.array_equal(warm.pmf.masses, cold.pmf.masses)
+
+
+def test_a_warm_solve_at_shifted_targets_matches_the_cold_solve():
+    tolerance = 1e-12
+    start = solve_maxent(*dice_problem(), tolerance=tolerance).beta
+    constraints, partition = dice_problem(4.6)
+    cold = solve_maxent(constraints, partition, tolerance=tolerance)
+    warm = solve_maxent(constraints, partition, tolerance=tolerance, start=start)
+    assert 0 < warm.iterations < cold.iterations
+    assert np.max(np.abs(warm.pmf.masses - cold.pmf.masses)) <= 1e-12
+    # each solve meets its target to tolerance s (s = 4, the span 5 rounded to
+    # a power of two), and dbeta/dt = -1/Var(u)
+    P = cold.pmf.masses
+    variance = float(P @ DICE_U**2 - (P @ DICE_U) ** 2)
+    assert abs(float(warm.beta[0] - cold.beta[0])) <= 2.0 * tolerance * 4.0 / variance
+
+
+def test_a_start_whose_span_units_overflow_is_a_cold_start():
+    constraints, partition = dice_problem()
+    cold = solve_maxent(constraints, partition)
+    warm = solve_maxent(constraints, partition, start=[1e308])
+    assert warm.iterations == cold.iterations
+    assert np.array_equal(warm.pmf.masses, cold.pmf.masses)
+
+
+def test_a_warm_solve_where_the_total_weight_overflows():
+    # sum mu = 2e308 overflows, so the dual is read off logsumexp, which is
+    # finite at this start; scaling mu scales Z only
+    constraints = ConstraintSet([[0.0, 1.0]], [0.3])
+    unit = solve_maxent(constraints, WeightedPartition([1.0, 1.0]))
+    huge = solve_maxent(constraints, WeightedPartition([1e308, 1e308]), start=unit.beta)
+    assert huge.iterations == 0 and np.array_equal(huge.beta, unit.beta)
+    assert np.allclose(huge.pmf.masses, [0.7, 0.3], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
+@pytest.mark.parametrize("start", [[0.1], [0.1, 0.2, 0.3], [math.nan, 0.1], [0.1, math.inf]])
+def test_a_malformed_start_is_refused(kind, q, start):
+    constraints = ConstraintSet([DICE_U, DICE_U**2], [3.0, 11.0], kind, q)
+    solve = solve_maxent if kind == "ordinary" else solve_tsallis_maxent
+    with pytest.raises(ValueError, match=r"^start: need 2 finite multipliers"):
+        solve(constraints, uniform_partition(6), start=start)
+
+
+@pytest.mark.parametrize("weights", [[1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0]])
+def test_support_features_are_row_contiguous(weights):
+    # a Fortran-ordered z slowed every evaluation of both duals
+    u = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0, 9.0]])
+    constraints = ConstraintSet(list(u), [1.2, 3.1])
+    support, z, scales, mu = _support_setup(constraints, WeightedPartition(weights), "ordinary")
+    assert z.flags.c_contiguous and mu.flags.c_contiguous
+    t = constraints.targets
+    assert np.array_equal(z, u[:, support] / scales[:, None] - (t / scales)[:, None])
+    assert np.array_equal(mu, np.asarray(weights)[support])

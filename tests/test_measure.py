@@ -106,6 +106,14 @@ def test_renormalize_refuses_zero_and_overflowing_totals(build):
             RENORMALIZERS[build](np.array(values))
 
 
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_a_density_of_the_wrong_length_names_its_field(renormalize):
+    # with renormalize=True the total values @ weights raised numpy's matmul error
+    message = "^values: length 3 does not match partition size 2$"
+    with pytest.raises(ValueError, match=message):
+        DensityVector.from_values([1.0, 1.0, 1.0], uniform_partition(2), renormalize=renormalize)
+
+
 def test_density_pmf_roundtrip():
     part = WeightedPartition([0.5, 1.0, 2.5])
     p = DensityVector.from_values([0.5, 0.5, 0.1], part)

@@ -12,6 +12,7 @@ import pytest
 
 from qentropy import (
     ConstraintSet,
+    InfeasibleError,
     ProbabilityVector,
     WeightedPartition,
     discrete_consistency_report,
@@ -302,3 +303,50 @@ def test_log_z_gradient_at_large_q(q):
     thermo = tsallis_thermo(sol)
     assert float(np.max(thermo["log_z_gradient"])) < 1e-6
     assert float(np.max(thermo["entropy_sensitivity"])) < 1e-6
+
+
+def test_an_escort_solve_restarted_from_its_own_multipliers_takes_no_step():
+    constraints, partition = two_point_problem()
+    cold = solve_tsallis_maxent(constraints, partition)
+    warm = solve_tsallis_maxent(constraints, partition, start=cold.beta_q)
+    assert (cold.iterations, warm.iterations) == ((4, 0), (0, 0))
+    assert np.array_equal(warm.beta_q, cold.beta_q)
+    assert np.array_equal(warm.pmf.masses, cold.pmf.masses)
+
+
+def test_a_warm_escort_solve_at_shifted_targets_matches_the_cold_solve():
+    tolerance, s = 1e-12, 1.0  # s: the span 1 of (0, 1), already a power of two
+
+    def solve(target, start=None):
+        return solve_tsallis_maxent(*two_point_problem(target=target), tolerance=tolerance,
+                                    start=start)
+
+    cold, warm = solve(0.35), solve(0.35, start=solve(0.3).beta_q)
+    assert sum(warm.iterations) < sum(cold.iterations)
+    assert np.max(np.abs(warm.pmf.masses - cold.pmf.masses)) <= 1e-12
+    # each solve meets its target to tolerance s; dbeta_q/dt by central difference
+    slope = (solve(0.351).beta_q[0] - solve(0.349).beta_q[0]) / 0.002
+    assert abs(float(warm.beta_q[0] - cold.beta_q[0])) <= 2.0 * tolerance * s * abs(slope)
+
+
+def test_a_start_past_the_pole_is_a_cold_start():
+    # at q = 2, beta_q = 1e6 puts the cell at u = 0 past the pole of e_q
+    constraints, partition = two_point_problem()
+    cold = solve_tsallis_maxent(constraints, partition)
+    warm = solve_tsallis_maxent(constraints, partition, start=[1e6])
+    assert warm.iterations == cold.iterations
+    assert np.array_equal(warm.pmf.masses, cold.pmf.masses)
+
+
+def test_a_start_that_cuts_off_every_cell_is_a_cold_start():
+    # (1, 2.5) lies outside the hull of (x, x^2) at x = 0, 1, 2, along
+    # d = (2, -1); at q = 0.5, beta_q = 200 d cuts off all three cells, so
+    # only the cold start reaches the solver's certificate
+    constraints = ConstraintSet([[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]], [1.0, 2.5], "escort", 0.5)
+    partition = uniform_partition(3)
+    messages = []
+    for start in (None, [400.0, -200.0]):
+        with pytest.raises(InfeasibleError, match="jointly infeasible") as err:
+            solve_tsallis_maxent(constraints, partition, start=start)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
