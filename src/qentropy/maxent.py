@@ -200,7 +200,8 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
         raise ValueError(
             f"constraints: kind must be {kind!r} for this solver, got {constraints.kind!r}"
         )
-    weights, targets = partition.weights, constraints.targets
+    weights = partition.weights
+    targets = constraints.targets
     support = weights > 0.0
     features = constraints.feature_matrix(len(partition))
     if support.all():
@@ -287,13 +288,12 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, start=No
     The iteration starts at b = start, or at b = 0 where start is None or
     lies outside the dual's domain.  evaluate(b) returns (value, gradient,
     hessian, residual, state), with value +inf outside the dual's domain and
-    residual E[z].  The loop stops
-    once each |E[z_m]| is within tolerance or, where larger, the rounding of
-    the moment, _ROUNDING max_k |z_mk|.  A step is taken
-    when it passes the Armijo test; a full step is also taken when the dual
-    moved by no more than rounding and the residual fell, because near the
-    minimum the dual is flat to machine precision while its gradient still
-    carries information.
+    residual E[z].  The loop stops once each |E[z_m]| is within tolerance
+    or, where larger, the rounding of the moment, _ROUNDING max_k |z_mk|.
+    A step is taken when it passes the Armijo test; a full step is also
+    taken when the dual moved by no more than rounding and the residual
+    fell, because near the minimum the dual is flat to machine precision
+    while its gradient still carries information.
     z holds the support cells as columns; each step and each new iterate is
     tested as an infeasibility certificate.
 
@@ -442,7 +442,9 @@ def _resolved_sensitivity(
     def entropy_at(m: int, value: float) -> float:
         shifted = targets.copy()
         shifted[m] = value
-        resolved = solve(constraints.with_targets(shifted), partition, tolerance=1e-12, start=start)
+        resolved = solve(
+            constraints.with_targets(shifted), partition, tolerance=1e-12, start=start
+        )
         return getattr(resolved, entropy_field)
 
     residual = np.zeros(constraints.size)

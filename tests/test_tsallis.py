@@ -341,7 +341,7 @@ def test_a_start_past_the_pole_is_a_cold_start():
 def test_a_start_that_cuts_off_every_cell_is_a_cold_start():
     # (1, 2.5) lies outside the hull of (x, x^2) at x = 0, 1, 2, along
     # d = (2, -1); at q = 0.5, beta_q = 200 d cuts off all three cells, so
-    # only the cold start reaches the solver's certificate
+    # the warm solve falls back to 0 and raises the cold solve's certificate
     constraints = ConstraintSet([[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]], [1.0, 2.5], "escort", 0.5)
     partition = uniform_partition(3)
     messages = []
