@@ -165,14 +165,18 @@ def partition_function(
     beta, constraints: ConstraintSet, partition: WeightedPartition
 ) -> float:
     """log of sum_k exp(-sum_m beta_m u_m(x_k)) mu_k, max-shifted for safety."""
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if beta.size != constraints.size or np.any(~np.isfinite(beta)):
-        raise ValueError(
-            f"beta: need {constraints.size} finite multipliers, got {beta!r}"
-        )
+    beta = _multipliers(beta, constraints.size, "beta")
     U = constraints.feature_matrix(len(partition))
     support = partition.weights > 0.0
     return float(_logsumexp(-(beta @ U[:, support]), b=partition.weights[support]))
+
+
+def _multipliers(values, size: int, field: str) -> np.ndarray:
+    """values as M = size finite multipliers, a flat float array."""
+    values = np.asarray(values, dtype=float).ravel()
+    if values.size != size or not np.all(np.isfinite(values)):
+        raise ValueError(f"{field}: need {size} finite multipliers, got {values!r}")
+    return values
 
 
 def _check_arguments(**arguments) -> None:
@@ -193,8 +197,9 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
     s_m = 2^round(log2 span_m), span_m the range of u_m on the support.  It is
     read off half the span, hi/2 - lo/2, and z as u/s - t/s, so that neither an
     overflowing hi - lo nor u - t is formed.  The constraints must be of the
-    solver's kind, and each target strictly inside its feature's range on the
-    support; on the range's edge the maximizer would be a degenerate limit.
+    solver's kind, the total weight finite, and each target strictly inside its
+    feature's range on the support; on the range's edge the maximizer would be
+    a degenerate limit.
     """
     if constraints.kind != kind:
         raise ValueError(
@@ -211,6 +216,12 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
         # compress, not [:, support]: that copy is Fortran-ordered, and every
         # evaluation walks z a row at a time
         features, mu = features.compress(support, axis=1), weights[support]
+    with np.errstate(over="ignore"):
+        total = float(mu.sum())
+    if not math.isfinite(total):
+        raise ValueError(
+            f"partition.weights: the total weight {total!r} overflows; rescale the weights"
+        )
     scales = np.empty(constraints.size)
     for m, u in enumerate(features):
         lo, hi = float(np.min(u)), float(np.max(u))
@@ -233,11 +244,8 @@ def _start_point(start, scales: np.ndarray) -> np.ndarray | None:
     or where a product overflows, and the solve then starts from b = 0."""
     if start is None:
         return None
-    start = np.atleast_1d(np.asarray(start, dtype=float))
-    if start.shape != scales.shape or not np.all(np.isfinite(start)):
-        raise ValueError(f"start: need {scales.size} finite multipliers, got {start!r}")
     with np.errstate(over="ignore"):
-        b = start * scales
+        b = _multipliers(start, scales.size, "start") * scales
     return b if np.all(np.isfinite(b)) else None
 
 
@@ -374,23 +382,16 @@ def solve_maxent(
     support, z, scales, mu = _support_setup(constraints, partition, "ordinary")
     targets = constraints.targets
 
-    with np.errstate(over="ignore"):
-        finite_mass = math.isfinite(mu.sum())
-
     def evaluate(b: np.ndarray):
         exponent = -(b @ z)
         shift = float(exponent.max())
-        # each term is at most its mu_k, and the top one is mu_k, so with a
-        # finite total mass and shift the sum is a positive finite float
-        if finite_mass and math.isfinite(shift):
-            terms = np.exp(exponent - shift) * mu
-            total = float(terms.sum())
-            value, masses = shift + math.log(total), terms / total
-        else:
-            value = float(_logsumexp(exponent, b=mu))
-            if not math.isfinite(value):
-                return math.inf, None, None, math.inf, None
-            masses = np.exp(exponent - value) * mu
+        if not math.isfinite(shift):
+            return math.inf, None, None, math.inf, None
+        # each term is at most its mu_k, and the top one is mu_k, so with the
+        # total of mu finite (_support_setup) the sum is a positive finite float
+        terms = np.exp(exponent - shift) * mu
+        total = float(terms.sum())
+        value, masses = shift + math.log(total), terms / total
         moments = z @ masses
         deviations = z - moments[:, None]
         hessian = deviations @ (deviations * masses).T

@@ -555,3 +555,11 @@ def test_each_verb_takes_the_flags_of_its_fields():
             shared.add("--format")
         flags = {field.flag for field in FIELDS[verb].values() if field.flag}
         assert options == shared | flags, verb
+
+
+@pytest.mark.parametrize("kind", [[], ["--kind", "tsallis", "--q", "2"]])
+def test_maxent_on_a_total_weight_that_overflows_exits_one(capsys, kind):
+    spec = ('{"partition": {"cells": ["a", "b", "c"], "weights": [1e308, 1e308, 1e308]}, '
+            '"constraints": [{"values": [0, 1, 2], "target": 0.7}]}')
+    message = validation_message(capsys, "maxent", *kind, "--input", spec)
+    assert message.startswith("partition.weights: the total weight inf overflows")

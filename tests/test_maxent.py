@@ -423,14 +423,14 @@ def test_a_start_whose_span_units_overflow_is_a_cold_start():
     assert np.array_equal(warm.pmf.masses, cold.pmf.masses)
 
 
-def test_a_warm_solve_where_the_total_weight_overflows():
-    # sum mu = 2e308 overflows, so the dual is read off logsumexp, which is
-    # finite at this start; scaling mu scales Z only
-    constraints = ConstraintSet([[0.0, 1.0]], [0.3])
-    unit = solve_maxent(constraints, WeightedPartition([1.0, 1.0]))
-    huge = solve_maxent(constraints, WeightedPartition([1e308, 1e308]), start=unit.beta)
-    assert huge.iterations == 0 and np.array_equal(huge.beta, unit.beta)
-    assert np.allclose(huge.pmf.masses, [0.7, 0.3], rtol=0, atol=1e-12)
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
+@pytest.mark.parametrize("start", [None, [2.5]])
+def test_a_total_weight_that_overflows_is_refused(kind, q, start):
+    # at b = 0 the dual's sum of mu is +inf, so no solve can begin there
+    constraints = ConstraintSet([[0.0, 1.0, 2.0]], [0.7], kind, q)
+    solve = solve_maxent if kind == "ordinary" else solve_tsallis_maxent
+    with pytest.raises(ValueError, match=r"^partition\.weights: the total weight inf overflows"):
+        solve(constraints, WeightedPartition([1e308, 1e308, 1e308]), start=start)
 
 
 @pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
