@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .dyadic import (
+    BaseGridDensity,
     check_levels,
     convergence_table,
     demo_to_csv,
@@ -31,6 +32,7 @@ from .entropy import (
 from .maxent import ConstraintSet, ConvergenceError, solve_maxent, thermo_residuals
 from .measure import (
     MAX_BASE_EXPONENT,
+    _RESCALE_ADVICE,
     DensityVector,
     ProbabilityVector,
     induced_pmf,
@@ -143,6 +145,18 @@ def _indexed(command: str, kind: str, index: float | None, value: float) -> dict
     return {**head, "value": value} if index is None else {**head, "index": index, "value": value}
 
 
+def _named(field: str, argument: str, build, *args):
+    """build(*args), a ValueError about the library's argument re-raised under
+    the input field's name and without the library's renormalize=True advice."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(": ")
+        if name != argument:
+            raise
+        raise ValueError(f"{field}: {reason.removesuffix(_RESCALE_ADVICE)}") from None
+
+
 def _run_entropy(spec: argparse.Namespace) -> dict:
     fields = _fields(spec)
     kind, index = _family(spec, fields)
@@ -153,11 +167,12 @@ def _run_entropy(spec: argparse.Namespace) -> dict:
     if partition is None:
         partition = uniform_partition((pmf if density is None else density).size)
     if density is not None:
-        density = DensityVector(density, partition)
+        density = _named("density", "values", DensityVector, density, partition)
         pmf = induced_pmf(density)
     else:
-        pmf = ProbabilityVector(pmf)
-        density = None if kind == "measure" else radon_nikodym(pmf, partition)
+        pmf = _named("pmf", "masses", ProbabilityVector, pmf)
+        if kind != "measure":
+            density = _named("pmf", "masses", radon_nikodym, pmf, partition)
 
     value = {
         "shannon": lambda: shannon_entropy(density),
@@ -171,7 +186,9 @@ def _run_entropy(spec: argparse.Namespace) -> dict:
 def _run_divergence(spec: argparse.Namespace) -> dict:
     fields = _fields(spec)
     kind, index = _family(spec, fields)
-    P, R = ProbabilityVector(fields["p"]), ProbabilityVector(fields["r"])
+    P, R = (_named(name, "masses", ProbabilityVector, fields[name]) for name in ("p", "r"))
+    if len(R) != len(P):
+        raise ValueError(f"r: length {len(R)} does not match p length {len(P)}")
     partition = fields["partition"]
     if kind == "kl":
         return _indexed("divergence", kind, index, kl_divergence(P, R, partition))
@@ -184,12 +201,13 @@ def _run_approx(spec: argparse.Namespace):
     kind, index = _family(spec, fields)
     interval, exponent, levels = fields["interval"], fields["base_exponent"], fields["levels"]
     p, r = fields["p"], fields["r"]
-    if p.function is not None or r.function is not None:
+    if callable(p) or callable(r):
         # an expression is sampled on 2^exponent cells: refuse before allocating
         check_levels(levels, 2**exponent)
-    rows = convergence_table(
-        p.build(interval, exponent), r.build(interval, exponent), index, kind, levels
-    )
+    # each grid is a compiled expression or its values; p is built first
+    p, r = (BaseGridDensity.from_function(grid, interval, base_exponent=exponent) if callable(grid)
+            else BaseGridDensity.from_values(grid, interval, renormalize=True) for grid in (p, r))
+    rows = convergence_table(p, r, index, kind, levels)
     if spec.format == "csv":
         return table_to_csv(rows)
     return {

@@ -81,11 +81,14 @@ def _closed_form(P, R, partition, index: float) -> float | None:
 
 def shannon_entropy(p: DensityVector) -> float:
     """S(p) = -sum_k p_k ln(p_k) mu_k with 0 ln 0 = 0."""
-    v = p.values
-    w = p.partition.weights
-    live = (v > 0.0) & (w > 0.0)
+    live = (p.values > 0.0) & (p.partition.weights > 0.0)
+    v, w = p.values[live], p.partition.weights[live]
+    with np.errstate(over="ignore"):
+        value = -np.dot(v * np.log(v), w)
+    if value == -math.inf:  # p_k ln p_k overflowed (p_k above 2.5e305): sum over the masses
+        value = -np.dot(v * w, np.log(v))
     # + 0.0 keeps a unit density from reporting -0.0
-    return float(-np.dot(v[live] * np.log(v[live]), w[live])) + 0.0
+    return float(value) + 0.0
 
 
 def _kl(p: np.ndarray, r: np.ndarray) -> float:

@@ -20,9 +20,9 @@ the targets jointly infeasible, and along it the dual decreases without
 bound; the routine tests each Newton step and iterate as such a d and raises
 InfeasibleError naming it.  Both audits step by fd_step/s_m in beta and
 check dS/dt_m = beta_m by re-solving at t_m +- fd_step s_m in
-_resolved_sensitivity.  Each re-solve starts from the audited solution's
-multipliers (the start keyword of both solvers), next to its answer, in
-place of 0.
+_resolved_sensitivity, each difference taken by _central_differences.  Each
+re-solve starts from the audited solution's multipliers (the start keyword of
+both solvers), next to its answer, in place of 0.
 """
 
 from __future__ import annotations
@@ -418,48 +418,47 @@ def solve_maxent(
     )
 
 
-# a re-solve step that leaves the feasible set is divided by 10 at most this
-# many times, down to fd_step / 10^5, before the audit gives up
+# a step that leaves the domain of what is differenced is divided by 10 at
+# most this many times, down to its first value / 10^5, before the audit gives up
 FD_STEP_SHRINKS = 5
+
+
+def _central_differences(f, center: np.ndarray, steps: np.ndarray):
+    """(rises, h): rises[m] = f(c + h_m e_m) - f(c - h_m e_m) for the h_m taken;
+    every difference of both audits is taken here.  h_m starts at steps[m] and
+    is divided by 10 while f raises ValueError (a shifted target past the
+    feasible set, which can be thinner than the step, or a step past the escort
+    family's pole or cut-off), up to FD_STEP_SHRINKS times; then f's error is raised."""
+    rises, steps = [], np.array(steps, dtype=float)
+    for m in range(steps.size):
+        for shrinks in range(FD_STEP_SHRINKS + 1):
+            plus, minus = center.copy(), center.copy()
+            plus[m], minus[m] = center[m] + steps[m], center[m] - steps[m]
+            try:
+                rises.append(f(plus) - f(minus))
+                break
+            except ValueError:
+                if shrinks == FD_STEP_SHRINKS:
+                    raise
+                steps[m] /= 10.0
+    return np.array(rises), steps
 
 
 def _resolved_sensitivity(
     solve, entropy_field: str, solution, steps: np.ndarray, start: np.ndarray
 ) -> np.ndarray:
-    """|dS/dt_m - beta_m| per constraint, S read from entropy_field of the
-    solution that solve returns at the shifted targets.
-
-    dS/dt_m is the central difference (S(t_m + h) - S(t_m - h)) / 2h of
-    re-solves at tolerance 1e-12, each started from the solution's own
-    multipliers start, which lie next to its answer.  h starts at steps[m]
-    (fd_step s_m) and is divided by 10 while either re-solve raises
-    ValueError: the shifted target left the feasible set, which can be
-    thinner than the step around a solvable target.  Below
-    steps[m] / 10^FD_STEP_SHRINKS the last error is raised.
-    """
+    """|dS/dt_m - beta_m| per constraint: (S(t_m + h) - S(t_m - h)) / 2h, S
+    read from entropy_field of re-solves at tolerance 1e-12, each started
+    from the solution's own multipliers start, which lie next to its answer.
+    h starts at steps[m] (fd_step s_m)."""
     constraints, partition = solution.constraints, solution.partition
-    targets = constraints.targets
 
-    def entropy_at(m: int, value: float) -> float:
-        shifted = targets.copy()
-        shifted[m] = value
-        resolved = solve(
-            constraints.with_targets(shifted), partition, tolerance=1e-12, start=start
-        )
-        return getattr(resolved, entropy_field)
+    def entropy_at(targets: np.ndarray) -> float:
+        solved = solve(constraints.with_targets(targets), partition, tolerance=1e-12, start=start)
+        return getattr(solved, entropy_field)
 
-    residual = np.zeros(constraints.size)
-    for m, step in enumerate(steps):
-        for shrinks in range(FD_STEP_SHRINKS + 1):
-            try:
-                rise = entropy_at(m, targets[m] + step) - entropy_at(m, targets[m] - step)
-                break
-            except ValueError:
-                if shrinks == FD_STEP_SHRINKS:
-                    raise
-                step /= 10.0
-        residual[m] = abs(rise / (2.0 * step) - solution.beta[m])
-    return residual
+    rises, steps = _central_differences(entropy_at, constraints.targets, steps)
+    return np.abs(rises / (2.0 * steps) - solution.beta)
 
 
 def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
@@ -469,7 +468,7 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
                              at beta_m +- fd_step/s_m)
     sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (re-solve at
                              t_m +- fd_step s_m from the solution's beta,
-                             the step shrinking as in _resolved_sensitivity)
+                             the step shrinking as in _central_differences)
 
     The gradient is differenced in span units, on L(b) = log Z + beta . t,
     whose b-gradient is -E[z]: the residual is s_m |dL/db_m + E[z_m]|.
@@ -479,12 +478,9 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
     _check_arguments(fd_step=fd_step)
     constraints = solution.constraints
     _, z, scales, mu = _support_setup(constraints, solution.partition, "ordinary")
-    b = solution.beta * scales
     offset = (solution.achieved_moments - constraints.targets) / scales
-    grad_residual = np.zeros(constraints.size)
-    for m, step in enumerate(fd_step * np.eye(constraints.size)):
-        rise = _logsumexp(-((b + step) @ z), b=mu) - _logsumexp(-((b - step) @ z), b=mu)
-        grad_residual[m] = scales[m] * abs(float(rise) / (2.0 * fd_step) + offset[m])
-    return grad_residual, _resolved_sensitivity(
+    rises, steps = _central_differences(lambda point: _logsumexp(-(point @ z), b=mu),
+                                        solution.beta * scales, np.full(constraints.size, fd_step))
+    return scales * np.abs(rises / (2.0 * steps) + offset), _resolved_sensitivity(
         solve_maxent, "entropy", solution, fd_step * scales, solution.beta
     )

@@ -29,6 +29,8 @@ __all__ = [
 
 # tolerance on sum-to-one checks at construction time
 NORMALIZATION_TOL = 1e-10
+# the advice that ends a failed sum-to-one check
+_RESCALE_ADVICE = "; pass renormalize=True to rescale"
 # cap on every partition and grid: 2^24 cells, 128 MiB per float array
 MAX_BASE_EXPONENT = 24
 MAX_CELLS = 2**MAX_BASE_EXPONENT
@@ -78,10 +80,10 @@ def _check_vector(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: entries must be finite and nonnegative")
 
 
-def _check_length(values: np.ndarray, partition: "WeightedPartition") -> None:
+def _check_length(values: np.ndarray, partition: "WeightedPartition", what: str = "values") -> None:
     if values.shape != (len(partition),):
         raise ValueError(
-            f"values: length {values.size} does not match partition size {len(partition)}"
+            f"{what}: length {values.size} does not match partition size {len(partition)}"
         )
 
 
@@ -167,8 +169,8 @@ class DensityVector:
         total = float(values @ self.partition.weights)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(
-                f"values: density must integrate to 1 against the partition "
-                f"(got {total!r}); pass renormalize=True to rescale"
+                f"values: must integrate to 1 against the partition "
+                f"(got {total!r}){_RESCALE_ADVICE}"
             )
 
     @classmethod
@@ -202,7 +204,7 @@ class ProbabilityVector:
         total = float(np.sum(masses))
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(
-                f"masses: must sum to 1 (got {total!r}); pass renormalize=True to rescale"
+                f"masses: must sum to 1 (got {total!r}){_RESCALE_ADVICE}"
             )
 
     def __len__(self) -> int:
@@ -230,10 +232,7 @@ def radon_nikodym(P: ProbabilityVector, partition: WeightedPartition) -> Density
     weights; mass on a null cell raises AbsoluteContinuityError.
     """
     masses = P.masses
-    if masses.shape != (len(partition),):
-        raise ValueError(
-            f"masses: length {masses.size} does not match partition size {len(partition)}"
-        )
+    _check_length(masses, partition, "masses")
     w = partition.weights
     offending = (masses > 0.0) & (w == 0.0)
     if np.any(offending):

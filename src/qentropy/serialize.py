@@ -18,15 +18,13 @@ import ast
 import json
 import math
 from dataclasses import is_dataclass, fields
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import BaseGridDensity
 from .measure import (
     MAX_BASE_EXPONENT,
     MAX_CELLS,
-    DensityVector,
     WeightedPartition,
     _check_carries_density,
     check_interval,
@@ -38,7 +36,6 @@ __all__ = [
     "MAX_INPUT_CHARS",
     "Field",
     "FIELDS",
-    "GridInput",
     "json_ready",
     "dumps",
     "load_input",
@@ -122,18 +119,6 @@ class Field(NamedTuple):
     length: int | None = None
     choices: dict | None = None
     note: str = ""
-
-
-class GridInput(NamedTuple):
-    """A base-grid density as given: an expression in x or raw values."""
-
-    function: Callable | None = None
-    values: np.ndarray | None = None
-
-    def build(self, interval, exponent: int) -> DensityVector:
-        if self.function is not None:
-            return BaseGridDensity.from_function(self.function, interval, base_exponent=exponent)
-        return BaseGridDensity.from_values(self.values, interval, renormalize=True)
 
 
 def _names(*names: str, **aliases: str) -> dict:
@@ -231,14 +216,15 @@ def _read_label(value, field: Field, path: str) -> str:
     return str(value)
 
 
-def _read_grid(value, field: Field, path: str) -> GridInput:
+def _read_grid(value, field: Field, path: str):
+    """A base-grid density as given: the compiled expression in x, or the values."""
     if type(value) is dict and "expr" in value:
         if type(value["expr"]) is not str:
             _fail(f"{path}.expr", "an expression string", value["expr"])
-        return GridInput(function=expression_function(value["expr"]))
+        return expression_function(value["expr"])
     if type(value) is not list:
         _fail(path, '{"expr": ...} or an array of numbers', value)
-    return GridInput(values=_read_floats(value, field, path))
+    return _read_floats(value, field, path)
 
 
 def _read_constraints(value, field: Field, path: str) -> tuple[list, list]:

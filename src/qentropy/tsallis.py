@@ -41,6 +41,7 @@ import numpy as np
 from .entropy import _power_sum, tsallis_entropy
 from .maxent import (
     ConstraintSet,
+    _central_differences,
     _check_arguments,
     _dual_newton,
     _per_unit,
@@ -195,7 +196,8 @@ def solve_tsallis_maxent(
 
 
 def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.ndarray:
-    """d(ln_q Z_q + beta . t)/d(beta s) by central differences at center +- fd_step e_m,
+    """d(ln_q Z_q + beta . t)/d(beta s) by maxent._central_differences at
+    center +- h e_m, h from fd_step down while a step leaves the escort family,
     everything in span units: center = beta_q s, and the family lives on z.
 
     At each shifted gamma the solver's target-centred density is re-centred on
@@ -206,14 +208,14 @@ def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.n
     differenced as zbar_c^(1-q)/(1-q) - beta' . c (ln zbar_c - beta' . c in the
     classical band).
     The shifts move beta' along no coordinate axis, so the gradient solves the
-    M x M system of central differences.
+    M x M system of the differences of (beta', ln_q Z_q + beta . t).
     """
     one_minus_q = 1.0 - q
 
-    outside = ValueError(f"fd_step: a step of {fd_step!r} leaves the escort family (past "
-                         "the q > 1 pole, or every cell cut off); use a smaller fd_step")
+    outside = ValueError(f"fd_step: every step from {fd_step!r} down leaves the escort family "
+                         "(past the q > 1 pole, or every cell cut off); use a smaller fd_step")
 
-    def point(gamma: np.ndarray):
+    def point(gamma: np.ndarray) -> np.ndarray:
         family = _escort_family(gamma, z, mu, one_minus_q)
         if family is None:
             raise outside
@@ -230,17 +232,11 @@ def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.n
         # differences: at large q, zbar_c^(1-q) is far below that constant's
         # rounding
         lnq = math.log(zbar_c) if one_minus_q == 0.0 else zbar_c**one_minus_q / one_minus_q
-        return beta, lnq - float(beta @ offset)
+        return np.append(beta, lnq - float(beta @ offset))
 
     M = center.size
-    beta_steps = np.zeros((M, M))
-    rises = np.zeros(M)
-    for m, shift in enumerate(fd_step * np.eye(M)):
-        beta_plus, plus = point(center + shift)
-        beta_minus, minus = point(center - shift)
-        beta_steps[m] = beta_plus - beta_minus
-        rises[m] = plus - minus
-    return np.linalg.solve(beta_steps, rises)
+    rises = _central_differences(point, center, np.full(M, fd_step))[0].reshape(M, M + 1)
+    return np.linalg.solve(rises[:, :M], rises[:, M])
 
 
 def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
@@ -254,8 +250,8 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
                          beta_q +- fd_step/s_m (see _lnq_z_gradient), which
                          is s_m |d(ln_q Z_q + beta . t)/d(beta_m s_m) + E[z_m]|
     entropy_sensitivity[m]: |dS_q/d(t_m) - beta_m|, re-solving at
-                         t_m +- fd_step s_m from the solution's beta_q (the
-                         step shrinking as in maxent._resolved_sensitivity)
+                         t_m +- fd_step s_m from the solution's beta_q
+    Both differences shrink their step as in maxent._central_differences.
 
     The sensitivity sign matches the classical solver: for this family
     dS_q/dt_m = beta_m (the two-point closed form fixes the sign).

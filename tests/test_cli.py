@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -563,3 +564,90 @@ def test_maxent_on_a_total_weight_that_overflows_exits_one(capsys, kind):
             '"constraints": [{"values": [0, 1, 2], "target": 0.7}]}')
     message = validation_message(capsys, "maxent", *kind, "--input", spec)
     assert message.startswith("partition.weights: the total weight inf overflows")
+
+
+VECTOR_FAULTS = [
+    (("entropy", "--kind", "shannon"), {"pmf": [0.5, 0.4]}, "pmf: must sum to 1 (got 0.9)"),
+    (("entropy", "--kind", "measure"), {"pmf": [0.5, 0.4]}, "pmf: must sum to 1 (got 0.9)"),
+    (("entropy", "--kind", "shannon"), {"pmf": [1.5, -0.5]},
+     "pmf: entries must be finite and nonnegative"),
+    (("entropy", "--kind", "shannon"), {"pmf": [0.5, 0.5], "partition": {"n": 3}},
+     "pmf: length 2 does not match partition size 3"),
+    (("entropy", "--kind", "shannon"),
+     {"pmf": [0.5, 0.5], "partition": {"cells": ["a", "b"], "weights": [1, 0]}},
+     "pmf: cell 1 carries mass 0.5 but zero reference weight"),
+    (("entropy", "--kind", "shannon"), {"density": [0.5, 0.4]},
+     "density: must integrate to 1 against the partition (got 0.9)"),
+    (("entropy", "--kind", "shannon"), {"density": [0.5, 0.5], "partition": {"n": 3}},
+     "density: length 2 does not match partition size 3"),
+    (("divergence", "--kind", "kl"), {"p": [1.5, -0.5], "r": [0.5, 0.5]},
+     "p: entries must be finite and nonnegative"),
+    (("divergence", "--kind", "kl"), {"p": [0.5, 0.5], "r": [0.5, 0.4]},
+     "r: must sum to 1 (got 0.9)"),
+    (("divergence", "--kind", "renyi", "--alpha", "2"), {"p": [0.5, 0.5], "r": [0.5, 0.4, 0.1]},
+     "r: length 3 does not match p length 2"),
+]
+
+
+@pytest.mark.parametrize("argv, spec, message", VECTOR_FAULTS,
+                         ids=[" ".join(argv[::2]) + " " + message for argv, _, message in VECTOR_FAULTS])
+def test_a_vector_fault_names_its_input_field(capsys, argv, spec, message):
+    # the library's own names (masses, values, R) and its renormalize=True
+    # advice are not the CLI's
+    assert validation_message(capsys, *argv, "--input", json.dumps(spec)) == message
+
+
+def test_shannon_entropy_of_a_density_whose_p_ln_p_overflows(capsys):
+    # 5e306 ln 5e306 overflows; the 50-digit mpmath value of the sum on
+    # these float inputs is -352.75366459402603023
+    spec = '{"partition": {"cells": ["a", "b"], "weights": [1e-307, 1]}, "density": [5e306, 0.5]}'
+    code, out, err = run_cli(capsys, "entropy", "--kind", "shannon", "--input", spec)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == -352.75366459402603023
+
+
+def maxent_run(capsys, spec, *flags):
+    """(exit code, output or error payload) of one maxent run."""
+    code, out, err = run_cli(capsys, "maxent", *flags, "--input", json.dumps(spec))
+    return code, json.loads(out if code == 0 else err)
+
+
+def gaussian_reference(half_width):
+    """201 cells on [-L, L] weighted by the standard normal, mu_k = phi(x_k) dx,
+    and the feature x with target 1: min mu is 4e-16 at L = 8."""
+    x = [half_width * (k - 100) / 100 for k in range(201)]
+    dx = half_width / 100
+    weights = [math.exp(-v * v / 2.0) / math.sqrt(2.0 * math.pi) * dx for v in x]
+    return {"partition": {"cells": [f"c{k}" for k in range(201)], "weights": weights},
+            "constraints": [{"values": x, "target": 1.0}]}
+
+
+@pytest.mark.parametrize("half_width", [7, 8])
+def test_escort_audit_on_a_gaussian_reference(capsys, half_width):
+    # at L = 8 a step of fd_step leaves the escort family; the audit shrinks it
+    code, payload = maxent_run(capsys, gaussian_reference(half_width), "--kind", "tsallis",
+                               "--q", "1.5")
+    assert code == 0, payload
+    thermo = payload["thermo_residuals"]
+    assert all(math.isfinite(v) for v in [thermo["legendre_gap"], *thermo["log_z_gradient"],
+                                          *thermo["entropy_sensitivity"]])
+
+
+# the limits a solve or an audit can stop at, as the messages name them
+LIMITS = r"after \d+ halvings|after \d+ iterations|^fd_step: "
+
+
+@pytest.mark.parametrize("k", range(6, 11))
+def test_escort_two_cell_sweep_solves_or_names_its_limit(capsys, k):
+    # q = 2, values [0, 1], target 0.5, weights [10^-k, 1]: the solution lies
+    # about 10^(-k/2) from the pole
+    spec = {"partition": {"cells": ["a", "b"], "weights": [10.0**-k, 1.0]},
+            "constraints": [{"values": [0, 1], "target": 0.5}]}
+    code, payload = maxent_run(capsys, spec, "--kind", "tsallis", "--q", "2")
+    if code == 0:
+        thermo = payload["thermo_residuals"]
+        assert all(math.isfinite(v) for v in [*thermo["log_z_gradient"],
+                                              *thermo["entropy_sensitivity"]])
+    else:
+        assert code in (1, 2)
+        assert re.search(LIMITS, payload["error"]["message"]), payload

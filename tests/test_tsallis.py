@@ -5,6 +5,7 @@ problem has a closed form (mass ratio (t/(1-t))^(1/q)), and a brute-force
 simplex scan provides a second, implementation-free route.
 """
 
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from qentropy import (
     tsallis_thermo,
     uniform_partition,
 )
+from qentropy.cli import main
+from qentropy.tsallis import _escort_family, _lnq_z_gradient
 
 from _oracles import two_point_escort_grid
 
@@ -350,3 +353,42 @@ def test_a_start_that_cuts_off_every_cell_is_a_cold_start():
             solve_tsallis_maxent(constraints, partition, start=start)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+def light_cell_problem(weight):
+    """q = 2, values [0, 1], target 0.5 on weights [weight, 1]: the light cell's
+    base lies about sqrt(weight) from the q > 1 pole.  The span is 1, so span
+    units are the problem's own."""
+    partition = WeightedPartition(np.array([weight, 1.0]))
+    solution = solve_tsallis_maxent(ConstraintSet([[0.0, 1.0]], [0.5], "escort", 2.0), partition)
+    z = np.array([[-0.5, 0.5]])
+    return solution, z, partition.weights
+
+
+def leaves_the_family(solution, z, mu, step):
+    """Whether beta_q s +- step leaves the escort family on either side."""
+    return any(_escort_family(solution.beta_q + sign * step, z, mu, -1.0) is None
+               for sign in (1.0, -1.0))
+
+
+def test_the_escort_gradient_check_shrinks_its_step():
+    # a step of 1e-4 crosses the pole and one of 1e-5 does not, so the
+    # check takes 1e-5: the same differences as when it is asked for 1e-5
+    solution, z, mu = light_cell_problem(1e-10)
+    assert leaves_the_family(solution, z, mu, 1e-4)
+    assert not leaves_the_family(solution, z, mu, 1e-5)
+    gradient = _lnq_z_gradient(solution.beta_q, 2.0, z, mu, 1e-4)
+    assert np.all(np.isfinite(gradient))
+    assert np.array_equal(gradient, _lnq_z_gradient(solution.beta_q, 2.0, z, mu, 1e-5))
+
+
+def test_a_step_that_leaves_the_family_at_its_floor_exits_one(capsys):
+    # at weight 1e-12 even fd_step / 10^5 = 5e-6 crosses the pole
+    solution, z, mu = light_cell_problem(1e-12)
+    assert leaves_the_family(solution, z, mu, 0.5 / 10**5)
+    with pytest.raises(ValueError, match="^fd_step: "):
+        tsallis_thermo(solution, fd_step=0.5)
+    spec = ('{"partition": {"cells": ["a", "b"], "weights": [1e-12, 1]}, "fd_step": 0.5, '
+            '"constraints": [{"values": [0, 1], "target": 0.5}]}')
+    assert main(["maxent", "--kind", "tsallis", "--q", "2", "--input", spec]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"].startswith("fd_step: ")
