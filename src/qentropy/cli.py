@@ -214,7 +214,8 @@ def _run_approx(spec: argparse.Namespace):
         "command": "approx",
         "kind": kind,
         "index": index,
-        "base_exponent": exponent,
+        # the grid built: a raw value array sets its own size, whatever the field says
+        "base_exponent": p.values.size.bit_length() - 1,
         "reference_divergence": rows[0].reference_divergence,
         "rows": rows,
     }

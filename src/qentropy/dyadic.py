@@ -17,8 +17,11 @@ The levels form a refining chain: a level-n bin is a union of level-L bins,
 floor(v 2^n) = floor(v 2^L) >> (L-n).  So one pass, _levels, bins a pair of
 densities once at the finest level L, groups base cells into a table of
 finest code pairs, and reads every level's level sets and common refinement
-off that table.  convergence_table maps the divergence over the pass;
-dyadic_approximation and common_refinement are its one-level case.
+off that table.  A grid sampled in cell order repeats its pair along runs of
+neighbouring cells, so the table is grouped by runs: only each run's first
+pair is sorted, and the per-cell sums are still taken cell by cell.
+convergence_table maps the divergence over the pass; dyadic_approximation
+and common_refinement are its one-level case.
 
 No entropy or divergence is summed here: the tables take entropy's
 divergences, and entropy_nonextension_demo takes shannon_entropy on a
@@ -158,6 +161,20 @@ def _group(codes: np.ndarray, *weights: np.ndarray):
     return (ids, labels, *(np.bincount(labels, weights=w) for w in weights))
 
 
+def _group_runs(codes: np.ndarray, *weights: np.ndarray):
+    """_group(codes, np.ones(codes.size), *weights), bit for bit, for codes
+    that repeat along runs of neighbouring rows: only each run's first code is
+    sorted, the run's label is spread back over its rows, and the per-group
+    row counts are sums of run lengths, exact integers.  The weights are still
+    summed row by row over the same labels, so in the same order."""
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    lengths = np.diff(starts, append=codes.size)
+    ids, run_labels = np.unique(codes[starts], return_inverse=True)
+    labels = np.repeat(run_labels, lengths)
+    counts = np.bincount(run_labels, weights=lengths)
+    return (ids, labels, counts, *(np.bincount(labels, weights=w) for w in weights))
+
+
 @dataclass(frozen=True, eq=False)
 class DyadicApproximation:
     """Level-n simple function: nonempty dyadic level sets of the density.
@@ -226,9 +243,10 @@ def _levels(p: DensityVector, r: DensityVector, levels: Sequence[int],
     """(f, g, cells) per level, ascending: the DyadicApproximation of p and of
     r and their CommonRefinement.  The checks and the binning run at the call;
     base cells sharing a pair of finest codes merge into one row of the pair
-    table, and each level, built as it is iterated, groups those rows.  The
-    per-base-cell labels compose the table's np.unique inverse, or are None
-    unless asked for."""
+    table, grouped by runs of neighbouring cells (_group_runs), and each
+    level, built as it is iterated, groups those rows.  The per-base-cell
+    labels compose the table's per-cell labels, or are None unless asked
+    for."""
     n, delta = _shared_grid(p, r, *fields)
     levels = check_levels(levels, n)
     finest = levels[-1]
@@ -236,7 +254,7 @@ def _levels(p: DensityVector, r: DensityVector, levels: Sequence[int],
     # key stays below (L 2^L + 1)^2 < 2^63
     width = finest * 2**finest + 1
     pair_codes = _bin_codes(p.values, finest) * width + _bin_codes(r.values, finest)
-    keys, inverse, counts, p_sums, r_sums = _group(pair_codes, np.ones(n), p.values, r.values)
+    keys, inverse, counts, p_sums, r_sums = _group_runs(pair_codes, p.values, r.values)
     per_cell = (lambda rows, inverse=inverse: rows[inverse]) if labels else (lambda rows: None)
     del pair_codes, inverse
     codes = np.stack(np.divmod(keys, width))  # each row's finest codes of p and of r

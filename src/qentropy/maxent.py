@@ -37,6 +37,7 @@ from .measure import (
     DensityVector,
     ProbabilityVector,
     WeightedPartition,
+    _ratio_density,
     induced_pmf,
 )
 from .qcalc import check_index
@@ -402,8 +403,9 @@ def solve_maxent(
     )
     beta = _per_unit(b, scales)
     values = np.zeros(len(partition))
-    values[support] = np.exp(exponent - dual)
-    density = DensityVector(values, partition)
+    with np.errstate(over="ignore"):
+        values[support] = np.exp(exponent - dual)
+    density = _ratio_density(values, partition)
     entropy = shannon_entropy(density)
     return GibbsSolution(
         constraints=constraints,

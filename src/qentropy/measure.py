@@ -242,5 +242,20 @@ def radon_nikodym(P: ProbabilityVector, partition: WeightedPartition) -> Density
         )
     values = np.zeros_like(masses)
     pos = w > 0.0
-    values[pos] = masses[pos] / w[pos]
+    with np.errstate(over="ignore"):
+        values[pos] = masses[pos] / w[pos]
+    return _ratio_density(values, partition)
+
+
+def _ratio_density(values: np.ndarray, partition: WeightedPartition) -> DensityVector:
+    """DensityVector(values, partition) for values formed as P_k / mu_k.  A
+    value that overflowed is refused under partition.weights: the cell's mu_k
+    is too light to carry its mass as a float density."""
+    overflowed = values == math.inf
+    if np.any(overflowed):
+        k = int(np.argmax(overflowed))
+        raise ValueError(
+            f"partition.weights: P_k/mu_k overflows on cell {k}, whose weight "
+            f"{float(partition.weights[k])!r} is too light to carry its mass; rescale the weights"
+        )
     return DensityVector(values, partition)

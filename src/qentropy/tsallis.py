@@ -53,6 +53,7 @@ from .measure import (
     DensityVector,
     ProbabilityVector,
     WeightedPartition,
+    _ratio_density,
     induced_pmf,
     radon_nikodym,
     uniform_partition,
@@ -166,8 +167,9 @@ def solve_tsallis_maxent(
     )
     moments = targets + scales * moments
     values = np.zeros(len(partition))
-    values[support] = raw / zbar
-    density = DensityVector(values, partition)
+    with np.errstate(over="ignore"):
+        values[support] = raw / zbar
+    density = _ratio_density(values, partition)
     q_mass = _power_sum(density, q)
     beta_q = _per_unit(lam, scales)
     beta = beta_q * q_mass

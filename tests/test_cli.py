@@ -566,6 +566,18 @@ def test_maxent_on_a_total_weight_that_overflows_exits_one(capsys, kind):
     assert message.startswith("partition.weights: the total weight inf overflows")
 
 
+LIGHT_CELL = ("partition.weights: P_k/mu_k overflows on cell 0, whose weight 1e-310 is too light "
+              "to carry its mass; rescale the weights")
+
+
+@pytest.mark.parametrize("kind", [[], ["--kind", "tsallis", "--q", "2"], ["--kind", "tsallis", "--q", "0.5"]])
+def test_maxent_on_cells_too_light_for_the_solution_exits_one(capsys, kind):
+    # the density 1/(3e-310) overflows on every cell
+    spec = ('{"partition": {"cells": ["a", "b", "c"], "weights": [1e-310, 1e-310, 1e-310]}, '
+            '"constraints": [{"values": [0, 1, 2], "target": 1}]}')
+    assert validation_message(capsys, "maxent", *kind, "--input", spec) == LIGHT_CELL
+
+
 VECTOR_FAULTS = [
     (("entropy", "--kind", "shannon"), {"pmf": [0.5, 0.4]}, "pmf: must sum to 1 (got 0.9)"),
     (("entropy", "--kind", "measure"), {"pmf": [0.5, 0.4]}, "pmf: must sum to 1 (got 0.9)"),
@@ -576,6 +588,8 @@ VECTOR_FAULTS = [
     (("entropy", "--kind", "shannon"),
      {"pmf": [0.5, 0.5], "partition": {"cells": ["a", "b"], "weights": [1, 0]}},
      "pmf: cell 1 carries mass 0.5 but zero reference weight"),
+    (("entropy", "--kind", "shannon"),
+     {"pmf": [0.5, 0.5], "partition": {"cells": ["a", "b"], "weights": [1e-310, 1]}}, LIGHT_CELL),
     (("entropy", "--kind", "shannon"), {"density": [0.5, 0.4]},
      "density: must integrate to 1 against the partition (got 0.9)"),
     (("entropy", "--kind", "shannon"), {"density": [0.5, 0.5], "partition": {"n": 3}},
@@ -595,6 +609,15 @@ def test_a_vector_fault_names_its_input_field(capsys, argv, spec, message):
     # the library's own names (masses, values, R) and its renormalize=True
     # advice are not the CLI's
     assert validation_message(capsys, *argv, "--input", json.dumps(spec)) == message
+
+
+def test_approx_reports_the_exponent_of_the_grid_it_built(capsys):
+    # raw value arrays set the grid; the base_exponent field (default 20) is not read
+    spec = '{"p": [1, 2, 3, 4], "r": [1, 1, 1, 1], "levels": [1, 2]}'
+    code, out, err = run_cli(capsys, "approx", "--kind", "renyi", "--alpha", "2",
+                             "--format", "json", "--input", spec)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["base_exponent"] == 2
 
 
 def test_shannon_entropy_of_a_density_whose_p_ln_p_overflows(capsys):

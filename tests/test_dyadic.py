@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy.dyadic import CSV_HEADER
+from qentropy.dyadic import CSV_HEADER, _group_runs, _levels
 
 from qentropy import (
     BaseGridDensity,
@@ -436,6 +436,84 @@ def test_table_matches_per_level_brute_force(seed, exponent, pair, zero_share, f
     kind, index = family
     levels = [int(n) for n in rng.choice(np.arange(1, exponent + 1), size=min(exponent, 4))]
     assert_matches_brute_force(p, r, index, kind, levels)
+
+
+def smooth_pair(rng, exponent):
+    c = rng.uniform(-0.4, 0.4, 4)
+    return (BaseGridDensity.from_function(
+        lambda x, c1=c1, c2=c2: 1.0 + c1 * np.sin(2.0 * math.pi * x) + c2 * np.cos(4.0 * math.pi * x),
+        (0.0, 1.0), base_exponent=exponent) for c1, c2 in (c[:2], c[2:]))
+
+
+def constant_pair(rng, exponent):
+    return (flat_grid(exponent), flat_grid(exponent))
+
+
+def alternating_pair(rng, exponent):
+    # 1 - s and 1 + s fall in different bins at every level: each cell is its own run
+    s = rng.uniform(0.1, 0.9)
+    values = 1.0 + s * (-1.0) ** np.arange(2**exponent)
+    return (BaseGridDensity.from_values(v, (0.0, 1.0), renormalize=True) for v in (values, values[::-1]))
+
+
+def raw_lognormal_pair(rng, exponent):
+    return lognormal_pair(rng, 2**exponent, 0.3)
+
+
+def reference_pair_table(p, r, level):
+    """The finest pair table with np.unique over every base cell: per-cell pair
+    codes, then keys, labels, counts and the sums of p and of r."""
+    width = level * 2**level + 1
+    p_codes, r_codes = (np.floor(np.minimum(v.values, level) * 2.0**level).astype(np.int64) for v in (p, r))
+    codes = p_codes * width + r_codes
+    keys, labels = np.unique(codes, return_inverse=True)
+    return codes, (keys, labels, *(np.bincount(labels, weights=w) for w in (np.ones(codes.size), p.values, r.values)))
+
+
+def assert_run_grouping_is_exact(p, r, level):
+    codes, expected = reference_pair_table(p, r, level)
+    table = _group_runs(codes, p.values, r.values)
+    for got, want in zip(table, expected, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the pass's finest level: each pair-table row is one refinement cell
+    keys, labels, counts, p_sums, r_sums = expected
+    f, g, cells = list(_levels(p, r, [1, level], labels=True))[-1]
+    delta = p.partition.weights[0]
+    assert cells.labels.tobytes() == labels.tobytes()
+    assert (cells.mu_masses).tobytes() == (counts * delta).tobytes()
+    width = level * 2**level + 1
+    for approx, codes, sums in ((f, keys // width, p_sums), (g, keys % width, r_sums)):
+        ids, rows = np.unique(codes, return_inverse=True)
+        assert approx.bin_ids.tobytes() == ids.tobytes()
+        assert approx.labels.tobytes() == rows[labels].tobytes()
+        assert approx.masses.tobytes() == (np.bincount(rows, weights=sums) * delta).tobytes()
+
+
+GRID_KINDS = {"smooth": smooth_pair, "constant": constant_pair, "alternating": alternating_pair,
+              "lognormal": raw_lognormal_pair}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=14),
+    st.sampled_from(sorted(GRID_KINDS)),
+)
+def test_run_grouping_matches_np_unique_over_every_cell(seed, exponent, kind):
+    rng = np.random.default_rng(seed)
+    p, r = GRID_KINDS[kind](rng, exponent)
+    level = int(rng.integers(1, exponent + 1))
+    runs = int(np.count_nonzero(np.diff(reference_pair_table(p, r, level)[0]))) + 1
+    if kind == "constant":
+        assert runs == 1
+    if kind == "alternating":
+        assert runs == 2**exponent
+    assert_run_grouping_is_exact(p, r, level)
+
+
+def test_run_grouping_is_exact_at_base_resolution_2_20():
+    p, r = smooth_pair(np.random.default_rng(17), 20)
+    assert_run_grouping_is_exact(p, r, 12)
 
 
 def test_coarsening_is_exact_at_dyadic_boundaries():
