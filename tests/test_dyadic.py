@@ -477,13 +477,13 @@ def assert_run_grouping_is_exact(p, r, level):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # the pass's finest level: each pair-table row is one refinement cell
     keys, labels, counts, p_sums, r_sums = expected
-    f, g, cells = list(_levels(p, r, [1, level], labels=True))[-1]
+    f, g, cells = next(_levels(p, r, [level], labels=True))
     delta = p.partition.weights[0]
     assert cells.labels.tobytes() == labels.tobytes()
-    assert (cells.mu_masses).tobytes() == (counts * delta).tobytes()
+    assert cells.mu_masses.tobytes() == (counts * delta).tobytes()
     width = level * 2**level + 1
-    for approx, codes, sums in ((f, keys // width, p_sums), (g, keys % width, r_sums)):
-        ids, rows = np.unique(codes, return_inverse=True)
+    for approx, margin, sums in ((f, keys // width, p_sums), (g, keys % width, r_sums)):
+        ids, rows = np.unique(margin, return_inverse=True)
         assert approx.bin_ids.tobytes() == ids.tobytes()
         assert approx.labels.tobytes() == rows[labels].tobytes()
         assert approx.masses.tobytes() == (np.bincount(rows, weights=sums) * delta).tobytes()
