@@ -8,6 +8,7 @@ emits deterministic JSON or CSV.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -221,8 +222,28 @@ def _run_approx(spec: argparse.Namespace):
     }
 
 
+# the library's names for one constraint's values or target, or for all of them
+_CONSTRAINT_ARGUMENT = re.compile(r"^(functions|targets)(\[\d+\])?: ")
+_CONSTRAINT_FIELD = {"functions": "values", "targets": "target"}
+
+
 def _run_maxent(spec: argparse.Namespace) -> dict:
+    """The maxent result.  A ValueError about functions[m] or targets[m] is
+    re-raised under constraints[m].values or constraints[m].target, and one
+    about all of them under constraints."""
     fields = _fields(spec)
+    try:
+        return _maxent(fields)
+    except ValueError as exc:
+        message, renamed = _CONSTRAINT_ARGUMENT.subn(
+            lambda m: f"constraints{m[2]}.{_CONSTRAINT_FIELD[m[1]]}: " if m[2] else "constraints: ",
+            str(exc))
+        if not renamed:
+            raise
+        raise ValueError(message) from None
+
+
+def _maxent(fields: dict) -> dict:
     partition = fields["partition"]
     functions, targets = fields["constraints"]
     tolerance, fd_step = fields["tolerance"], fields["fd_step"]

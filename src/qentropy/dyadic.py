@@ -18,10 +18,10 @@ floor(v 2^n) = floor(v 2^L) >> (L-n).  So one pass, _levels, bins a pair of
 densities once at the finest level L, groups base cells into a table of
 finest code pairs, and reads every level's level sets and common refinement
 off that table.  A grid sampled in cell order repeats its pair along runs of
-neighbouring cells, so the table is grouped by runs: only each run's first
-pair is sorted, and the per-cell sums are still taken cell by cell.
-convergence_table maps the divergence over the pass; dyadic_approximation
-and common_refinement are its one-level case.
+neighbouring cells, so _group, the one routine that builds the table and
+every level's groupings, sorts only each run's first code.  convergence_table
+maps the divergence over the pass; dyadic_approximation and common_refinement
+are its one-level case.
 
 No entropy or divergence is summed here: the tables take entropy's
 divergences, and entropy_nonextension_demo takes shannon_entropy on a
@@ -156,17 +156,11 @@ def _bin_codes(values: np.ndarray, level: int) -> np.ndarray:
 
 def _group(codes: np.ndarray, *weights: np.ndarray):
     """Merge rows that share a code: returns the distinct codes in ascending
-    order, each row's group label, and per group the total of each weight."""
-    ids, labels = np.unique(codes, return_inverse=True)
-    return (ids, labels, *(np.bincount(labels, weights=w) for w in weights))
-
-
-def _group_runs(codes: np.ndarray, *weights: np.ndarray):
-    """_group(codes, np.ones(codes.size), *weights), bit for bit, for codes
-    that repeat along runs of neighbouring rows: only each run's first code is
-    sorted, the run's label is spread back over its rows, and the per-group
-    row counts are sums of run lengths, exact integers.  The weights are still
-    summed row by row over the same labels, so in the same order."""
+    order, each row's group label, the rows per group, and per group the total
+    of each weight.  Codes tend to repeat along runs of neighbouring rows, so
+    only each run's first code is sorted, the run's label is spread back over
+    its rows, and the row counts are sums of run lengths, exact integers.  The
+    weights are summed row by row over the labels, in row order."""
     starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
     lengths = np.diff(starts, append=codes.size)
     ids, run_labels = np.unique(codes[starts], return_inverse=True)
@@ -239,22 +233,22 @@ class CommonRefinement:
 
 
 def _levels(p: DensityVector, r: DensityVector, levels: Sequence[int],
-            labels: bool = False, fields=("p", "r")) -> Iterator[tuple]:
+            labels: bool = False) -> Iterator[tuple]:
     """(f, g, cells) per level, ascending: the DyadicApproximation of p and of
     r and their CommonRefinement.  The checks and the binning run at the call;
-    base cells sharing a pair of finest codes merge into one row of the pair
-    table, grouped by runs of neighbouring cells (_group_runs), and each
-    level, built as it is iterated, groups those rows.  The per-base-cell
+    _group merges base cells sharing a pair of finest codes into one row of
+    the pair table, and each level, built as it is iterated, groups those rows
+    with _group too: p's level sets, r's, and their pairs.  The per-base-cell
     labels compose the table's per-cell labels, or are None unless asked
     for."""
-    n, delta = _shared_grid(p, r, *fields)
+    n, delta = _shared_grid(p, r)
     levels = check_levels(levels, n)
     finest = levels[-1]
     # finest codes are at most L 2^L with L <= MAX_BASE_EXPONENT, so the pair
     # key stays below (L 2^L + 1)^2 < 2^63
     width = finest * 2**finest + 1
     pair_codes = _bin_codes(p.values, finest) * width + _bin_codes(r.values, finest)
-    keys, inverse, counts, p_sums, r_sums = _group_runs(pair_codes, p.values, r.values)
+    keys, inverse, counts, p_sums, r_sums = _group(pair_codes, p.values, r.values)
     per_cell = (lambda rows, inverse=inverse: rows[inverse]) if labels else (lambda rows: None)
     del pair_codes, inverse
     codes = np.stack(np.divmod(keys, width))  # each row's finest codes of p and of r
@@ -262,9 +256,10 @@ def _levels(p: DensityVector, r: DensityVector, levels: Sequence[int],
     def level_sets(level: int) -> tuple:
         # level-n codes: floor(v 2^n) = floor(v 2^L) >> (L - n), capped at the overflow code
         coarse = np.minimum(codes >> (finest - level), level * 2**level)
-        f_ids, f_rows, f_counts, f_sums = _group(coarse[0], counts, p_sums)
-        g_ids, g_rows, g_counts, g_sums = _group(coarse[1], counts, r_sums)
-        ids, rows, mu = _group(f_rows * g_ids.size + g_rows, counts)
+        # counts as a weight: a level set's base cells, not its table rows
+        f_ids, f_rows, _, f_counts, f_sums = _group(coarse[0], counts, p_sums)
+        g_ids, g_rows, _, g_counts, g_sums = _group(coarse[1], counts, r_sums)
+        ids, rows, _, mu = _group(f_rows * g_ids.size + g_rows, counts)
         f_cells, g_cells = np.divmod(ids, g_ids.size)
         f_means, g_means = f_sums / f_counts, g_sums / g_counts
         f = DyadicApproximation(p, level, f_ids, per_cell(f_rows), f_means, f_sums * delta, f_counts * delta)
@@ -287,7 +282,8 @@ def common_refinement(f: DyadicApproximation, g: DyadicApproximation) -> CommonR
     one-level pass on both approximations' grids)."""
     if f.level != g.level:
         raise ValueError(f"g: level {g.level} differs from f's level {f.level}; refine at one level")
-    return next(_levels(f.grid, g.grid, [f.level], labels=True, fields=("f", "g")))[2]
+    _shared_grid(f.grid, g.grid, "f", "g")
+    return next(_levels(f.grid, g.grid, [f.level], labels=True))[2]
 
 
 @dataclass(frozen=True)

@@ -181,11 +181,16 @@ def renyi_divergence(
 
 
 def _power_sum(p: DensityVector, q: float) -> float:
-    """The q-mass sum_k p_k^q mu_k over the cells where p_k > 0 and mu_k > 0."""
+    """The q-mass sum_k p_k^q mu_k over the cells where p_k > 0 and mu_k > 0.
+    Where a power p_k^q overflows, the sum is taken in log space."""
     v = p.values
     w = p.partition.weights
     live = (v > 0.0) & (w > 0.0)
-    return float(np.dot(v[live] ** q, w[live]))
+    with np.errstate(over="ignore"):
+        value = np.dot(v[live] ** q, w[live])
+        if not math.isfinite(value):
+            value = np.exp(_logsumexp(q * np.log(v[live]), b=w[live]))
+    return float(value)
 
 
 def tsallis_entropy(p: DensityVector, q: float) -> float:
@@ -209,5 +214,8 @@ def tsallis_divergence(
         return closed
     p, r = P.masses, R.masses
     live = p > 0.0
-    power_sum = float(np.sum(p[live] ** q * r[live] ** (1.0 - q)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power_sum = float(np.sum(p[live] ** q * r[live] ** (1.0 - q)))
+        if not math.isfinite(power_sum):  # a power overflowed: sum in log space
+            power_sum = float(np.exp(_logsumexp(q * np.log(p[live]) + (1.0 - q) * np.log(r[live]))))
     return (power_sum - 1.0) / (q - 1.0) + 0.0

@@ -104,7 +104,7 @@ class ConstraintSet:
                 )
             if not (float(np.min(u)) <= targets[m] <= float(np.max(u))):
                 raise ValueError(
-                    f"targets[{m}]: {targets[m]!r} lies outside the attainable "
+                    f"targets[{m}]: {float(targets[m])!r} lies outside the attainable "
                     f"range [{float(np.min(u))!r}, {float(np.max(u))!r}]"
                 )
         if self.kind not in ("ordinary", "escort"):
@@ -228,7 +228,7 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
         lo, hi = float(np.min(u)), float(np.max(u))
         if not (lo < targets[m] < hi):
             raise InfeasibleError(
-                f"targets[{m}]: {targets[m]!r} is not strictly inside the "
+                f"targets[{m}]: {float(targets[m])!r} is not strictly inside the "
                 f"attainable range ({lo!r}, {hi!r}) on the support; the "
                 f"maximizer would be a degenerate limit"
             )
@@ -402,10 +402,9 @@ def solve_maxent(
         evaluate, z, tolerance, max_iterations, 60, "solve_maxent", _start_point(start, scales)
     )
     beta = _per_unit(b, scales)
-    values = np.zeros(len(partition))
     with np.errstate(over="ignore"):
-        values[support] = np.exp(exponent - dual)
-    density = _ratio_density(values, partition)
+        on_support = np.exp(exponent - dual)
+    density = _ratio_density(on_support, support, partition)
     entropy = shannon_entropy(density)
     return GibbsSolution(
         constraints=constraints,

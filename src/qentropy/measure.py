@@ -240,17 +240,19 @@ def radon_nikodym(P: ProbabilityVector, partition: WeightedPartition) -> Density
         raise AbsoluteContinuityError(
             f"masses: cell {k} carries mass {masses[k]} but zero reference weight"
         )
-    values = np.zeros_like(masses)
-    pos = w > 0.0
+    support = w > 0.0
     with np.errstate(over="ignore"):
-        values[pos] = masses[pos] / w[pos]
-    return _ratio_density(values, partition)
+        on_support = masses[support] / w[support]
+    return _ratio_density(on_support, support, partition)
 
 
-def _ratio_density(values: np.ndarray, partition: WeightedPartition) -> DensityVector:
-    """DensityVector(values, partition) for values formed as P_k / mu_k.  A
-    value that overflowed is refused under partition.weights: the cell's mu_k
-    is too light to carry its mass as a float density."""
+def _ratio_density(on_support: np.ndarray, support: np.ndarray,
+                   partition: WeightedPartition) -> DensityVector:
+    """The density that is on_support, values P_k / mu_k, where support holds and
+    0 elsewhere.  A value that overflowed is refused under partition.weights: the
+    cell's mu_k is too light to carry its mass as a float density."""
+    values = np.zeros(len(partition))
+    values[support] = on_support
     overflowed = values == math.inf
     if np.any(overflowed):
         k = int(np.argmax(overflowed))

@@ -166,10 +166,9 @@ def solve_tsallis_maxent(
         _start_point(start, scales),
     )
     moments = targets + scales * moments
-    values = np.zeros(len(partition))
     with np.errstate(over="ignore"):
-        values[support] = raw / zbar
-    density = _ratio_density(values, partition)
+        on_support = raw / zbar
+    density = _ratio_density(on_support, support, partition)
     q_mass = _power_sum(density, q)
     beta_q = _per_unit(lam, scales)
     beta = beta_q * q_mass

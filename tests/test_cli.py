@@ -611,6 +611,28 @@ def test_a_vector_fault_names_its_input_field(capsys, argv, spec, message):
     assert validation_message(capsys, *argv, "--input", json.dumps(spec)) == message
 
 
+CONSTRAINT_FAULTS = [
+    ({"partition": {"n": 2}, "constraints": [{"values": [0, 1], "target": 1}]},
+     "constraints[0].target: 1.0 is not strictly inside the attainable range (0.0, 1.0) on the "
+     "support; the maximizer would be a degenerate limit"),
+    ({"partition": {"n": 2}, "constraints": [{"values": [0, 1], "target": 1.5}]},
+     "constraints[0].target: 1.5 lies outside the attainable range [0.0, 1.0]"),
+    ({"partition": {"n": 3}, "constraints": [{"values": [0, 1], "target": 0.5}]},
+     "constraints: value lists have 2 entries but the partition has 3 cells"),
+    ({"partition": {"n": 3}, "constraints": [{"values": [0, 1, 2], "target": 0.5},
+                                             {"values": [0, 1, 2], "target": 1.5}]},
+     "constraints: jointly infeasible; "),
+]
+
+
+@pytest.mark.parametrize("kind", [[], ["--kind", "tsallis", "--q", "2"]])
+@pytest.mark.parametrize("spec, message", CONSTRAINT_FAULTS)
+def test_a_constraint_fault_names_its_input_field(capsys, kind, spec, message):
+    # the library names targets and functions, and printed np.float64(1.0)
+    got = validation_message(capsys, "maxent", *kind, "--input", json.dumps(spec))
+    assert got.startswith(message) and "np.float64" not in got
+
+
 def test_approx_reports_the_exponent_of_the_grid_it_built(capsys):
     # raw value arrays set the grid; the base_exponent field (default 20) is not read
     spec = '{"p": [1, 2, 3, 4], "r": [1, 1, 1, 1], "levels": [1, 2]}'

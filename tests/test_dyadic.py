@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy.dyadic import CSV_HEADER, _group_runs, _levels
+from qentropy.dyadic import CSV_HEADER, _group, _levels
 
 from qentropy import (
     BaseGridDensity,
@@ -472,21 +472,25 @@ def reference_pair_table(p, r, level):
 
 def assert_run_grouping_is_exact(p, r, level):
     codes, expected = reference_pair_table(p, r, level)
-    table = _group_runs(codes, p.values, r.values)
+    table = _group(codes, p.values, r.values)
     for got, want in zip(table, expected, strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    # the pass's finest level: each pair-table row is one refinement cell
+    # each level n of the pass groups the table's rows by their codes coarsened to n
     keys, labels, counts, p_sums, r_sums = expected
-    f, g, cells = next(_levels(p, r, [level], labels=True))
     delta = p.partition.weights[0]
-    assert cells.labels.tobytes() == labels.tobytes()
-    assert cells.mu_masses.tobytes() == (counts * delta).tobytes()
     width = level * 2**level + 1
-    for approx, margin, sums in ((f, keys // width, p_sums), (g, keys % width, r_sums)):
-        ids, rows = np.unique(margin, return_inverse=True)
-        assert approx.bin_ids.tobytes() == ids.tobytes()
-        assert approx.labels.tobytes() == rows[labels].tobytes()
-        assert approx.masses.tobytes() == (np.bincount(rows, weights=sums) * delta).tobytes()
+    for n, (f, g, cells) in enumerate(_levels(p, r, range(1, level + 1), labels=True), start=1):
+        margins = []
+        for approx, margin, sums in ((f, keys // width, p_sums), (g, keys % width, r_sums)):
+            ids, rows = np.unique(np.minimum(margin >> (level - n), n * 2**n), return_inverse=True)
+            assert approx.bin_ids.tobytes() == ids.tobytes()
+            assert approx.labels.tobytes() == rows[labels].tobytes()
+            assert approx.masses.tobytes() == (np.bincount(rows, weights=sums) * delta).tobytes()
+            margins.append((rows, ids.size))
+        (f_rows, _), (g_rows, g_size) = margins
+        _, rows = np.unique(f_rows * g_size + g_rows, return_inverse=True)
+        assert cells.labels.tobytes() == rows[labels].tobytes()
+        assert cells.mu_masses.tobytes() == (np.bincount(rows, weights=counts) * delta).tobytes()
 
 
 GRID_KINDS = {"smooth": smooth_pair, "constant": constant_pair, "alternating": alternating_pair,

@@ -129,6 +129,19 @@ def test_tsallis_divergence_frozen_value():
     assert abs(tsallis_divergence(P82, P82, None, 2.0)) <= 1e-15
 
 
+# mpmath, 50 dps, on these float inputs; a power in each sum overflows though the sum does not
+TSALLIS_LARGE_DENSITY = -2.5000000000000003252e299  # S_2 of [5e299, 1] on weights (1e-300, 0.5)
+TSALLIS_HIGH_INDEX = 2.0863624633541471446e237  # I_800([0.5, 0.5] || [0.25, 0.75])
+
+
+def test_tsallis_sums_are_finite_where_a_power_overflows():
+    # each read -inf or +inf when the terms were summed only as floats
+    density = DensityVector([5e299, 1.0], WeightedPartition([1e-300, 0.5]))
+    assert math.isclose(tsallis_entropy(density, 2.0), TSALLIS_LARGE_DENSITY, rel_tol=1e-12)
+    got = tsallis_divergence(ProbabilityVector([0.5, 0.5]), ProbabilityVector([0.25, 0.75]), None, 800.0)
+    assert math.isclose(got, TSALLIS_HIGH_INDEX, rel_tol=1e-12)
+
+
 def test_tsallis_entropy_of_uniform_is_deformed_log():
     from qentropy import q_log
 
