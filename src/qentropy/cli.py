@@ -8,7 +8,6 @@ emits deterministic JSON or CSV.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 import numpy as np
@@ -33,14 +32,13 @@ from .entropy import (
 from .maxent import ConstraintSet, ConvergenceError, solve_maxent, thermo_residuals
 from .measure import (
     MAX_BASE_EXPONENT,
-    _RESCALE_ADVICE,
     DensityVector,
     ProbabilityVector,
     induced_pmf,
     radon_nikodym,
     uniform_partition,
 )
-from .serialize import FIELDS, dumps, load_input, read_fields
+from .serialize import FIELDS, dumps, load_input, named, read_fields
 from .tsallis import solve_tsallis_maxent, tsallis_thermo
 from .verify import run_suites
 
@@ -146,18 +144,6 @@ def _indexed(command: str, kind: str, index: float | None, value: float) -> dict
     return {**head, "value": value} if index is None else {**head, "index": index, "value": value}
 
 
-def _named(field: str, argument: str, build, *args):
-    """build(*args), a ValueError about the library's argument re-raised under
-    the input field's name and without the library's renormalize=True advice."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        name, _, reason = str(exc).partition(": ")
-        if name != argument:
-            raise
-        raise ValueError(f"{field}: {reason.removesuffix(_RESCALE_ADVICE)}") from None
-
-
 def _run_entropy(spec: argparse.Namespace) -> dict:
     fields = _fields(spec)
     kind, index = _family(spec, fields)
@@ -168,12 +154,12 @@ def _run_entropy(spec: argparse.Namespace) -> dict:
     if partition is None:
         partition = uniform_partition((pmf if density is None else density).size)
     if density is not None:
-        density = _named("density", "values", DensityVector, density, partition)
+        density = named({"values": "density"}, DensityVector, density, partition)
         pmf = induced_pmf(density)
     else:
-        pmf = _named("pmf", "masses", ProbabilityVector, pmf)
+        pmf = named({"masses": "pmf"}, ProbabilityVector, pmf)
         if kind != "measure":
-            density = _named("pmf", "masses", radon_nikodym, pmf, partition)
+            density = named({"masses": "pmf"}, radon_nikodym, pmf, partition)
 
     value = {
         "shannon": lambda: shannon_entropy(density),
@@ -187,7 +173,7 @@ def _run_entropy(spec: argparse.Namespace) -> dict:
 def _run_divergence(spec: argparse.Namespace) -> dict:
     fields = _fields(spec)
     kind, index = _family(spec, fields)
-    P, R = (_named(name, "masses", ProbabilityVector, fields[name]) for name in ("p", "r"))
+    P, R = (named({"masses": name}, ProbabilityVector, fields[name]) for name in ("p", "r"))
     if len(R) != len(P):
         raise ValueError(f"r: length {len(R)} does not match p length {len(P)}")
     partition = fields["partition"]
@@ -201,13 +187,19 @@ def _run_approx(spec: argparse.Namespace):
     fields = _fields(spec)
     kind, index = _family(spec, fields)
     interval, exponent, levels = fields["interval"], fields["base_exponent"], fields["levels"]
-    p, r = fields["p"], fields["r"]
-    if callable(p) or callable(r):
+    if callable(fields["p"]) or callable(fields["r"]):
         # an expression is sampled on 2^exponent cells: refuse before allocating
         check_levels(levels, 2**exponent)
-    # each grid is a compiled expression or its values; p is built first
-    p, r = (BaseGridDensity.from_function(grid, interval, base_exponent=exponent) if callable(grid)
-            else BaseGridDensity.from_values(grid, interval, renormalize=True) for grid in (p, r))
+
+    def grid(name: str):
+        """The grid density of a compiled expression or of its values."""
+        given = fields[name]
+        if callable(given):
+            return BaseGridDensity.from_function(given, interval, base_exponent=exponent)
+        return BaseGridDensity.from_values(given, interval, renormalize=True)
+
+    # p is built, and refused, first
+    p, r = (named({"values": name}, grid, name) for name in ("p", "r"))
     rows = convergence_table(p, r, index, kind, levels)
     if spec.format == "csv":
         return table_to_csv(rows)
@@ -222,25 +214,12 @@ def _run_approx(spec: argparse.Namespace):
     }
 
 
-# the library's names for one constraint's values or target, or for all of them
-_CONSTRAINT_ARGUMENT = re.compile(r"^(functions|targets)(\[\d+\])?: ")
-_CONSTRAINT_FIELD = {"functions": "values", "targets": "target"}
+# the library's names for the constraints' values and targets
+_CONSTRAINTS = {"functions": "constraints[m].values", "targets": "constraints[m].target"}
 
 
 def _run_maxent(spec: argparse.Namespace) -> dict:
-    """The maxent result.  A ValueError about functions[m] or targets[m] is
-    re-raised under constraints[m].values or constraints[m].target, and one
-    about all of them under constraints."""
-    fields = _fields(spec)
-    try:
-        return _maxent(fields)
-    except ValueError as exc:
-        message, renamed = _CONSTRAINT_ARGUMENT.subn(
-            lambda m: f"constraints{m[2]}.{_CONSTRAINT_FIELD[m[1]]}: " if m[2] else "constraints: ",
-            str(exc))
-        if not renamed:
-            raise
-        raise ValueError(message) from None
+    return named(_CONSTRAINTS, _maxent, _fields(spec))
 
 
 def _maxent(fields: dict) -> dict:

@@ -140,9 +140,9 @@ def check_levels(levels: Sequence[int], base_cells: int) -> list[int]:
     if len(levels) == 0:
         raise ValueError("levels: need at least one level")
     for level in levels:
-        if check_capped(level, "level", cap=MAX_CELLS) > base_cells.bit_length() - 1:
+        if check_capped(level, "levels", cap=MAX_CELLS) > base_cells.bit_length() - 1:
             raise ResolutionError(
-                f"level: 2^{level} dyadic bins exceed the {base_cells}-cell base grid; "
+                f"levels: 2^{level} dyadic bins exceed the {base_cells}-cell base grid; "
                 f"rebuild the density with a larger base exponent"
             )
     return sorted({int(level) for level in levels})

@@ -18,8 +18,10 @@ bounds each |E[z_m]|, and beta = b/s and E[u] = t + s E[z] are formed once,
 after the solve.  A direction d with d . z_k > 0 on the whole support proves
 the targets jointly infeasible, and along it the dual decreases without
 bound; the routine tests each Newton step and iterate as such a d and raises
-InfeasibleError naming it.  Both audits step by fd_step/s_m in beta and
-check dS/dt_m = beta_m by re-solving at t_m +- fd_step s_m in
+InfeasibleError naming it.  Both audits first refuse, with
+_check_independent, a feature that is an affine combination of those before
+it on the support, whose target cannot move alone.  They step by fd_step/s_m
+in beta and check dS/dt_m = beta_m by re-solving at t_m +- fd_step s_m in
 _resolved_sensitivity, each difference taken by _central_differences.  Each
 re-solve starts from the audited solution's multipliers (the start keyword of
 both solvers), next to its answer, in place of 0.
@@ -248,6 +250,33 @@ def _start_point(start, scales: np.ndarray) -> np.ndarray | None:
     with np.errstate(over="ignore"):
         b = _multipliers(start, scales.size, "start") * scales
     return b if np.all(np.isfinite(b)) else None
+
+
+# a correlation eigenvalue this small leaves a feature 1e-6 of its spread off
+# the span of the others; an exact dependence leaves rounding, about 1e-16
+_DEPENDENT = 1e-12
+
+
+def _check_independent(z: np.ndarray) -> None:
+    """Refuse a feature that is, to rounding, an affine combination of the
+    features before it on the support.  Its target then follows from theirs:
+    the solve can succeed, but the audit, which moves one target at a time,
+    cannot.  The first leading block of the correlation matrix of the centred
+    features z whose smallest eigenvalue is at most _DEPENDENT names its last
+    feature; the matrix is M x M, so this costs one pass over z."""
+    if len(z) < 2:
+        return
+    centred = z - z.mean(axis=1, keepdims=True)
+    gram = centred @ centred.T
+    norms = np.sqrt(np.diag(gram))
+    correlation = gram / np.outer(norms, norms)
+    for m in range(1, len(z)):
+        if np.linalg.eigvalsh(correlation[: m + 1, : m + 1])[0] <= _DEPENDENT:
+            raise ValueError(
+                f"functions[{m}]: an affine combination of the features before it on the "
+                f"support, so its target follows from theirs and cannot move alone in the "
+                f"audit; drop this constraint"
+            )
 
 
 def _per_unit(b: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -479,6 +508,7 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
     _check_arguments(fd_step=fd_step)
     constraints = solution.constraints
     _, z, scales, mu = _support_setup(constraints, solution.partition, "ordinary")
+    _check_independent(z)
     offset = (solution.achieved_moments - constraints.targets) / scales
     rises, steps = _central_differences(lambda point: _logsumexp(-(point @ z), b=mu),
                                         solution.beta * scales, np.full(constraints.size, fd_step))

@@ -51,25 +51,25 @@ def check_capped(value, field: str, minimum: int = 1, cap: int = MAX_BASE_EXPONE
     return int(value)
 
 
-def check_interval(interval, field: str = "interval") -> tuple[float, float]:
+def check_interval(interval) -> tuple[float, float]:
     """The pair (a, b) as floats, both finite with a < b and a finite width."""
     try:
         a, b = float(interval[0]), float(interval[1])
     except (TypeError, IndexError, OverflowError):
-        raise ValueError(f"{field}: need [a, b] with finite a < b, got {interval!r}") from None
+        raise ValueError(f"interval: need [a, b] with finite a < b, got {interval!r}") from None
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"{field}: need finite a < b, got ({a}, {b})")
+        raise ValueError(f"interval: need finite a < b, got ({a}, {b})")
     if not math.isfinite(b - a):
-        raise ValueError(f"{field}: the width b - a of ({a}, {b}) overflows; need a finite width")
+        raise ValueError(f"interval: the width b - a of ({a}, {b}) overflows; need a finite width")
     return a, b
 
 
-def _check_carries_density(a: float, b: float, cells: int, field: str = "interval") -> None:
+def _check_carries_density(a: float, b: float, cells: int) -> None:
     """Refuse an interval (a, b) from check_interval that cannot carry a
     density on `cells` equal cells: its uniform density 1/(b - a) overflows,
     or its cell width rounds to zero."""
     if not (math.isfinite(1.0 / (b - a)) and (b - a) / cells > 0.0):
-        raise ValueError(f"{field}: ({a}, {b}) cannot carry a density on {cells} cells")
+        raise ValueError(f"interval: ({a}, {b}) cannot carry a density on {cells} cells")
 
 
 def _check_vector(values: np.ndarray, what: str) -> None:

@@ -4,8 +4,9 @@ Every verb reads its input through one field table, FIELDS.  Each field has
 a kind (int, float, choice, float array, int array, interval, partition,
 grid density, constraint list, suite list), a range or cap, a default, and
 the flag that overrides it.  read_fields returns the typed values or raises
-ValueError naming the field path.  Numbers must be JSON numbers: booleans
-and numeric strings are refused, never coerced.
+ValueError naming the field path, and named is the one place where a library
+fault gets the path of the input field it came from.  Numbers must be JSON
+numbers: booleans and numeric strings are refused, never coerced.
 
 Floats are emitted in shortest round-trip decimal form (repr), infinities as
 the strings "inf"/"-inf" since JSON has no infinity literal.  Field order is
@@ -25,8 +26,8 @@ import numpy as np
 from .measure import (
     MAX_BASE_EXPONENT,
     MAX_CELLS,
+    _RESCALE_ADVICE,
     WeightedPartition,
-    _check_carries_density,
     check_interval,
     uniform_partition,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "dumps",
     "load_input",
     "read_fields",
+    "named",
     "partition_from_obj",
     "expression_function",
 ]
@@ -138,6 +140,24 @@ def _fail(path: str, need: str, value):
     raise ValueError(f"{path}: need {need}, got {_show(value)}")
 
 
+def named(table: dict, build, *args):
+    """build(*args), a ValueError about a library argument in table re-raised
+    under that argument's field path.  An indexed argument keeps its index at
+    the path's [m] (functions[2] -> constraints[2].values) and a bare one
+    takes the path before [m] (functions -> constraints).  The library's
+    renormalize=True advice is dropped: no input field asks to renormalize."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(": ")
+        argument, bracket, index = name.partition("[")
+        if argument not in table:
+            raise
+        path = table[argument]
+        path = path.replace("[m]", bracket + index) if bracket else path.partition("[m]")[0]
+        raise ValueError(f"{path}: {reason.removesuffix(_RESCALE_ADVICE)}") from None
+
+
 _NUMBERS = {int, float}  # exact types: bool is refused
 
 
@@ -207,7 +227,7 @@ def _read_interval(value, field: Field, path: str) -> tuple[float, float]:
     if not (type(value) in (list, tuple) and len(value) == 2):
         _fail(path, "[a, b] with finite a < b", value)
     a, b = (_read_float(v, Field("float"), f"{path}[{k}]") for k, v in enumerate(value))
-    return check_interval((a, b), path)
+    return named({"interval": path}, check_interval, (a, b))
 
 
 def _read_label(value, field: Field, path: str) -> str:
@@ -221,7 +241,7 @@ def _read_grid(value, field: Field, path: str):
     if type(value) is dict and "expr" in value:
         if type(value["expr"]) is not str:
             _fail(f"{path}.expr", "an expression string", value["expr"])
-        return expression_function(value["expr"])
+        return named({"expr": f"{path}.expr"}, expression_function, value["expr"])
     if type(value) is not list:
         _fail(path, '{"expr": ...} or an array of numbers', value)
     return _read_floats(value, field, path)
@@ -362,11 +382,8 @@ def partition_from_obj(obj, path: str = "partition") -> WeightedPartition:
     dropped: no computation reads them."""
     if type(obj) is dict and "n" in obj:
         shorthand = _read_object(obj, PARTITION_FIELDS, path)
-        n, mode, interval = shorthand["n"], shorthand["mode"], shorthand["interval"]
-        if mode == "lebesgue":
-            # refused here so that the message names the field as read
-            _check_carries_density(*interval, n, f"{path}.interval")
-        return uniform_partition(n, mode, interval)
+        return named({"interval": f"{path}.interval"}, uniform_partition,
+                     shorthand["n"], shorthand["mode"], shorthand["interval"])
     if type(obj) is not dict:
         _fail(path, "a JSON object", obj)
     if "cells" not in obj or "weights" not in obj:
@@ -388,7 +405,9 @@ def partition_from_obj(obj, path: str = "partition") -> WeightedPartition:
         if left < last_right:
             raise ValueError(f"{field}: interval cells must be ordered and disjoint")
         last_right = right
-    partition = WeightedPartition(_read_floats(weights, Field("float array"), f"{path}.weights"))
+    where = f"{path}.weights"
+    partition = named({"weights": where}, WeightedPartition,
+                      _read_floats(weights, Field("float array"), where))
     if len(cells) != len(partition):
         raise ValueError(f"{path}.cells: need {len(partition)}, one per weight, got {len(cells)}")
     return partition

@@ -43,6 +43,7 @@ from .maxent import (
     ConstraintSet,
     _central_differences,
     _check_arguments,
+    _check_independent,
     _dual_newton,
     _per_unit,
     _resolved_sensitivity,
@@ -260,6 +261,7 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
     _check_arguments(fd_step=fd_step)
     constraints = solution.constraints
     _, z, scales, mu = _support_setup(constraints, solution.partition, "escort")
+    _check_independent(z)
     gap = solution.escort_moments - constraints.targets
     gradient = _lnq_z_gradient(solution.beta_q * scales, solution.q, z, mu, fd_step)
     return {

@@ -328,7 +328,7 @@ def test_levels_are_checked_before_the_grids_are_built(capsys):
     message = validation_message(
         capsys, "approx", "--alpha", "2", "--base-resolution", "8", "--input", spec
     )
-    assert message.startswith("level: 2^9 dyadic bins exceed the 256-cell base grid")
+    assert message.startswith("levels: 2^9 dyadic bins exceed the 256-cell base grid")
 
 
 @pytest.mark.parametrize("partition, field", [
@@ -418,7 +418,7 @@ def test_numpy_warnings_stay_off_stderr():
     )
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == {
-        "type": "validation", "message": "values: entries must be finite and nonnegative"}
+        "type": "validation", "message": "p: entries must be finite and nonnegative"}
 
 
 UNIT = '{"pmf": [1.0]}'
@@ -600,6 +600,22 @@ VECTOR_FAULTS = [
      "r: must sum to 1 (got 0.9)"),
     (("divergence", "--kind", "renyi", "--alpha", "2"), {"p": [0.5, 0.5], "r": [0.5, 0.4, 0.1]},
      "r: length 3 does not match p length 2"),
+    # these named the library's values, expr, level or weights
+    (("approx", "--alpha", "2", "--levels", "2"), {"p": [1, 2, 3], "r": [1, 1, 1, 1]},
+     "p: need a power-of-two number of base cells up to 2^24, got (3,)"),
+    (("approx", "--alpha", "2", "--levels", "2"), {"p": [1, 1, 1, 1], "r": [0, 0, 0, 0]},
+     "r: cannot renormalize zero total mass"),
+    (("approx", "--alpha", "2", "--levels", "2"), {"p": {"expr": "1"}, "r": {"expr": "y"}},
+     "r.expr: unknown name 'y'"),
+    (("approx", "--alpha", "2", "--levels", "3"), {"p": [1, 1, 1, 1], "r": [1, 1, 1, 1]},
+     "levels: 2^3 dyadic bins exceed the 4-cell base grid; rebuild the density with a larger "
+     "base exponent"),
+    (("entropy", "--kind", "shannon"),
+     {"partition": {"cells": ["a", "b"], "weights": [-1, 2]}, "density": [0.5, 0.5]},
+     "partition.weights: entries must be finite and nonnegative"),
+    (("maxent",), {"partition": {"cells": ["a", "b"], "weights": [0, 0]},
+                   "constraints": [{"values": [0, 1], "target": 0.5}]},
+     "partition.weights: at least one cell must carry positive weight"),
 ]
 
 
@@ -631,6 +647,17 @@ def test_a_constraint_fault_names_its_input_field(capsys, kind, spec, message):
     # the library names targets and functions, and printed np.float64(1.0)
     got = validation_message(capsys, "maxent", *kind, "--input", json.dumps(spec))
     assert got.startswith(message) and "np.float64" not in got
+
+
+@pytest.mark.parametrize("kind", [[], ["--kind", "tsallis", "--q", "0.5"], ["--kind", "tsallis", "--q", "2"]])
+@pytest.mark.parametrize("values, target", [([0, 1, 2], 0.7), ([0, 2, 4], 1.4), ([1, 2, 3], 1.7)])
+def test_a_dependent_constraint_exits_one_under_its_field(capsys, kind, values, target):
+    # each repeats [0, 1, 2] -> 0.7: the audit exited 2 with a stalled
+    # re-solve, or 1 with "jointly infeasible" (q = 2, the duplicate)
+    spec = {"partition": {"n": 3}, "constraints": [{"values": [0, 1, 2], "target": 0.7},
+                                                   {"values": values, "target": target}]}
+    message = validation_message(capsys, "maxent", *kind, "--input", json.dumps(spec))
+    assert message.startswith("constraints[1].values: an affine combination")
 
 
 def test_approx_reports_the_exponent_of_the_grid_it_built(capsys):

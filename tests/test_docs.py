@@ -1,10 +1,11 @@
 """The docs stay executable: docs/schemas.md's examples run and its field
-tables are serialize.FIELDS, and README.md's library tour runs."""
+tables are serialize.FIELDS, and README.md's library tour and CLI block run."""
 
 import contextlib
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -149,3 +150,27 @@ def test_readme_tour_runs(capsys):
             assert commented == "1.0397207708399179"
             assert repr(namespace["shannon_entropy"](namespace["p"])) == commented
     assert capsys.readouterr().out.count("\n") == 4  # one line per convergence-table level
+
+
+def readme_commands() -> list:
+    """The arguments of each qentropy command in README.md's CLI block, a
+    line ending in a backslash joined to the next, as a shell reads them."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```$", text, re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("qentropy ")]
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_the_readme_cli_block_shows_every_verb():
+    assert [argv[0] for argv in README_COMMANDS] == list(FIELDS)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_readme_cli_command_runs(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0, err.getvalue()
+    assert out.getvalue()

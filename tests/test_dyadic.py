@@ -191,7 +191,7 @@ def grid_faults():
     ({"index": 0.0, "kind": "hellinger", "r": flat_grid(5), "levels": [9]}, "q"),
     ({"kind": "hellinger", "r": flat_grid(5), "levels": [9]}, "kind"),
     ({"r": flat_grid(5), "levels": [9]}, "r"),
-    ({"levels": [9]}, "level"),
+    ({"levels": [9]}, "levels"),
 ])
 def test_table_checks_its_input_in_order(faults, field):
     # index, kind, grid, levels: the first fault named is the first checked

@@ -9,6 +9,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qentropy.cli import main
-from qentropy.serialize import MAX_INPUT_CHARS, MAX_SAMPLES
+from qentropy.serialize import FIELDS, MAX_INPUT_CHARS, MAX_SAMPLES
 
 
 def run_main(*argv):
@@ -206,6 +207,18 @@ def mutated_runs(draw):
     return argv, json.dumps(mutated)
 
 
+def names_an_input_field(verb: str, message: str) -> bool:
+    """Whether the text before the first ": " is input, arguments, one of the
+    verb's flags, or paths (comma-separated) whose first segment is a field
+    of the verb's FIELDS table."""
+    table = FIELDS[verb]
+    flags = {field.flag for field in table.values()}
+    return all(
+        name in ("input", "arguments") or name in flags or re.split(r"[.\[]", name)[0] in table
+        for name in message.partition(": ")[0].split(", ")
+    )
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(mutated_runs())
 def test_mutated_inputs_end_in_a_documented_exit(run):
@@ -227,6 +240,8 @@ def test_mutated_inputs_end_in_a_documented_exit(run):
         error = json.loads(err)["error"]
         assert error["type"] == {1: "validation", 2: "non_convergence", 3: "io"}[code]
         assert isinstance(error["message"], str) and error["message"]
+        if code == 1:
+            assert names_an_input_field(argv[0], error["message"]), (argv, text, error["message"])
 
 
 @pytest.mark.parametrize("verb, doc, path", [
@@ -284,7 +299,7 @@ def test_deep_nesting_is_a_validation_error():
 def test_malformed_expressions_are_validation_errors(expr):
     doc = json.dumps({"kind": "renyi", "alpha": 2, "p": {"expr": expr}, "r": {"expr": "1"},
                       "levels": [1], "base_exponent": 2})
-    assert validation_message("approx", "--input", doc).startswith("expr:")
+    assert validation_message("approx", "--input", doc).startswith("p.expr:")
 
 
 def test_escort_audit_past_the_pole_is_a_validation_error():

@@ -452,3 +452,43 @@ def test_support_features_are_row_contiguous(weights):
     t = constraints.targets
     assert np.array_equal(z, u[:, support] / scales[:, None] - (t / scales)[:, None])
     assert np.array_equal(mu, np.asarray(weights)[support])
+
+
+SOLVERS = {"ordinary": (solve_maxent, thermo_residuals), "escort": (solve_tsallis_maxent, tsallis_thermo)}
+# second constraints that repeat [0, 1, 2] -> 0.7 on three counting cells
+DEPENDENT_PAIRS = {
+    "duplicate": ([0.0, 1.0, 2.0], 0.7),
+    "scaled": ([0.0, 2.0, 4.0], 1.4),
+    "affine": ([1.0, 2.0, 3.0], 1.7),
+}
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 0.5), ("escort", 2.0)])
+@pytest.mark.parametrize("pair", sorted(DEPENDENT_PAIRS))
+def test_a_dependent_constraint_solves_and_its_audit_refuses_it(kind, q, pair):
+    # the solve returns the single constraint's pmf; the audit's re-solve at
+    # t_1 +- h cannot move one target of the pair alone, and exited 2 or read
+    # the shifted pair as jointly infeasible
+    solve, audit = SOLVERS[kind]
+    partition = uniform_partition(3)
+    values, target = DEPENDENT_PAIRS[pair]
+    single = solve(ConstraintSet([[0.0, 1.0, 2.0]], [0.7], kind, q), partition)
+    solution = solve(ConstraintSet([[0.0, 1.0, 2.0], values], [0.7, target], kind, q), partition)
+    np.testing.assert_allclose(solution.pmf.masses, single.pmf.masses, atol=1e-12)
+    with pytest.raises(ValueError, match=r"^functions\[1\]: an affine combination .*; drop this"):
+        audit(solution)
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 0.5), ("escort", 2.0)])
+def test_smooth_independent_features_pass_the_dependence_check(kind, q):
+    # the benchmark's feature set x, x^2, sin 3x, whose correlation matrix has
+    # a smallest eigenvalue of about 9e-5
+    solve, audit = SOLVERS[kind]
+    x = (np.arange(1000) + 0.5) / 1000
+    U = [x, x * x, np.sin(3.0 * x)]
+    tilt = np.exp(0.5 * x - x * x) ** (q or 1.0)
+    targets = [float(u @ tilt / tilt.sum()) for u in U]
+    solution = solve(ConstraintSet(U, targets, kind, q), uniform_partition(1000, "lebesgue", (0.0, 1.0)))
+    residuals = audit(solution)
+    gradient = residuals[0] if kind == "ordinary" else residuals["log_z_gradient"]
+    assert np.all(gradient < 1e-8)
