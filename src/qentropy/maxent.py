@@ -504,6 +504,8 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
     whose b-gradient is -E[z]: the residual is s_m |dL/db_m + E[z_m]|.
     The sensitivity sign follows from S(t) = log Z(beta(t)) + beta(t) . t and
     the envelope theorem: dS/dt_m = beta_m for the Gibbs form used here.
+    A feature that is an affine combination of those before it is refused
+    first, as functions[m] (see _check_independent).
     """
     _check_arguments(fd_step=fd_step)
     constraints = solution.constraints

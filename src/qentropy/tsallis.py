@@ -257,6 +257,8 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
 
     The sensitivity sign matches the classical solver: for this family
     dS_q/dt_m = beta_m (the two-point closed form fixes the sign).
+    A feature that is an affine combination of those before it is refused
+    first, as functions[m] (see maxent._check_independent).
     """
     _check_arguments(fd_step=fd_step)
     constraints = solution.constraints
