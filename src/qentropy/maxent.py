@@ -22,9 +22,11 @@ InfeasibleError naming it.  Both audits first refuse, with
 _check_independent, a feature that is an affine combination of those before
 it on the support, whose target cannot move alone.  They step by fd_step/s_m
 in beta and check dS/dt_m = beta_m by re-solving at t_m +- fd_step s_m in
-_resolved_sensitivity, each difference taken by _central_differences.  Each
-re-solve starts from the audited solution's multipliers (the start keyword of
-both solvers), next to its answer, in place of 0.
+_resolved_sensitivity, each difference taken by _central_differences.  The
+re-solves run in place: _dual_newton on the audit's own z with target m
+moved by h = delta s_m, z - delta e_m, with no new ConstraintSet or support
+setup, started from the solution's tangent predictor; S is summed from each
+re-solved density.
 """
 
 from __future__ import annotations
@@ -132,9 +134,6 @@ class ConstraintSet:
             return np.empty((0, cells), dtype=float)
         return np.vstack(self.functions)
 
-    def with_targets(self, targets) -> "ConstraintSet":
-        return ConstraintSet(self.functions, targets, self.kind, self.q)
-
 
 @dataclass(frozen=True, eq=False)
 class GibbsSolution:
@@ -168,18 +167,12 @@ def partition_function(
     beta, constraints: ConstraintSet, partition: WeightedPartition
 ) -> float:
     """log of sum_k exp(-sum_m beta_m u_m(x_k)) mu_k, max-shifted for safety."""
-    beta = _multipliers(beta, constraints.size, "beta")
+    beta = np.asarray(beta, dtype=float).ravel()
+    if beta.size != constraints.size or not np.all(np.isfinite(beta)):
+        raise ValueError(f"beta: need {constraints.size} finite multipliers, got {beta!r}")
     U = constraints.feature_matrix(len(partition))
     support = partition.weights > 0.0
     return float(_logsumexp(-(beta @ U[:, support]), b=partition.weights[support]))
-
-
-def _multipliers(values, size: int, field: str) -> np.ndarray:
-    """values as M = size finite multipliers, a flat float array."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size != size or not np.all(np.isfinite(values)):
-        raise ValueError(f"{field}: need {size} finite multipliers, got {values!r}")
-    return values
 
 
 def _check_arguments(**arguments) -> None:
@@ -229,11 +222,7 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
     for m, u in enumerate(features):
         lo, hi = float(np.min(u)), float(np.max(u))
         if not (lo < targets[m] < hi):
-            raise InfeasibleError(
-                f"targets[{m}]: {float(targets[m])!r} is not strictly inside the "
-                f"attainable range ({lo!r}, {hi!r}) on the support; the "
-                f"maximizer would be a degenerate limit"
-            )
+            raise _outside_range(m, targets[m], u)
         # span = 2 mantissa 2^exponent; half a span of two subnormal ulps can
         # round to 0, and is then the smallest subnormal
         mantissa, exponent = math.frexp(max(hi / 2.0 - lo / 2.0, _TINY))
@@ -242,14 +231,13 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
     return support, z, scales, mu
 
 
-def _start_point(start, scales: np.ndarray) -> np.ndarray | None:
-    """b = start s for a solver's start multipliers; None where none were given
-    or where a product overflows, and the solve then starts from b = 0."""
-    if start is None:
-        return None
-    with np.errstate(over="ignore"):
-        b = _multipliers(start, scales.size, "start") * scales
-    return b if np.all(np.isfinite(b)) else None
+def _outside_range(m: int, target: float, u: np.ndarray) -> InfeasibleError:
+    """The refusal of target m, not strictly inside the range of u_m on the support."""
+    return InfeasibleError(
+        f"targets[{m}]: {float(target)!r} is not strictly inside the attainable range "
+        f"({float(np.min(u))!r}, {float(np.max(u))!r}) on the support; the maximizer "
+        f"would be a degenerate limit"
+    )
 
 
 # a correlation eigenvalue this small leaves a feature 1e-6 of its spread off
@@ -303,16 +291,16 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.abs(x).max(initial=0.0))
 
 
-def _certify_infeasible(direction: np.ndarray, z: np.ndarray) -> None:
+def _certify_infeasible(direction: np.ndarray, exponent: np.ndarray) -> None:
     """Raise InfeasibleError when d = direction/|direction| has d . z_k > 0 on
-    every support cell: then every pmf on the support has d . E[z] > 0, so no
-    density reaches the targets."""
+    every support cell, read off exponent = -(direction . z_k): then every pmf
+    on the support has d . E[z] > 0, so no density reaches the targets."""
     norm = _max_abs(direction)
     if not (0.0 < norm < math.inf):
         return
-    d = direction / norm
-    margin = float(np.min(d @ z))
+    margin = -float(np.max(exponent)) / norm
     if margin > _CERTIFICATE_MARGIN:
+        d = direction / norm
         raise InfeasibleError(
             f"targets: jointly infeasible; the direction d = {d.tolist()!r} has "
             f"d . (u_k - t)/s >= {margin!r} on every support cell (s: each feature's "
@@ -320,32 +308,34 @@ def _certify_infeasible(direction: np.ndarray, z: np.ndarray) -> None:
         )
 
 
-def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, start=None):
-    """Damped Newton on a convex dual; both MaxEnt solvers run here.
+def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, starts=()):
+    """Damped Newton on a convex dual; both MaxEnt solvers and both audits'
+    re-solves run here.
 
-    The iteration starts at b = start, or at b = 0 where start is None or
-    lies outside the dual's domain.  evaluate(b) returns (value, gradient,
-    hessian, residual, state), with value +inf outside the dual's domain and
-    residual E[z].  The loop stops once each |E[z_m]| is within tolerance
-    or, where larger, the rounding of the moment, _ROUNDING max_k |z_mk|.
+    The iteration starts at the first of starts inside the dual's domain, or
+    at b = 0.  evaluate(b) returns (value, gradient, hessian, residual,
+    exponent, state), with value +inf outside the dual's domain, residual
+    E[z] and exponent -(b . z_k) per cell.  The loop stops once each |E[z_m]|
+    is within tolerance or, where larger, the rounding of the moment,
+    _ROUNDING max_k |z_mk|.
     A step is taken when it passes the Armijo test; a full step is also
     taken when the dual moved by no more than rounding and the residual
     fell, because near the minimum the dual is flat to machine precision
     while its gradient still carries information.
     z holds the support cells as columns; each step and each new iterate is
-    tested as an infeasibility certificate.
+    tested as an infeasibility certificate, the iterate on the exponent of its
+    evaluation.
 
-    Returns (b, state, residual_norm, newton_steps, total_halvings).
+    Returns (b, point, residual_norm, newton_steps, total_halvings), point
+    being evaluate(b).
     """
     spread = np.abs(z)
     tolerances = np.maximum(tolerance, _ROUNDING * np.max(spread, axis=1, initial=0.0))
-    point = None if start is None else evaluate(start)
-    if point is not None and math.isfinite(point[0]):
-        b = start
-    else:
-        b = np.zeros(z.shape[0])
+    for b in (*starts, np.zeros(z.shape[0])):
         point = evaluate(b)
-    value, gradient, hessian, residual, state = point
+        if math.isfinite(point[0]):
+            break
+    value, gradient, hessian, residual = point[:4]
     halvings = 0
     for steps in range(max_steps + 1):
         residual_norm = _max_abs(residual)
@@ -362,7 +352,7 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, start=No
             step = np.linalg.solve(hessian, -gradient)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hessian, -gradient, rcond=None)[0]
-        _certify_infeasible(step, z)
+        _certify_infeasible(step, (-step) @ z)
         decrease = _ARMIJO * float(gradient @ step)
         # the dual's rounding error grows with |f| and with the size of the
         # terms of the exponents b . z_k it is summed from
@@ -385,38 +375,24 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, start=No
                 steps,
             )
         halvings += halving
-        b = trial
-        value, gradient, hessian, residual, state = trial_eval
-        _certify_infeasible(b, z)
-    return b, state, residual_norm, steps, halvings
+        b, point = trial, trial_eval
+        value, gradient, hessian, residual = point[:4]
+        _certify_infeasible(b, point[4])
+    return b, point, residual_norm, steps, halvings
 
 
-def solve_maxent(
-    constraints: ConstraintSet,
-    partition: WeightedPartition,
-    tolerance: float = 1e-10,
-    max_iterations: int = 200,
-    *,
-    start=None,
-) -> GibbsSolution:
-    """Damped Newton on the convex dual log Z(beta) + beta . t.
-
-    The iteration starts at beta = start, the multipliers of a nearby
-    problem, or at beta = 0 where start is None or log Z is not finite there.
-    In span units the dual is L(b) = log sum_k mu_k exp(-b . z_k), which is
-    log Z(beta) + beta . t; summing it on the centred exponent keeps the
-    digits that adding beta . t to log Z would cancel.  Each evaluation takes
-    one exp, shifted by the largest exponent, for the value and the masses.
-    """
-    _check_arguments(tolerance=tolerance, max_iterations=max_iterations)
-    support, z, scales, mu = _support_setup(constraints, partition, "ordinary")
-    targets = constraints.targets
+def _gibbs_dual(z: np.ndarray, mu: np.ndarray):
+    """evaluate(b) for _dual_newton on the Gibbs dual in span units,
+    L(b) = log sum_k mu_k exp(-b . z_k), which is log Z(beta) + beta . t;
+    summing it on the centred exponent keeps the digits that adding
+    beta . t to log Z would cancel.  Each evaluation takes one exp, shifted
+    by the largest exponent, for the value and the masses."""
 
     def evaluate(b: np.ndarray):
         exponent = -(b @ z)
         shift = float(exponent.max())
         if not math.isfinite(shift):
-            return math.inf, None, None, math.inf, None
+            return math.inf, None, None, math.inf, None, None
         # each term is at most its mu_k, and the top one is mu_k, so with the
         # total of mu finite (_support_setup) the sum is a positive finite float
         terms = np.exp(exponent - shift) * mu
@@ -425,15 +401,35 @@ def solve_maxent(
         moments = z @ masses
         deviations = z - moments[:, None]
         hessian = deviations @ (deviations * masses).T
-        return value, -moments, hessian, moments, (exponent, value, moments)
+        return value, -moments, hessian, moments, exponent, None
 
-    b, (exponent, dual, moments), residual_norm, iterations, _ = _dual_newton(
-        evaluate, z, tolerance, max_iterations, 60, "solve_maxent", _start_point(start, scales)
-    )
-    beta = _per_unit(b, scales)
+    return evaluate
+
+
+def _gibbs_density(point, support: np.ndarray, partition: WeightedPartition) -> DensityVector:
+    """The density exp(-b . z_k - L(b)) of a _gibbs_dual evaluation point."""
     with np.errstate(over="ignore"):
-        on_support = np.exp(exponent - dual)
-    density = _ratio_density(on_support, support, partition)
+        on_support = np.exp(point[4] - point[0])
+    return _ratio_density(on_support, support, partition)
+
+
+def solve_maxent(
+    constraints: ConstraintSet,
+    partition: WeightedPartition,
+    tolerance: float = 1e-10,
+    max_iterations: int = 200,
+) -> GibbsSolution:
+    """Damped Newton on the convex dual log Z(beta) + beta . t, from beta = 0,
+    evaluated by _gibbs_dual."""
+    _check_arguments(tolerance=tolerance, max_iterations=max_iterations)
+    support, z, scales, mu = _support_setup(constraints, partition, "ordinary")
+    targets = constraints.targets
+    b, point, residual_norm, iterations, _ = _dual_newton(
+        _gibbs_dual(z, mu), z, tolerance, max_iterations, 60, "solve_maxent"
+    )
+    dual, moments = point[0], point[3]
+    beta = _per_unit(b, scales)
+    density = _gibbs_density(point, support, partition)
     entropy = shannon_entropy(density)
     return GibbsSolution(
         constraints=constraints,
@@ -474,21 +470,39 @@ def _central_differences(f, center: np.ndarray, steps: np.ndarray):
     return np.array(rises), steps
 
 
-def _resolved_sensitivity(
-    solve, entropy_field: str, solution, steps: np.ndarray, start: np.ndarray
-) -> np.ndarray:
-    """|dS/dt_m - beta_m| per constraint: (S(t_m + h) - S(t_m - h)) / 2h, S
-    read from entropy_field of re-solves at tolerance 1e-12, each started
-    from the solution's own multipliers start, which lie next to its answer.
-    h starts at steps[m] (fd_step s_m)."""
-    constraints, partition = solution.constraints, solution.partition
+def _resolved_sensitivity(solution, support, z, scales, center, tangents, resolve, fd_step):
+    """|dS/dt_m - beta_m| per constraint: (S(t_m + h) - S(t_m - h)) / 2h with
+    h = delta s_m, delta from fd_step down as in _central_differences; both
+    audits re-solve here.
 
-    def entropy_at(targets: np.ndarray) -> float:
-        solved = solve(constraints.with_targets(targets), partition, tolerance=1e-12, start=start)
-        return getattr(solved, entropy_field)
+    resolve(z', starts) re-solves the audit's own span-unit problem with
+    target m moved, z' = z - delta e_m, by _dual_newton at tolerance 1e-12,
+    and sums S from the re-solved density.  It starts from the tangent
+    predictor center + delta tangents[:, m] (center: the solution's
+    multipliers in span units; tangents[:, m]: their derivative in delta),
+    else from center: where the predictor moves some exponent by more than
+    1, max_k |delta tangents[:, m] . z'_k| > 1, or leaves the dual's domain.
+    A shifted target not strictly inside its feature's range on the support,
+    min z'_m < 0 < max z'_m, raises InfeasibleError, and the step shrinks.
+    """
+    constraints = solution.constraints
+    # rounding is monotone, so min z'_m = fl(min z_m - delta), and max alike
+    lo, hi = z.min(axis=1), z.max(axis=1)
 
-    rises, steps = _central_differences(entropy_at, constraints.targets, steps)
-    return np.abs(rises / (2.0 * steps) - solution.beta)
+    def entropy_at(shift: np.ndarray) -> float:
+        inside = (lo - shift < 0.0) & (hi - shift > 0.0)
+        if not inside.all():
+            m = int(np.argmin(inside))
+            target = constraints.targets[m] + shift[m] * scales[m]
+            raise _outside_range(m, target, constraints.functions[m][support])
+        shifted = z - shift[:, None]
+        predicted = tangents @ shift
+        trusted = _max_abs(predicted @ shifted) <= 1.0
+        return resolve(shifted, (center + predicted, center) if trusted else (center,))
+
+    M = constraints.size
+    rises, deltas = _central_differences(entropy_at, np.zeros(M), np.full(M, fd_step))
+    return np.abs(rises / (2.0 * deltas * scales) - solution.beta)
 
 
 def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
@@ -497,23 +511,35 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
     grad_residual[m]:        |d(log Z)/d(beta_m) + <u_m>|   (central difference
                              at beta_m +- fd_step/s_m)
     sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (re-solve at
-                             t_m +- fd_step s_m from the solution's beta,
-                             the step shrinking as in _central_differences)
+                             t_m +- fd_step s_m, the step shrinking as in
+                             _central_differences; see _resolved_sensitivity)
 
     The gradient is differenced in span units, on L(b) = log Z + beta . t,
     whose b-gradient is -E[z]: the residual is s_m |dL/db_m + E[z_m]|.
     The sensitivity sign follows from S(t) = log Z(beta(t)) + beta(t) . t and
     the envelope theorem: dS/dt_m = beta_m for the Gibbs form used here.
+    Moving target m shifts every exponent by the constant delta b_m, so the
+    masses, and the Hessian H at the solution b*, do not see it; the moments
+    do, by -delta e_m, and the re-solve starts from the tangent predictor
+    b* - delta H^-1 e_m, with H inverted once per audit.
     A feature that is an affine combination of those before it is refused
     first, as functions[m] (see _check_independent).
     """
     _check_arguments(fd_step=fd_step)
-    constraints = solution.constraints
-    _, z, scales, mu = _support_setup(constraints, solution.partition, "ordinary")
+    constraints, partition = solution.constraints, solution.partition
+    support, z, scales, mu = _support_setup(constraints, partition, "ordinary")
     _check_independent(z)
+    center = solution.beta * scales
     offset = (solution.achieved_moments - constraints.targets) / scales
     rises, steps = _central_differences(lambda point: _logsumexp(-(point @ z), b=mu),
-                                        solution.beta * scales, np.full(constraints.size, fd_step))
+                                        center, np.full(constraints.size, fd_step))
+    tangents = -np.linalg.pinv(_gibbs_dual(z, mu)(center)[2], hermitian=True)
+
+    def resolve(shifted: np.ndarray, starts: tuple) -> float:
+        evaluate = _gibbs_dual(shifted, mu)
+        point = _dual_newton(evaluate, shifted, 1e-12, 200, 60, "solve_maxent", starts)[1]
+        return shannon_entropy(_gibbs_density(point, support, partition))
+
     return scales * np.abs(rises / (2.0 * steps) + offset), _resolved_sensitivity(
-        solve_maxent, "entropy", solution, fd_step * scales, solution.beta
+        solution, support, z, scales, center, tangents, resolve, fd_step
     )

@@ -47,7 +47,6 @@ from .maxent import (
     _dual_newton,
     _per_unit,
     _resolved_sensitivity,
-    _start_point,
     _support_setup,
 )
 from .measure import (
@@ -108,10 +107,10 @@ class TsallisSolution:
 def _escort_family(lam: np.ndarray, z: np.ndarray, mu: np.ndarray, one_minus_q: float):
     """The target-centred family at lam (in span units), one entry per column of z.
 
-    Returns (raw, ratio, zbar, escort): raw = e_q(x_k) and ratio = e_q(x_k)^(q-1)
-    at x_k = -lam . z_k, both 0 past the q < 1 cut-off; zbar = mu . raw;
-    and the escort weights mu_k e_q(x_k)^q.  None where no density exists:
-    past the q > 1 pole, or with every cell cut off.
+    Returns (x, raw, ratio, zbar, escort): the exponents x_k = -lam . z_k;
+    raw = e_q(x_k) and ratio = e_q(x_k)^(q-1), both 0 past the q < 1 cut-off;
+    zbar = mu . raw; and the escort weights mu_k e_q(x_k)^q.  None where no
+    density exists: past the q > 1 pole, or with every cell cut off.
     """
     x = -(lam @ z)
     if one_minus_q == 0.0:
@@ -129,7 +128,30 @@ def _escort_family(lam: np.ndarray, z: np.ndarray, mu: np.ndarray, one_minus_q: 
     zbar = float(mu @ raw)
     if zbar == 0.0:
         return None
-    return raw, ratio, zbar, mu * raw * ratio
+    return x, raw, ratio, zbar, mu * raw * ratio
+
+
+def _escort_dual(z: np.ndarray, mu: np.ndarray, one_minus_q: float):
+    """evaluate(lam) for maxent._dual_newton on the escort dual zbar(lambda),
+    in span units; its state is raw = e_q(x_k)."""
+
+    def evaluate(lam: np.ndarray):
+        family = _escort_family(lam, z, mu, one_minus_q)
+        if family is None:
+            return math.inf, None, None, math.inf, None, None
+        x, raw, ratio, zbar, escort = family
+        moments = (z @ escort) / float(np.sum(escort))
+        hessian = (z * ((1.0 - one_minus_q) * escort * ratio)) @ z.T
+        return zbar, -(z @ escort), hessian, moments, x, raw
+
+    return evaluate
+
+
+def _escort_density(point, support: np.ndarray, partition: WeightedPartition) -> DensityVector:
+    """The density e_q(x_k)/zbar of an _escort_dual evaluation point."""
+    with np.errstate(over="ignore"):
+        on_support = point[5] / point[0]
+    return _ratio_density(on_support, support, partition)
 
 
 def solve_tsallis_maxent(
@@ -138,38 +160,20 @@ def solve_tsallis_maxent(
     tolerance: float = 1e-10,
     max_outer: int = 100,
     max_inner: int = 500,
-    *,
-    start=None,
 ) -> TsallisSolution:
-    """Damped Newton on the escort dual zbar(lambda), lambda = beta_q.
-
-    The iteration starts at lambda = start, the beta_q of a nearby problem,
-    or at lambda = 0 where start is None or no density exists there (past
-    the q > 1 pole, or with every cell cut off).  max_outer caps the Newton
-    steps and max_inner the step halvings within one Newton step.
+    """Damped Newton on the escort dual zbar(lambda), lambda = beta_q, from
+    lambda = 0, evaluated by _escort_dual.  max_outer caps the Newton steps
+    and max_inner the step halvings within one Newton step.
     """
     _check_arguments(tolerance=tolerance, max_outer=max_outer, max_inner=max_inner)
     support, z, scales, mu = _support_setup(constraints, partition, "escort")
     q, targets = constraints.q, constraints.targets
-    one_minus_q = 1.0 - q
-
-    def evaluate(lam: np.ndarray):
-        family = _escort_family(lam, z, mu, one_minus_q)
-        if family is None:
-            return math.inf, None, None, math.inf, None
-        raw, ratio, zbar, escort = family
-        moments = (z @ escort) / float(np.sum(escort))
-        hessian = (z * ((1.0 - one_minus_q) * escort * ratio)) @ z.T
-        return zbar, -(z @ escort), hessian, moments, (raw, zbar, moments)
-
-    lam, (raw, zbar, moments), residual_norm, steps, halvings = _dual_newton(
-        evaluate, z, tolerance, max_outer, max_inner, "solve_tsallis_maxent",
-        _start_point(start, scales),
+    lam, point, residual_norm, steps, halvings = _dual_newton(
+        _escort_dual(z, mu, 1.0 - q), z, tolerance, max_outer, max_inner, "solve_tsallis_maxent"
     )
-    moments = targets + scales * moments
-    with np.errstate(over="ignore"):
-        on_support = raw / zbar
-    density = _ratio_density(on_support, support, partition)
+    zbar = point[0]
+    moments = targets + scales * point[3]
+    density = _escort_density(point, support, partition)
     q_mass = _power_sum(density, q)
     beta_q = _per_unit(lam, scales)
     beta = beta_q * q_mass
@@ -197,6 +201,9 @@ def solve_tsallis_maxent(
     )
 
 
+_LOG_TINY, _LOG_HUGE = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+
+
 def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.ndarray:
     """d(ln_q Z_q + beta . t)/d(beta s) by maxent._central_differences at
     center +- h e_m, h from fd_step down while a step leaves the escort family,
@@ -217,14 +224,24 @@ def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.n
     outside = ValueError(f"fd_step: every step from {fd_step!r} down leaves the escort family "
                          "(past the q > 1 pole, or every cell cut off); use a smaller fd_step")
 
+    def normal(log_value: float, name: str) -> float:
+        """exp(log_value), refused where it is not a normal float: a power
+        such as zbar^q overflows where the quotient it enters is a float."""
+        if not _LOG_TINY <= log_value <= _LOG_HUGE:
+            raise ValueError(f"q: {name} is exp({log_value!r}), outside the normal floats, "
+                             f"at q = {q!r} on this partition, so the escort audit cannot "
+                             f"difference it")
+        return math.exp(log_value)
+
     def point(gamma: np.ndarray) -> np.ndarray:
         family = _escort_family(gamma, z, mu, one_minus_q)
         if family is None:
             raise outside
-        _, _, zbar, escort = family
+        _, _, _, zbar, escort = family
         escort_mass = float(np.sum(escort))
         offset = (z @ escort) / escort_mass
-        w = escort_mass / zbar ** (1.0 - one_minus_q)
+        w = normal(math.log(escort_mass) - q * math.log(zbar),
+                   "the escort normalizer w = sum_k p_k^q mu_k")
         lam = gamma / (1.0 - one_minus_q * float(gamma @ offset))
         beta = lam * w
         zbar_c = q_exp(float(lam @ offset), q) * zbar
@@ -233,7 +250,10 @@ def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.n
         # ln_q zbar_c less its constant -1/(1-q), which cancels in the
         # differences: at large q, zbar_c^(1-q) is far below that constant's
         # rounding
-        lnq = math.log(zbar_c) if one_minus_q == 0.0 else zbar_c**one_minus_q / one_minus_q
+        if one_minus_q == 0.0:
+            lnq = math.log(zbar_c)
+        else:
+            lnq = normal(one_minus_q * math.log(zbar_c), "zbar_c^(1-q)") / one_minus_q
         return np.append(beta, lnq - float(beta @ offset))
 
     M = center.size
@@ -252,25 +272,42 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
                          beta_q +- fd_step/s_m (see _lnq_z_gradient), which
                          is s_m |d(ln_q Z_q + beta . t)/d(beta_m s_m) + E[z_m]|
     entropy_sensitivity[m]: |dS_q/d(t_m) - beta_m|, re-solving at
-                         t_m +- fd_step s_m from the solution's beta_q
+                         t_m +- fd_step s_m (see maxent._resolved_sensitivity)
     Both differences shrink their step as in maxent._central_differences.
 
     The sensitivity sign matches the classical solver: for this family
-    dS_q/dt_m = beta_m (the two-point closed form fixes the sign).
+    dS_q/dt_m = beta_m (the two-point closed form fixes the sign).  The
+    re-solves start from the tangent predictor: moving target m by delta
+    (z' = z - delta e_m) moves the solution lambda, in span units, by
+    dlambda/ddelta = H^-1 (lambda_m sum_k mu_k q e_q^(2q-1) z_k
+    - e_m sum_k mu_k e_q^q), with H the dual's Hessian at the solution,
+    inverted once per audit.
     A feature that is an affine combination of those before it is refused
     first, as functions[m] (see maxent._check_independent).
     """
     _check_arguments(fd_step=fd_step)
-    constraints = solution.constraints
-    _, z, scales, mu = _support_setup(constraints, solution.partition, "escort")
+    constraints, partition, q = solution.constraints, solution.partition, solution.q
+    support, z, scales, mu = _support_setup(constraints, partition, "escort")
     _check_independent(z)
     gap = solution.escort_moments - constraints.targets
-    gradient = _lnq_z_gradient(solution.beta_q * scales, solution.q, z, mu, fd_step)
+    center = solution.beta_q * scales
+    gradient = _lnq_z_gradient(center, q, z, mu, fd_step)
+    _, _, ratio, _, escort = _escort_family(center, z, mu, 1.0 - q)
+    curvature = q * escort * ratio
+    tangents = np.linalg.pinv((z * curvature) @ z.T, hermitian=True) @ (
+        np.outer(z @ curvature, center) - float(np.sum(escort)) * np.eye(constraints.size)
+    )
+
+    def resolve(shifted: np.ndarray, starts: tuple) -> float:
+        point = _dual_newton(_escort_dual(shifted, mu, 1.0 - q), shifted, 1e-12, 100, 500,
+                             "solve_tsallis_maxent", starts)[1]
+        return tsallis_entropy(_escort_density(point, support, partition), q)
+
     return {
         "legendre_gap": float(abs(solution.beta @ gap)) if constraints.size else 0.0,
         "log_z_gradient": scales * np.abs(gradient + gap / scales),
         "entropy_sensitivity": _resolved_sensitivity(
-            solve_tsallis_maxent, "entropy_q", solution, fd_step * scales, solution.beta_q
+            solution, support, z, scales, center, tangents, resolve, fd_step
         ),
     }
 

@@ -723,3 +723,24 @@ def test_escort_two_cell_sweep_solves_or_names_its_limit(capsys, k):
     else:
         assert code in (1, 2)
         assert re.search(LIMITS, payload["error"]["message"]), payload
+
+
+def test_an_escort_normalizer_past_the_floats_exits_one(capsys):
+    # q = 2^24 + 1: w = sum_k p_k^q mu_k is about exp(-1.8e7), and the audit's
+    # zbar^q raised OverflowError, a traceback, before w was taken in log scale
+    spec = {"q": 16777217, "partition": {"n": 3, "mode": "lebesgue", "interval": [0.0, 3.0]},
+            "constraints": [{"values": [0, 1, 2], "target": 0.8}]}
+    message = validation_message(capsys, "maxent", "--kind", "tsallis", "--input", json.dumps(spec))
+    assert message.startswith("q: the escort normalizer w = sum_k p_k^q mu_k is exp(-1843")
+
+
+def test_an_escort_audit_whose_zbar_power_overflows_runs_in_log_scale(capsys):
+    # cells of weight 1e300 at q = 2: zbar^q overflows, but w is about 1e-300,
+    # a float, so the audit runs
+    spec = {"q": 2.0, "partition": {"n": 3, "mode": "lebesgue", "interval": [-1e300, 3.0]},
+            "constraints": [{"values": [0, 1, 2], "target": 0.8}]}
+    code, payload = maxent_run(capsys, spec, "--kind", "tsallis")
+    assert code == 0
+    thermo = payload["thermo_residuals"]
+    assert thermo["log_z_gradient"][0] < 1e-8
+    assert math.isfinite(thermo["entropy_sensitivity"][0])

@@ -27,7 +27,8 @@ from qentropy import (
     tsallis_thermo,
     uniform_partition,
 )
-from qentropy.maxent import _support_setup
+from qentropy import maxent, tsallis
+from qentropy.maxent import _dual_newton, _gibbs_density, _gibbs_dual, _support_setup
 
 DICE_U = np.arange(1.0, 7.0)
 DICE_BETA = -0.37104893808103334
@@ -391,55 +392,131 @@ def test_a_multiplier_that_overflows_is_refused(kind, q):
         solve(constraints, uniform_partition(2))
 
 
-def test_a_solve_restarted_from_its_own_multipliers_takes_no_step():
+def gibbs_resolve(constraints, partition, shift, starts, tolerance=1e-12):
+    """The audit's re-solve of constraints with its targets moved by shift (in
+    span units), started from starts: (b, point, residual, steps, halvings)."""
+    _, z, _, mu = _support_setup(constraints, partition, "ordinary")
+    shifted = z - np.asarray(shift, dtype=float)[:, None]
+    return _dual_newton(_gibbs_dual(shifted, mu), shifted, tolerance, 200, 60, "solve_maxent", starts)
+
+
+def test_a_resolve_at_zero_shift_takes_no_step():
+    # the solution solves its own problem: started there, the re-solve stops
     constraints, partition = dice_problem()
-    cold = solve_maxent(constraints, partition)
-    warm = solve_maxent(constraints, partition, start=cold.beta)
-    assert (cold.iterations, warm.iterations) == (4, 0)
-    assert np.array_equal(warm.beta, cold.beta)
-    assert np.array_equal(warm.pmf.masses, cold.pmf.masses)
+    cold = solve_maxent(constraints, partition, tolerance=1e-12)
+    b, point, _, steps, _ = gibbs_resolve(constraints, partition, [0.0], (cold.beta * 4.0,))
+    assert (cold.iterations, steps) == (4, 0)
+    assert np.array_equal(b / 4.0, cold.beta)
+    support = partition.weights > 0.0
+    assert np.array_equal(_gibbs_density(point, support, partition).values, cold.density.values)
 
 
-def test_a_warm_solve_at_shifted_targets_matches_the_cold_solve():
-    tolerance = 1e-12
-    start = solve_maxent(*dice_problem(), tolerance=tolerance).beta
-    constraints, partition = dice_problem(4.6)
-    cold = solve_maxent(constraints, partition, tolerance=tolerance)
-    warm = solve_maxent(constraints, partition, tolerance=tolerance, start=start)
-    assert 0 < warm.iterations < cold.iterations
-    assert np.max(np.abs(warm.pmf.masses - cold.pmf.masses)) <= 1e-12
-    # each solve meets its target to tolerance s (s = 4, the span 5 rounded to
-    # a power of two), and dbeta/dt = -1/Var(u)
-    P = cold.pmf.masses
+def test_a_resolve_from_the_tangent_predictor_matches_a_fresh_solve():
+    # t = 4.5 -> 4.6 is delta = 0.1/s in span units (s = 4, the span 5 rounded
+    # to a power of two).  The masses do not see the shift, so to first order
+    # b moves by -delta/Var(z), Var(z) = Var(u)/s^2
+    tolerance, s = 1e-12, 4.0
+    solution = solve_maxent(*dice_problem(), tolerance=tolerance)
+    P = solution.pmf.masses
     variance = float(P @ DICE_U**2 - (P @ DICE_U) ** 2)
-    assert abs(float(warm.beta[0] - cold.beta[0])) <= 2.0 * tolerance * 4.0 / variance
+    delta = 0.1 / s
+    predicted = solution.beta * s - delta * s * s / variance
+    fresh = solve_maxent(*dice_problem(4.6), tolerance=tolerance)
+    b, point, _, steps, _ = gibbs_resolve(*dice_problem(), [delta], (predicted,), tolerance)
+    assert 0 < steps < fresh.iterations
+    partition = uniform_partition(6)
+    density = _gibbs_density(point, partition.weights > 0.0, partition)
+    assert np.max(np.abs(density.values - fresh.density.values)) <= 1e-12
+    # each solve meets its target to tolerance s, and dbeta/dt = -1/Var(u)
+    assert abs(float(b[0] / s - fresh.beta[0])) <= 2.0 * tolerance * s / variance
 
 
-def test_a_start_whose_span_units_overflow_is_a_cold_start():
-    constraints, partition = dice_problem()
-    cold = solve_maxent(constraints, partition)
-    warm = solve_maxent(constraints, partition, start=[1e308])
-    assert warm.iterations == cold.iterations
-    assert np.array_equal(warm.pmf.masses, cold.pmf.masses)
+def test_a_start_outside_the_dual_s_domain_is_a_cold_start():
+    # b . z_k overflows to -inf on the cell u = 6, so the exponent is +inf there
+    constraints = ConstraintSet([DICE_U, DICE_U**2], [3.0, 11.0])
+    partition = uniform_partition(6)
+    cold = gibbs_resolve(constraints, partition, [0.0, 0.0], ())
+    with np.errstate(over="ignore"):
+        warm = gibbs_resolve(constraints, partition, [0.0, 0.0], (np.array([-1.7e308, -1.7e308]),))
+    assert warm[3] == cold[3]
+    assert np.array_equal(warm[0], cold[0])
 
 
 @pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
-@pytest.mark.parametrize("start", [None, [2.5]])
-def test_a_total_weight_that_overflows_is_refused(kind, q, start):
+def test_the_audit_resolves_start_from_the_tangent_predictor(monkeypatch, kind, q):
+    # each re-solve is offered the predictor before the solution itself, and
+    # from there one Newton step reaches 1e-12 (two do from the solution)
+    solve, audit = SOLVERS[kind]
+    solution = solve(ConstraintSet([[0.0, 1.0, 2.0]], [0.7], kind, q), uniform_partition(3))
+    resolves = []
+
+    def spy(*args):
+        result = _dual_newton(*args)
+        resolves.append((len(args[6]), result[3]))
+        return result
+
+    monkeypatch.setattr(maxent if kind == "ordinary" else tsallis, "_dual_newton", spy)
+    audit(solution)
+    assert resolves == [(2, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
+def test_the_audit_names_a_shifted_target_past_its_range(kind, q):
+    # 1e-7 below the top of the dice's range, every step from h = 0.5 s = 2
+    # down to 2e-5 leaves it
+    solve, audit = SOLVERS[kind]
+    solution = solve(ConstraintSet([DICE_U], [6.0 - 1e-7], kind, q), uniform_partition(6))
+    message = r"^targets\[0\]: 6\.0000199 is not strictly inside the attainable range \(1\.0, 6\.0\)"
+    with pytest.raises(InfeasibleError, match=message):
+        audit(solution, fd_step=0.5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(5, 1000),
+    count=st.integers(1, 3),
+    mode=st.sampled_from(["counting", "lebesgue"]),
+    tilt=st.floats(-2.0, 2.0),
+    q=st.sampled_from([None, 0.5, 2.0]),
+)
+def test_the_in_place_resolves_match_fresh_solves(n, count, mode, tilt, q):
+    # the audit's sensitivity against one read off fresh solves of new
+    # ConstraintSets at t_m +- h, h = fd_step s_m.  Each of the four S carries
+    # rounding, about eps max(1, |S|), and each solve stops within 1e-12 of its
+    # targets in span units, which moves S by at most sum_m |beta_m s_m| 1e-12
+    # (dS/dt = beta); the two differences can then part by twice their sum, over h
+    kind = "ordinary" if q is None else "escort"
+    solve, audit = SOLVERS[kind]
+    partition = uniform_partition(n, mode, (0.0, 1.0) if mode == "lebesgue" else None)
+    x = midpoints(n)
+    U = np.vstack([x, x * x, np.sin(3.0 * x)][:count])
+    tilted = np.exp(tilt * x - x * x) ** (q or 1.0) * partition.weights
+    targets = U @ (tilted / tilted.sum())
+    solution = solve(ConstraintSet(list(U), targets, kind, q), partition)
+    sensitivity = audit(solution)[1] if kind == "ordinary" else audit(solution)["entropy_sensitivity"]
+    scales = _support_setup(solution.constraints, partition, kind)[2]
+    fd_step, eps = 1e-4, float(np.finfo(float).eps)
+    convergence = float(np.sum(np.abs(solution.beta * scales))) * 1e-12
+    for m in range(count):
+        h = fd_step * scales[m]
+        entropies = []
+        for sign in (1.0, -1.0):
+            shifted = targets.copy()
+            shifted[m] += sign * h
+            fresh = solve(ConstraintSet(list(U), shifted, kind, q), partition, tolerance=1e-12)
+            entropies.append(fresh.entropy if kind == "ordinary" else fresh.entropy_q)
+        reference = abs((entropies[0] - entropies[1]) / (2.0 * h) - solution.beta[m])
+        rounding = eps * max(1.0, *map(abs, entropies))
+        assert abs(sensitivity[m] - reference) <= 2.0 * (rounding + convergence) / h
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
+def test_a_total_weight_that_overflows_is_refused(kind, q):
     # at b = 0 the dual's sum of mu is +inf, so no solve can begin there
     constraints = ConstraintSet([[0.0, 1.0, 2.0]], [0.7], kind, q)
     solve = solve_maxent if kind == "ordinary" else solve_tsallis_maxent
     with pytest.raises(ValueError, match=r"^partition\.weights: the total weight inf overflows"):
-        solve(constraints, WeightedPartition([1e308, 1e308, 1e308]), start=start)
-
-
-@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
-@pytest.mark.parametrize("start", [[0.1], [0.1, 0.2, 0.3], [math.nan, 0.1], [0.1, math.inf]])
-def test_a_malformed_start_is_refused(kind, q, start):
-    constraints = ConstraintSet([DICE_U, DICE_U**2], [3.0, 11.0], kind, q)
-    solve = solve_maxent if kind == "ordinary" else solve_tsallis_maxent
-    with pytest.raises(ValueError, match=r"^start: need 2 finite multipliers"):
-        solve(constraints, uniform_partition(6), start=start)
+        solve(constraints, WeightedPartition([1e308, 1e308, 1e308]))
 
 
 @pytest.mark.parametrize("weights", [[1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0]])
