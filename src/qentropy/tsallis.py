@@ -34,6 +34,7 @@ and the counting partition.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,9 @@ def solve_tsallis_maxent(
     moments = targets + scales * point[3]
     density = _escort_density(point, support, partition)
     q_mass = _power_sum(density, q)
+    if q_mass == math.inf:
+        raise ValueError(f"q: the escort normalizer w = sum_k p_k^q mu_k overflows at q = {q!r} "
+                         f"on this partition, so beta = beta_q w is not a float")
     beta_q = _per_unit(lam, scales)
     beta = beta_q * q_mass
     entropy_q = tsallis_entropy(density, q)
@@ -201,7 +205,7 @@ def solve_tsallis_maxent(
     )
 
 
-_LOG_TINY, _LOG_HUGE = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+_LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.ndarray:

@@ -744,3 +744,12 @@ def test_an_escort_audit_whose_zbar_power_overflows_runs_in_log_scale(capsys):
     thermo = payload["thermo_residuals"]
     assert thermo["log_z_gradient"][0] < 1e-8
     assert math.isfinite(thermo["entropy_sensitivity"][0])
+
+
+def test_an_escort_normalizer_that_overflows_in_the_solve_exits_one(capsys):
+    # three cells of weight 1/3000 at q = 200: w = sum_k p_k^q mu_k is about
+    # 1e597, and the solver's residual zbar^(1-q) raised OverflowError
+    spec = {"q": 200, "partition": {"n": 3, "mode": "lebesgue", "interval": [0.0, 0.001]},
+            "constraints": [{"values": [0, 1, 2], "target": 0.8}]}
+    message = validation_message(capsys, "maxent", "--kind", "tsallis", "--input", json.dumps(spec))
+    assert message.startswith("q: the escort normalizer w = sum_k p_k^q mu_k overflows at q = 200.0")

@@ -401,7 +401,8 @@ def gibbs_resolve(constraints, partition, shift, starts, tolerance=1e-12):
 
 
 def test_a_resolve_at_zero_shift_takes_no_step():
-    # the solution solves its own problem: started there, the re-solve stops
+    # the solution solves its own problem: started there (b = beta s, s = 4),
+    # the re-solve stops
     constraints, partition = dice_problem()
     cold = solve_maxent(constraints, partition, tolerance=1e-12)
     b, point, _, steps, _ = gibbs_resolve(constraints, partition, [0.0], (cold.beta * 4.0,))
