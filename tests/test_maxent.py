@@ -444,6 +444,25 @@ def test_a_start_outside_the_dual_s_domain_is_a_cold_start():
 
 
 @pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
+@pytest.mark.parametrize("bad", [[math.nan, 0.1], [0.1, math.inf]])
+def test_a_non_finite_start_falls_back_to_the_next_start(kind, q, bad):
+    # a start with a non-finite multiplier is outside both duals' domain: the
+    # re-solve goes on from the next start, or from 0 after the last
+    solve, _ = SOLVERS[kind]
+    constraints = ConstraintSet([DICE_U, DICE_U**2], [3.0, 11.0], kind, q)
+    partition = uniform_partition(6)
+    _, z, scales, mu = _support_setup(constraints, partition, kind)
+    evaluate = _gibbs_dual(z, mu) if kind == "ordinary" else tsallis._escort_dual(z, mu, 1.0 - q)
+    solution = solve(constraints, partition, tolerance=1e-12)
+    near = (solution.beta if kind == "ordinary" else solution.beta_q) * scales
+    for starts, fallback in (((np.array(bad),), ()), ((np.array(bad), near), (near,))):
+        warm = _dual_newton(evaluate, z, 1e-12, 200, 500, "resolve", starts)
+        cold = _dual_newton(evaluate, z, 1e-12, 200, 500, "resolve", fallback)
+        assert warm[3:] == cold[3:]
+        assert np.array_equal(warm[0], cold[0])
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
 def test_the_audit_resolves_start_from_the_tangent_predictor(monkeypatch, kind, q):
     # each re-solve is offered the predictor before the solution itself, and
     # from there one Newton step reaches 1e-12 (two do from the solution)
