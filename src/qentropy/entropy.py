@@ -182,13 +182,14 @@ def renyi_divergence(
 
 def _power_sum(p: DensityVector, q: float) -> float:
     """The q-mass sum_k p_k^q mu_k over the cells where p_k > 0 and mu_k > 0.
-    Where a power p_k^q overflows, the sum is taken in log space."""
+    Where the direct sum is not a normal float (a power p_k^q over- or
+    underflows before mu_k scales it), it is taken in log space."""
     v = p.values
     w = p.partition.weights
     live = (v > 0.0) & (w > 0.0)
     with np.errstate(over="ignore"):
         value = np.dot(v[live] ** q, w[live])
-        if not math.isfinite(value):
+        if not np.finfo(float).tiny <= value < math.inf:
             value = np.exp(_logsumexp(q * np.log(v[live]), b=w[live]))
     return float(value)
 

@@ -8,31 +8,34 @@ and the dual is log Z(beta) + beta . t (gradient t - E[u], curvature the
 moment covariance).  The escort dual that tsallis.py hands to the same
 routine is described there.
 
-Both solvers pose their dual on _support_setup and check their arguments
-with _check_arguments.  The dual is written in span units: each feature is
-centred on its target and divided by s_m, the power of two nearest its span
-on the support, z_k = (u_k - t)/s, and the dual variable is b = beta s.
-Dividing by a power of two is exact, so z, every Newton step, the pmf and the
-stopping test are the same floats whatever the units of a feature; tolerance
-bounds each |E[z_m]|, and beta = b/s and E[u] = t + s E[z] are formed once,
-after the solve.  A direction d with d . z_k > 0 on the whole support proves
-the targets jointly infeasible, and along it the dual decreases without
-bound; the routine tests each Newton step and iterate as such a d and raises
-InfeasibleError naming it.  Both audits first refuse, with
-_check_independent, a feature that is an affine combination of those before
-it on the support, whose target cannot move alone.  They step by fd_step/s_m
-in beta and check dS/dt_m = beta_m by re-solving at t_m +- fd_step s_m in
-_resolved_sensitivity, each difference taken by _central_differences.  The
-re-solves run in place: _dual_newton on the audit's own z with target m
-moved by h = delta s_m, z - delta e_m, with no new ConstraintSet or support
-setup, started from the solution's tangent predictor; S is summed from each
-re-solved density.
+Both solvers pose their dual once, on _support_setup, and check their
+arguments with _check_arguments.  The dual is written in span units: each
+feature is centred on its target and divided by s_m, the power of two nearest
+its span on the support, z_k = (u_k - t)/s, and the dual variable is
+b = beta s.  Dividing by a power of two is exact, so z, every Newton step,
+the pmf and the stopping test are the same floats whatever the units of a
+feature; tolerance bounds each |E[z_m]|, and beta = b/s and E[u] = t + s E[z]
+are formed once, after the solve.  A direction d with d . z_k > 0 on the
+whole support proves the targets jointly infeasible, and along it the dual
+decreases without bound; the routine tests each Newton step and iterate as
+such a d and raises InfeasibleError naming it.  Each solution keeps, in its
+private _dual field, the posed support, z, scales and mu, its multipliers in
+span units and the last _dual_newton evaluation; both audits read them there,
+so they check the solve that produced the solution and pose nothing again.
+They first refuse, with _check_independent, a feature that is an affine
+combination of those before it on the support, whose target cannot move
+alone.  They step by fd_step/s_m in beta and check dS/dt_m = beta_m by
+re-solving at t_m +- fd_step s_m in _resolved_sensitivity, each difference
+taken by _central_differences.  The re-solves run in place: _dual_newton on
+the solve's z with target m moved by h = delta s_m, z - delta e_m, started
+from the tangent predictor that the solve's last Hessian gives; S is summed
+from each re-solved density.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,6 +144,8 @@ class GibbsSolution:
 
     entropy equals log_z + beta . achieved_moments up to rounding;
     entropy_identity reports the defect rather than assuming it is zero.
+    _dual = (support, z, scales, mu, b, point): the posed dual, b and its
+    last _gibbs_dual evaluation (see the module docstring).
     """
 
     constraints: ConstraintSet
@@ -152,6 +157,7 @@ class GibbsSolution:
     entropy: float
     residual_norm: float
     iterations: int
+    _dual: tuple = field(repr=False)
 
     @property
     def pmf(self) -> ProbabilityVector:
@@ -317,11 +323,13 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, starts=(
     exponent, state), with value +inf outside the dual's domain, residual
     E[z] and exponent -(b . z_k) per cell.  The loop stops once each |E[z_m]|
     is within tolerance or, where larger, the rounding of the moment,
-    _ROUNDING max_k |z_mk|.
+    _ROUNDING r_m, r_m = max_k |z_mk|.
     A step is taken when it passes the Armijo test; a full step is also
     taken when the dual moved by no more than rounding and the residual
     fell, because near the minimum the dual is flat to machine precision
-    while its gradient still carries information.
+    while its gradient still carries information.  That rounding bounds the
+    exponents' terms, max_k sum_m |b_m||z_mk|, by |b| . r: equal at M = 1, at
+    most M times larger, and O(M) a step where the maximum is a pass over z.
     z holds the support cells as columns; each step and each new iterate is
     tested as an infeasibility certificate, the iterate on the exponent of its
     evaluation.
@@ -329,8 +337,8 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, starts=(
     Returns (b, point, residual_norm, newton_steps, total_halvings), point
     being evaluate(b).
     """
-    spread = np.abs(z)
-    tolerances = np.maximum(tolerance, _ROUNDING * np.max(spread, axis=1, initial=0.0))
+    row_max = np.max(np.abs(z), axis=1, initial=0.0)
+    tolerances = np.maximum(tolerance, _ROUNDING * row_max)
     for b in (*starts, np.zeros(z.shape[0])):
         point = evaluate(b)
         if math.isfinite(point[0]):
@@ -356,7 +364,7 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, starts=(
         decrease = _ARMIJO * float(gradient @ step)
         # the dual's rounding error grows with |f| and with the size of the
         # terms of the exponents b . z_k it is summed from
-        rounding = _ROUNDING * (1.0 + abs(value)) * (1.0 + float(np.max(np.abs(b) @ spread)))
+        rounding = _ROUNDING * (1.0 + abs(value)) * (1.0 + float(np.abs(b) @ row_max))
         scale = 1.0
         for halving in range(max_halvings + 1):
             trial = b + scale * step
@@ -441,6 +449,7 @@ def solve_maxent(
         entropy=entropy,
         residual_norm=residual_norm,
         iterations=iterations,
+        _dual=(support, z, scales, mu, b, point),
     )
 
 
@@ -470,12 +479,12 @@ def _central_differences(f, center: np.ndarray, steps: np.ndarray):
     return np.array(rises), steps
 
 
-def _resolved_sensitivity(solution, support, z, scales, center, tangents, resolve, fd_step):
+def _resolved_sensitivity(solution, tangents, resolve, fd_step):
     """|dS/dt_m - beta_m| per constraint: (S(t_m + h) - S(t_m - h)) / 2h with
     h = delta s_m, delta from fd_step down as in _central_differences; both
     audits re-solve here.
 
-    resolve(z', starts) re-solves the audit's own span-unit problem with
+    resolve(z', starts) re-solves solution._dual's span-unit problem with
     target m moved, z' = z - delta e_m, by _dual_newton at tolerance 1e-12,
     and sums S from the re-solved density.  It starts from the tangent
     predictor center + delta tangents[:, m] (center: the solution's
@@ -486,6 +495,7 @@ def _resolved_sensitivity(solution, support, z, scales, center, tangents, resolv
     min z'_m < 0 < max z'_m, raises InfeasibleError, and the step shrinks.
     """
     constraints = solution.constraints
+    support, z, scales, _, center, _ = solution._dual
     # rounding is monotone, so min z'_m = fl(min z_m - delta), and max alike
     lo, hi = z.min(axis=1), z.max(axis=1)
 
@@ -521,25 +531,24 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
     Moving target m shifts every exponent by the constant delta b_m, so the
     masses, and the Hessian H at the solution b*, do not see it; the moments
     do, by -delta e_m, and the re-solve starts from the tangent predictor
-    b* - delta H^-1 e_m, with H inverted once per audit.
-    A feature that is an affine combination of those before it is refused
-    first, as functions[m] (see _check_independent).
+    b* - delta H^-1 e_m, with H inverted once per audit.  The problem, b*
+    and H are read off solution._dual: the audit checks the solve that
+    produced the solution.  A feature that is an affine combination of those
+    before it is refused first, as functions[m] (see _check_independent).
     """
     _check_arguments(fd_step=fd_step)
-    constraints, partition = solution.constraints, solution.partition
-    support, z, scales, mu = _support_setup(constraints, partition, "ordinary")
+    support, z, scales, mu, center, point = solution._dual
     _check_independent(z)
-    center = solution.beta * scales
-    offset = (solution.achieved_moments - constraints.targets) / scales
-    rises, steps = _central_differences(lambda point: _logsumexp(-(point @ z), b=mu),
-                                        center, np.full(constraints.size, fd_step))
-    tangents = -np.linalg.pinv(_gibbs_dual(z, mu)(center)[2], hermitian=True)
+    offset = (solution.achieved_moments - solution.constraints.targets) / scales
+    rises, steps = _central_differences(lambda b: _logsumexp(-(b @ z), b=mu),
+                                        center, np.full(center.size, fd_step))
+    tangents = -np.linalg.pinv(point[2], hermitian=True)
 
     def resolve(shifted: np.ndarray, starts: tuple) -> float:
         evaluate = _gibbs_dual(shifted, mu)
         point = _dual_newton(evaluate, shifted, 1e-12, 200, 60, "solve_maxent", starts)[1]
-        return shannon_entropy(_gibbs_density(point, support, partition))
+        return shannon_entropy(_gibbs_density(point, support, solution.partition))
 
     return scales * np.abs(rises / (2.0 * steps) + offset), _resolved_sensitivity(
-        solution, support, z, scales, center, tangents, resolve, fd_step
+        solution, tangents, resolve, fd_step
     )

@@ -20,12 +20,14 @@ as (lambda s) . z_k.  The dual is +inf past the q > 1 pole, cells past the
 q < 1 cut-off drop out, and at q = 1 (the whole classical band) e_q = exp.
 Afterwards lambda = (lambda s)/s, w = sum_k p_k^q mu_k, beta = lambda w and
 the escort moments are t + s E[z].  _escort_family is the one evaluation of
-e_q, zbar and the escort weights, for the solver and the log_z_gradient audit.
+e_q, zbar and the escort weights.  It is each _escort_dual evaluation's state,
+which the density and the audit's tangent predictor read, and the family the
+log_z_gradient audit differences.
 
 The solver returns its identity checks as a named residual map rather than
-asserting them, so a caller can log them: w = zbar^(1-q), S_q = ln_q zbar,
-beta = beta_q w and the escort moments, each read off the q-mass, entropy and
-moments the solve has just computed (the test suite pins them at 1e-8).
+asserting them, so a caller can log them: w = zbar^(1-q), S_q = ln_q zbar and
+the escort moments, each read off the q-mass, entropy and moments the solve
+has just computed (the test suite pins them at 1e-8).
 discrete_consistency_report sets the measure-theoretic Tsallis entropy against
 the discrete one; both are entropy.tsallis_entropy, on the uniform-probability
 and the counting partition.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,8 +84,10 @@ class TsallisSolution:
     beta are the true multipliers; beta_q = beta / q_mass the renormalized
     ones appearing inside the q-exponential.  iterations = (Newton steps,
     total step halvings).  identity_residuals maps escort_moment,
-    power_mass_vs_zbar, entropy_vs_lnq_zbar and multiplier_scaling to the
-    defects of those identities, computed from the fields above.
+    power_mass_vs_zbar and entropy_vs_lnq_zbar to the defects of those
+    identities, computed from the fields above.  _dual = (support, z, scales,
+    mu, lambda s, point): the posed dual, lambda s and its last _escort_dual
+    evaluation (see maxent).
     """
 
     constraints: ConstraintSet
@@ -99,6 +103,7 @@ class TsallisSolution:
     residual_norm: float
     iterations: tuple[int, int]
     identity_residuals: dict
+    _dual: tuple = field(repr=False)
 
     @property
     def pmf(self) -> ProbabilityVector:
@@ -134,7 +139,7 @@ def _escort_family(lam: np.ndarray, z: np.ndarray, mu: np.ndarray, one_minus_q: 
 
 def _escort_dual(z: np.ndarray, mu: np.ndarray, one_minus_q: float):
     """evaluate(lam) for maxent._dual_newton on the escort dual zbar(lambda),
-    in span units; its state is raw = e_q(x_k)."""
+    in span units; its state is the _escort_family tuple at lam."""
 
     def evaluate(lam: np.ndarray):
         family = _escort_family(lam, z, mu, one_minus_q)
@@ -143,7 +148,7 @@ def _escort_dual(z: np.ndarray, mu: np.ndarray, one_minus_q: float):
         x, raw, ratio, zbar, escort = family
         moments = (z @ escort) / float(np.sum(escort))
         hessian = (z * ((1.0 - one_minus_q) * escort * ratio)) @ z.T
-        return zbar, -(z @ escort), hessian, moments, x, raw
+        return zbar, -(z @ escort), hessian, moments, x, family
 
     return evaluate
 
@@ -151,7 +156,7 @@ def _escort_dual(z: np.ndarray, mu: np.ndarray, one_minus_q: float):
 def _escort_density(point, support: np.ndarray, partition: WeightedPartition) -> DensityVector:
     """The density e_q(x_k)/zbar of an _escort_dual evaluation point."""
     with np.errstate(over="ignore"):
-        on_support = point[5] / point[0]
+        on_support = point[5][1] / point[0]
     return _ratio_density(on_support, support, partition)
 
 
@@ -186,7 +191,6 @@ def solve_tsallis_maxent(
         "escort_moment": float(np.max(np.abs(moments - targets), initial=0.0)),
         "power_mass_vs_zbar": abs(q_mass - zbar ** (1.0 - q)),
         "entropy_vs_lnq_zbar": abs(entropy_q - q_log(zbar, q)),
-        "multiplier_scaling": float(np.max(np.abs(beta_q * q_mass - beta), initial=0.0)),
     }
     return TsallisSolution(
         constraints=constraints,
@@ -202,6 +206,7 @@ def solve_tsallis_maxent(
         residual_norm=residual_norm,
         iterations=(steps, halvings),
         identity_residuals=residuals,
+        _dual=(support, z, scales, mu, lam, point),
     )
 
 
@@ -285,34 +290,31 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
     (z' = z - delta e_m) moves the solution lambda, in span units, by
     dlambda/ddelta = H^-1 (lambda_m sum_k mu_k q e_q^(2q-1) z_k
     - e_m sum_k mu_k e_q^q), with H the dual's Hessian at the solution,
-    inverted once per audit.
-    A feature that is an affine combination of those before it is refused
-    first, as functions[m] (see maxent._check_independent).
+    inverted once per audit.  The problem, lambda s, H and the escort weights
+    are read off solution._dual: the audit checks the solve that produced
+    the solution.  A feature that is an affine combination of those before
+    it is refused first, as functions[m] (see maxent._check_independent).
     """
     _check_arguments(fd_step=fd_step)
-    constraints, partition, q = solution.constraints, solution.partition, solution.q
-    support, z, scales, mu = _support_setup(constraints, partition, "escort")
+    q = solution.q
+    support, z, scales, mu, center, point = solution._dual
     _check_independent(z)
-    gap = solution.escort_moments - constraints.targets
-    center = solution.beta_q * scales
+    gap = solution.escort_moments - solution.constraints.targets
     gradient = _lnq_z_gradient(center, q, z, mu, fd_step)
-    _, _, ratio, _, escort = _escort_family(center, z, mu, 1.0 - q)
-    curvature = q * escort * ratio
-    tangents = np.linalg.pinv((z * curvature) @ z.T, hermitian=True) @ (
-        np.outer(z @ curvature, center) - float(np.sum(escort)) * np.eye(constraints.size)
+    _, _, ratio, _, escort = point[5]
+    tangents = np.linalg.pinv(point[2], hermitian=True) @ (
+        np.outer(z @ (q * escort * ratio), center) - float(np.sum(escort)) * np.eye(center.size)
     )
 
     def resolve(shifted: np.ndarray, starts: tuple) -> float:
         point = _dual_newton(_escort_dual(shifted, mu, 1.0 - q), shifted, 1e-12, 100, 500,
                              "solve_tsallis_maxent", starts)[1]
-        return tsallis_entropy(_escort_density(point, support, partition), q)
+        return tsallis_entropy(_escort_density(point, support, solution.partition), q)
 
     return {
-        "legendre_gap": float(abs(solution.beta @ gap)) if constraints.size else 0.0,
+        "legendre_gap": float(abs(solution.beta @ gap)) if center.size else 0.0,
         "log_z_gradient": scales * np.abs(gradient + gap / scales),
-        "entropy_sensitivity": _resolved_sensitivity(
-            solution, support, z, scales, center, tangents, resolve, fd_step
-        ),
+        "entropy_sensitivity": _resolved_sensitivity(solution, tangents, resolve, fd_step),
     }
 
 

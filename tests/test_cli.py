@@ -115,8 +115,23 @@ def test_maxent_escort_two_point(capsys):
     payload = json.loads(out)
     assert payload["kind"] == "tsallis"
     assert math.isclose(payload["pmf"][0], 0.6043560762610400, rel_tol=0, abs_tol=1e-8)
-    assert payload["identity_residuals"]["multiplier_scaling"] == 0.0
+    assert set(payload["identity_residuals"]) == {
+        "escort_moment", "power_mass_vs_zbar", "entropy_vs_lnq_zbar", "moment"
+    }
     assert payload["thermo_residuals"]["legendre_gap"] < 1e-8
+
+
+def test_an_escort_normalizer_below_the_normal_floats_is_summed_in_log_space(capsys):
+    # each p_k^2 mu_k underflows (p_k about 1e-300) before its weight 3e299
+    # scales it, while w = sum_k p_k^2 mu_k is about 1e-300, a normal float
+    spec = ('{"q": 2.0, "partition": {"n": 3, "mode": "lebesgue", "interval": [-1e300, 3.0]}, '
+            '"constraints": [{"values": [0, 1, 2], "target": 0.8}]}')
+    code, out, _ = run_cli(capsys, "maxent", "--kind", "tsallis", "--input", spec)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["q_mass"] == pytest.approx(1.015347062186801e-300, rel=1e-12)
+    assert payload["beta"][0] == pytest.approx(payload["beta_q"][0] * payload["q_mass"], rel=1e-15)
+    assert payload["beta"][0] > 1e-301
 
 
 def test_maxent_escort_in_the_classical_band_reads_q_one(capsys):

@@ -514,7 +514,7 @@ def test_the_in_place_resolves_match_fresh_solves(n, count, mode, tilt, q):
     targets = U @ (tilted / tilted.sum())
     solution = solve(ConstraintSet(list(U), targets, kind, q), partition)
     sensitivity = audit(solution)[1] if kind == "ordinary" else audit(solution)["entropy_sensitivity"]
-    scales = _support_setup(solution.constraints, partition, kind)[2]
+    scales = solution._dual[2]
     fd_step, eps = 1e-4, float(np.finfo(float).eps)
     convergence = float(np.sum(np.abs(solution.beta * scales))) * 1e-12
     for m in range(count):
@@ -552,6 +552,50 @@ def test_support_features_are_row_contiguous(weights):
 
 
 SOLVERS = {"ordinary": (solve_maxent, thermo_residuals), "escort": (solve_tsallis_maxent, tsallis_thermo)}
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
+def test_a_solve_and_its_audit_pose_the_dual_once(monkeypatch, kind, q):
+    # the audit reads the solve's support, z, scales and mu from solution._dual
+    solve, audit = SOLVERS[kind]
+    kinds = []
+
+    def spy(*args):
+        kinds.append(args[2])
+        return _support_setup(*args)
+
+    monkeypatch.setattr(maxent, "_support_setup", spy)
+    monkeypatch.setattr(tsallis, "_support_setup", spy)
+    audit(solve(ConstraintSet([DICE_U, DICE_U**2], [3.0, 11.0], kind, q), uniform_partition(6)))
+    assert kinds == [kind]
+
+
+POSING_WEIGHTS = {
+    "counting": np.ones(7),
+    "lebesgue": np.full(7, 1.0 / 7.0),
+    # zero weights take _support_setup's compress branch
+    "zero_weight": np.array([0.5, 0.0, 2.0, 1.0, 0.0, 0.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(POSING_WEIGHTS))
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 0.5), ("escort", 2.0)])
+def test_the_carried_dual_is_the_problem_posed_afresh(kind, q, count, weights):
+    # support, z, scales and mu bit for bit, the targets the (escort) moments
+    # of a seeded positive pmf on the support
+    mu = POSING_WEIGHTS[weights]
+    partition = WeightedPartition(mu)
+    x = midpoints(7)
+    U = np.vstack([x, x * x, np.sin(3.0 * x)][:count])
+    p = np.random.default_rng(count).uniform(0.5, 1.5, 7) * (mu > 0.0)
+    tilted = p ** (q or 1.0) * mu
+    solution = SOLVERS[kind][0](ConstraintSet(list(U), U @ tilted / tilted.sum(), kind, q), partition)
+    fresh = _support_setup(solution.constraints, solution.partition, kind)
+    for carried, posed in zip(solution._dual[:4], fresh):
+        assert (carried.dtype, carried.shape) == (posed.dtype, posed.shape)
+        assert carried.tobytes() == posed.tobytes()
+    SOLVERS[kind][1](solution)
 # second constraints that repeat [0, 1, 2] -> 0.7 on three counting cells
 DEPENDENT_PAIRS = {
     "duplicate": ([0.0, 1.0, 2.0], 0.7),
