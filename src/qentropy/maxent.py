@@ -24,12 +24,9 @@ span units and the last _dual_newton evaluation; both audits read them there,
 so they check the solve that produced the solution and pose nothing again.
 They first refuse, with _check_independent, a feature that is an affine
 combination of those before it on the support, whose target cannot move
-alone.  They step by fd_step/s_m in beta and check dS/dt_m = beta_m by
-re-solving at t_m +- fd_step s_m in _resolved_sensitivity, each difference
-taken by _central_differences.  The re-solves run in place: _dual_newton on
-the solve's z with target m moved by h = delta s_m, z - delta e_m, started
-from the tangent predictor that the solve's last Hessian gives; S is summed
-from each re-solved density.
+alone.  Every difference is taken by _central_differences.  dS/dt_m = beta_m
+is read along the solution's own family in _family_sensitivity, and no audit
+solves again: each member is the exact maximizer at its own mean.
 """
 
 from __future__ import annotations
@@ -228,22 +225,16 @@ def _support_setup(constraints: ConstraintSet, partition: WeightedPartition, kin
     for m, u in enumerate(features):
         lo, hi = float(np.min(u)), float(np.max(u))
         if not (lo < targets[m] < hi):
-            raise _outside_range(m, targets[m], u)
+            raise InfeasibleError(
+                f"targets[{m}]: {float(targets[m])!r} is not strictly inside the attainable "
+                f"range ({lo!r}, {hi!r}) on the support; the maximizer would be a degenerate limit"
+            )
         # span = 2 mantissa 2^exponent; half a span of two subnormal ulps can
         # round to 0, and is then the smallest subnormal
         mantissa, exponent = math.frexp(max(hi / 2.0 - lo / 2.0, _TINY))
         scales[m] = math.ldexp(1.0, exponent + round(math.log2(2.0 * mantissa)))
     z = features / scales[:, None] - (targets / scales)[:, None]
     return support, z, scales, mu
-
-
-def _outside_range(m: int, target: float, u: np.ndarray) -> InfeasibleError:
-    """The refusal of target m, not strictly inside the range of u_m on the support."""
-    return InfeasibleError(
-        f"targets[{m}]: {float(target)!r} is not strictly inside the attainable range "
-        f"({float(np.min(u))!r}, {float(np.max(u))!r}) on the support; the maximizer "
-        f"would be a degenerate limit"
-    )
 
 
 # a correlation eigenvalue this small leaves a feature 1e-6 of its spread off
@@ -314,14 +305,12 @@ def _certify_infeasible(direction: np.ndarray, exponent: np.ndarray) -> None:
         )
 
 
-def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, starts=()):
-    """Damped Newton on a convex dual; both MaxEnt solvers and both audits'
-    re-solves run here.
+def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name):
+    """Damped Newton on a convex dual from b = 0; both MaxEnt solvers run here.
 
-    The iteration starts at the first of starts inside the dual's domain, or
-    at b = 0.  evaluate(b) returns (value, gradient, hessian, residual,
-    exponent, state), with value +inf outside the dual's domain, residual
-    E[z] and exponent -(b . z_k) per cell.  The loop stops once each |E[z_m]|
+    evaluate(b) returns (value, gradient, hessian, residual, exponent,
+    state), with value +inf outside the dual's domain, residual E[z] and
+    exponent -(b . z_k) per cell.  The loop stops once each |E[z_m]|
     is within tolerance or, where larger, the rounding of the moment,
     _ROUNDING r_m, r_m = max_k |z_mk|.
     A step is taken when it passes the Armijo test; a full step is also
@@ -339,10 +328,8 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, starts=(
     """
     row_max = np.max(np.abs(z), axis=1, initial=0.0)
     tolerances = np.maximum(tolerance, _ROUNDING * row_max)
-    for b in (*starts, np.zeros(z.shape[0])):
-        point = evaluate(b)
-        if math.isfinite(point[0]):
-            break
+    b = np.zeros(z.shape[0])
+    point = evaluate(b)
     value, gradient, hessian, residual = point[:4]
     halvings = 0
     for steps in range(max_steps + 1):
@@ -453,66 +440,68 @@ def solve_maxent(
     )
 
 
-# a step that leaves the domain of what is differenced is divided by 10 at
-# most this many times, down to its first value / 10^5, before the audit gives up
+# a step that leaves the domain of what is differenced or the feasible set is
+# divided by 10 at most this many times, to its first value / 10^5, then refused
 FD_STEP_SHRINKS = 5
 
 
 def _central_differences(f, center: np.ndarray, steps: np.ndarray):
-    """(rises, h): rises[m] = f(c + h_m e_m) - f(c - h_m e_m) for the h_m taken;
-    every difference of both audits is taken here.  h_m starts at steps[m] and
-    is divided by 10 while f raises ValueError (a shifted target past the
-    feasible set, which can be thinner than the step, or a step past the escort
-    family's pole or cut-off), up to FD_STEP_SHRINKS times; then f's error is raised."""
-    rises, steps = [], np.array(steps, dtype=float)
+    """(rises, means, h): rises[m] = f(c + h_m e_m) - f(c - h_m e_m) and means[m]
+    the pair's average, for the h_m taken.  h_m starts at steps[m] and is
+    divided by 10 while f raises ValueError (a step past the escort family's
+    pole or cut-off, or wider than the feasible set), up to FD_STEP_SHRINKS
+    times; then f's error is raised."""
+    rises, means, steps = [], [], np.array(steps, dtype=float)
     for m in range(steps.size):
         for shrinks in range(FD_STEP_SHRINKS + 1):
             plus, minus = center.copy(), center.copy()
             plus[m], minus[m] = center[m] + steps[m], center[m] - steps[m]
             try:
-                rises.append(f(plus) - f(minus))
+                high, low = f(plus), f(minus)
                 break
             except ValueError:
                 if shrinks == FD_STEP_SHRINKS:
                     raise
                 steps[m] /= 10.0
-    return np.array(rises), steps
+        rises.append(high - low)
+        means.append((high + low) / 2.0)
+    return np.array(rises), np.array(means), steps
 
 
-def _resolved_sensitivity(solution, tangents, resolve, fd_step):
-    """|dS/dt_m - beta_m| per constraint: (S(t_m + h) - S(t_m - h)) / 2h with
-    h = delta s_m, delta from fd_step down as in _central_differences; both
-    audits re-solve here.
+def _family_sensitivity(solution, tangents: np.ndarray, member, fd_step: float) -> np.ndarray:
+    """|dS/dt_m - beta_m| per constraint along the solution's own family.
 
-    resolve(z', starts) re-solves solution._dual's span-unit problem with
-    target m moved, z' = z - delta e_m, by _dual_newton at tolerance 1e-12,
-    and sums S from the re-solved density.  It starts from the tangent
-    predictor center + delta tangents[:, m] (center: the solution's
-    multipliers in span units; tangents[:, m]: their derivative in delta),
-    else from center: where the predictor moves some exponent by more than
-    1, max_k |delta tangents[:, m] . z'_k| > 1, or leaves the dual's domain.
-    A shifted target not strictly inside its feature's range on the support,
-    min z'_m < 0 < max z'_m, raises InfeasibleError, and the step shrinks.
+    member(b) is (c, b', S) for the member at b (span units), or None: its mean
+    c = E[z], where it is the exact maximizer, its multipliers b' in span
+    units, so dS/dc = b', and S summed from its density.  tangents = db/dc at
+    the solution b*.  The members at b* +- h tangents e_m give row m of
+    (c+ - c-) . g = (S+ - S-) - cbar . (b'+ - b'-), cbar = (c+ + c-)/2, which
+    moves the difference back to the solution to second order; the residual
+    is |g/s - beta|.  A missing member, or a mean off +-h e_m by more than h/2,
+    shows a feasible set thinner than h: h shrinks as in _central_differences,
+    and at its floor InfeasibleError names targets[m].
     """
-    constraints = solution.constraints
-    support, z, scales, _, center, _ = solution._dual
-    # rounding is monotone, so min z'_m = fl(min z_m - delta), and max alike
-    lo, hi = z.min(axis=1), z.max(axis=1)
+    scales, center = solution._dual[2], solution._dual[4]
+    M = center.size
 
-    def entropy_at(shift: np.ndarray) -> float:
-        inside = (lo - shift < 0.0) & (hi - shift > 0.0)
-        if not inside.all():
-            m = int(np.argmin(inside))
-            target = constraints.targets[m] + shift[m] * scales[m]
-            raise _outside_range(m, target, constraints.functions[m][support])
-        shifted = z - shift[:, None]
-        predicted = tangents @ shift
-        trusted = _max_abs(predicted @ shifted) <= 1.0
-        return resolve(shifted, (center + predicted, center) if trusted else (center,))
+    def at(shift: np.ndarray) -> np.ndarray:
+        found = member(center + tangents @ shift)
+        h = _max_abs(shift)
+        if found is None or _max_abs(found[0] - shift) > h / 2.0:
+            m = int(np.argmax(np.abs(shift)))
+            raise InfeasibleError(
+                f"targets[{m}]: {float(solution.constraints.targets[m])!r} lies too close to "
+                f"the edge of the feasible set for the audit: a step of {h!r} in span units "
+                f"(s = {float(scales[m])!r}) does not fit inside it, and the smallest step is "
+                f"fd_step/10^{FD_STEP_SHRINKS}; move the target inward or lower fd_step"
+            )
+        mean, multipliers, entropy = found
+        return np.concatenate((mean, multipliers, [entropy]))
 
-    M = constraints.size
-    rises, deltas = _central_differences(entropy_at, np.zeros(M), np.full(M, fd_step))
-    return np.abs(rises / (2.0 * deltas * scales) - solution.beta)
+    rises, means, _ = _central_differences(at, np.zeros(M), np.full(M, fd_step))
+    rises, means = rises.reshape(M, 2 * M + 1), means.reshape(M, 2 * M + 1)[:, :M]
+    slope = np.linalg.solve(rises[:, :M], rises[:, -1] - np.sum(means * rises[:, M:-1], axis=1))
+    return np.abs(slope / scales - solution.beta)
 
 
 def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
@@ -520,35 +509,33 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
 
     grad_residual[m]:        |d(log Z)/d(beta_m) + <u_m>|   (central difference
                              at beta_m +- fd_step/s_m)
-    sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (re-solve at
-                             t_m +- fd_step s_m, the step shrinking as in
-                             _central_differences; see _resolved_sensitivity)
+    sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (along the family
+                             mu exp(-b . z), see _family_sensitivity)
+    Both steps shrink as in _central_differences.
 
     The gradient is differenced in span units, on L(b) = log Z + beta . t,
     whose b-gradient is -E[z]: the residual is s_m |dL/db_m + E[z_m]|.
-    The sensitivity sign follows from S(t) = log Z(beta(t)) + beta(t) . t and
-    the envelope theorem: dS/dt_m = beta_m for the Gibbs form used here.
-    Moving target m shifts every exponent by the constant delta b_m, so the
-    masses, and the Hessian H at the solution b*, do not see it; the moments
-    do, by -delta e_m, and the re-solve starts from the tangent predictor
-    b* - delta H^-1 e_m, with H inverted once per audit.  The problem, b*
-    and H are read off solution._dual: the audit checks the solve that
-    produced the solution.  A feature that is an affine combination of those
-    before it is refused first, as functions[m] (see _check_independent).
+    S(t) = log Z(beta(t)) + beta(t) . t gives dS/dt_m = beta_m by the envelope
+    theorem.  dE_b[z]/db = -H, so the members are taken at b* -+ h H^-1 e_m, H
+    the solve's last Hessian.  The problem, b* and H are read off
+    solution._dual, so the audit checks the solve that produced the solution.
+    A feature that is an affine combination of those before it is refused
+    first (see _check_independent).
     """
     _check_arguments(fd_step=fd_step)
     support, z, scales, mu, center, point = solution._dual
     _check_independent(z)
     offset = (solution.achieved_moments - solution.constraints.targets) / scales
-    rises, steps = _central_differences(lambda b: _logsumexp(-(b @ z), b=mu),
-                                        center, np.full(center.size, fd_step))
+    rises, _, steps = _central_differences(lambda b: _logsumexp(-(b @ z), b=mu),
+                                           center, np.full(center.size, fd_step))
+
+    def member(b: np.ndarray):
+        at = _gibbs_dual(z, mu)(b)
+        if not math.isfinite(at[0]):
+            return None
+        return at[3], b, shannon_entropy(_gibbs_density(at, support, solution.partition))
+
     tangents = -np.linalg.pinv(point[2], hermitian=True)
-
-    def resolve(shifted: np.ndarray, starts: tuple) -> float:
-        evaluate = _gibbs_dual(shifted, mu)
-        point = _dual_newton(evaluate, shifted, 1e-12, 200, 60, "solve_maxent", starts)[1]
-        return shannon_entropy(_gibbs_density(point, support, solution.partition))
-
-    return scales * np.abs(rises / (2.0 * steps) + offset), _resolved_sensitivity(
-        solution, tangents, resolve, fd_step
+    return scales * np.abs(rises / (2.0 * steps) + offset), _family_sensitivity(
+        solution, tangents, member, fd_step
     )

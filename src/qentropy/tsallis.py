@@ -21,8 +21,8 @@ q < 1 cut-off drop out, and at q = 1 (the whole classical band) e_q = exp.
 Afterwards lambda = (lambda s)/s, w = sum_k p_k^q mu_k, beta = lambda w and
 the escort moments are t + s E[z].  _escort_family is the one evaluation of
 e_q, zbar and the escort weights.  It is each _escort_dual evaluation's state,
-which the density and the audit's tangent predictor read, and the family the
-log_z_gradient audit differences.
+which the density and the audit read; both audit checks difference it as
+_escort_member, re-centred on its own escort mean, and neither solves again.
 
 The solver returns its identity checks as a named residual map rather than
 asserting them, so a caller can log them: w = zbar^(1-q), S_q = ln_q zbar and
@@ -41,15 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _power_sum, tsallis_entropy
+from .entropy import _power_sum, shannon_entropy, tsallis_entropy
 from .maxent import (
     ConstraintSet,
     _central_differences,
     _check_arguments,
     _check_independent,
     _dual_newton,
+    _family_sensitivity,
     _per_unit,
-    _resolved_sensitivity,
     _support_setup,
 )
 from .measure import (
@@ -153,10 +153,10 @@ def _escort_dual(z: np.ndarray, mu: np.ndarray, one_minus_q: float):
     return evaluate
 
 
-def _escort_density(point, support: np.ndarray, partition: WeightedPartition) -> DensityVector:
-    """The density e_q(x_k)/zbar of an _escort_dual evaluation point."""
+def _escort_density(family, support: np.ndarray, partition: WeightedPartition) -> DensityVector:
+    """The density e_q(x_k)/zbar of an _escort_family tuple."""
     with np.errstate(over="ignore"):
-        on_support = point[5][1] / point[0]
+        on_support = family[1] / family[3]
     return _ratio_density(on_support, support, partition)
 
 
@@ -179,7 +179,7 @@ def solve_tsallis_maxent(
     )
     zbar = point[0]
     moments = targets + scales * point[3]
-    density = _escort_density(point, support, partition)
+    density = _escort_density(point[5], support, partition)
     q_mass = _power_sum(density, q)
     if q_mass == math.inf:
         raise ValueError(f"q: the escort normalizer w = sum_k p_k^q mu_k overflows at q = {q!r} "
@@ -213,47 +213,57 @@ def solve_tsallis_maxent(
 _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
+def _normal(log_value: float, name: str, q: float) -> float:
+    """exp(log_value), refused where it is not a normal float: a power such as
+    zbar^q overflows where the quotient it enters is a float."""
+    if not _LOG_TINY <= log_value <= _LOG_HUGE:
+        raise ValueError(f"q: {name} is exp({log_value!r}), outside the normal floats, "
+                         f"at q = {q!r} on this partition, so the escort audit cannot "
+                         f"difference it")
+    return math.exp(log_value)
+
+
+def _escort_member(gamma: np.ndarray, q: float, z, mu):
+    """(family, c, lambda', beta'): the _escort_family at gamma (span units)
+    re-centred on its own escort mean c = E[z] through
+    e_q(x + y) = e_q(x) e_q(y / (1 + (1-q) x)), the escort solution at target c
+    with lambda' = gamma / (1 - (1-q) gamma . c) and beta' = lambda' w, w in log
+    scale; None past the q > 1 pole or with every cell cut off."""
+    one_minus_q = 1.0 - q
+    family = _escort_family(gamma, z, mu, one_minus_q)
+    if family is None:
+        return None
+    _, _, _, zbar, escort = family
+    escort_mass = float(np.sum(escort))
+    offset = (z @ escort) / escort_mass
+    w = _normal(math.log(escort_mass) - q * math.log(zbar),
+                "the escort normalizer w = sum_k p_k^q mu_k", q)
+    lam = gamma / (1.0 - one_minus_q * float(gamma @ offset))
+    return family, offset, lam, lam * w
+
+
 def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.ndarray:
     """d(ln_q Z_q + beta . t)/d(beta s) by maxent._central_differences at
     center +- h e_m, h from fd_step down while a step leaves the escort family,
     everything in span units: center = beta_q s, and the family lives on z.
 
-    At each shifted gamma the solver's target-centred density is re-centred on
-    its own escort mean, c = E[z] in span units, in closed form through
-    e_q(x + y) = e_q(x) e_q(y / (1 + (1-q) x)):
-    lambda' = gamma / (1 - (1-q) gamma . c), beta' = lambda' w and
-    zbar_c = e_q(lambda' . c) zbar(gamma), so ln_q Z_q + beta . t = ln_q zbar_c - beta' . c,
-    differenced as zbar_c^(1-q)/(1-q) - beta' . c (ln zbar_c - beta' . c in the
-    classical band).
-    The shifts move beta' along no coordinate axis, so the gradient solves the
-    M x M system of the differences of (beta', ln_q Z_q + beta . t).
+    At each _escort_member, zbar_c = e_q(lambda' . c) zbar(gamma) and
+    ln_q Z_q + beta . t = ln_q zbar_c - beta' . c, differenced as
+    zbar_c^(1-q)/(1-q) - beta' . c (ln zbar_c - beta' . c in the classical
+    band).  The shifts move beta' along no coordinate axis, so the gradient
+    solves the M x M system of the differences of (beta', ln_q Z_q + beta . t).
     """
     one_minus_q = 1.0 - q
 
     outside = ValueError(f"fd_step: every step from {fd_step!r} down leaves the escort family "
                          "(past the q > 1 pole, or every cell cut off); use a smaller fd_step")
 
-    def normal(log_value: float, name: str) -> float:
-        """exp(log_value), refused where it is not a normal float: a power
-        such as zbar^q overflows where the quotient it enters is a float."""
-        if not _LOG_TINY <= log_value <= _LOG_HUGE:
-            raise ValueError(f"q: {name} is exp({log_value!r}), outside the normal floats, "
-                             f"at q = {q!r} on this partition, so the escort audit cannot "
-                             f"difference it")
-        return math.exp(log_value)
-
     def point(gamma: np.ndarray) -> np.ndarray:
-        family = _escort_family(gamma, z, mu, one_minus_q)
-        if family is None:
+        member = _escort_member(gamma, q, z, mu)
+        if member is None:
             raise outside
-        _, _, _, zbar, escort = family
-        escort_mass = float(np.sum(escort))
-        offset = (z @ escort) / escort_mass
-        w = normal(math.log(escort_mass) - q * math.log(zbar),
-                   "the escort normalizer w = sum_k p_k^q mu_k")
-        lam = gamma / (1.0 - one_minus_q * float(gamma @ offset))
-        beta = lam * w
-        zbar_c = q_exp(float(lam @ offset), q) * zbar
+        family, offset, lam, beta = member
+        zbar_c = q_exp(float(lam @ offset), q) * family[3]
         if not 0.0 < zbar_c < math.inf:
             raise outside
         # ln_q zbar_c less its constant -1/(1-q), which cancels in the
@@ -262,7 +272,7 @@ def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.n
         if one_minus_q == 0.0:
             lnq = math.log(zbar_c)
         else:
-            lnq = normal(one_minus_q * math.log(zbar_c), "zbar_c^(1-q)") / one_minus_q
+            lnq = _normal(one_minus_q * math.log(zbar_c), "zbar_c^(1-q)", q) / one_minus_q
         return np.append(beta, lnq - float(beta @ offset))
 
     M = center.size
@@ -280,20 +290,20 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
                          family re-centred on its own escort mean at
                          beta_q +- fd_step/s_m (see _lnq_z_gradient), which
                          is s_m |d(ln_q Z_q + beta . t)/d(beta_m s_m) + E[z_m]|
-    entropy_sensitivity[m]: |dS_q/d(t_m) - beta_m|, re-solving at
-                         t_m +- fd_step s_m (see maxent._resolved_sensitivity)
+    entropy_sensitivity[m]: |dS_q/d(t_m) - beta_m|, along the same re-centred
+                         family (see maxent._family_sensitivity)
     Both differences shrink their step as in maxent._central_differences.
 
     The sensitivity sign matches the classical solver: for this family
-    dS_q/dt_m = beta_m (the two-point closed form fixes the sign).  The
-    re-solves start from the tangent predictor: moving target m by delta
-    (z' = z - delta e_m) moves the solution lambda, in span units, by
-    dlambda/ddelta = H^-1 (lambda_m sum_k mu_k q e_q^(2q-1) z_k
-    - e_m sum_k mu_k e_q^q), with H the dual's Hessian at the solution,
-    inverted once per audit.  The problem, lambda s, H and the escort weights
-    are read off solution._dual: the audit checks the solve that produced
-    the solution.  A feature that is an affine combination of those before
-    it is refused first, as functions[m] (see maxent._check_independent).
+    dS_q/dt_m = beta_m (the two-point closed form fixes the sign).  At the
+    solution dc/dlambda = -H / sum_k mu_k e_q^q, H the solve's last Hessian,
+    so the members are taken at lambda s +- h T e_m, T = -(sum_k mu_k e_q^q) H^-1.
+    S_q is differenced as -sum_k p_k^q mu_k/(q - 1), entropy.py's q-mass of the
+    member's density: the constant 1/(q - 1) cancels, and would round away a
+    change below eps (Shannon in the classical band).  The problem, lambda s
+    and H are read off solution._dual, so the audit checks the solve that
+    produced the solution.  A feature that is an affine combination of those
+    before it is refused first (see maxent._check_independent).
     """
     _check_arguments(fd_step=fd_step)
     q = solution.q
@@ -301,20 +311,21 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
     _check_independent(z)
     gap = solution.escort_moments - solution.constraints.targets
     gradient = _lnq_z_gradient(center, q, z, mu, fd_step)
-    _, _, ratio, _, escort = point[5]
-    tangents = np.linalg.pinv(point[2], hermitian=True) @ (
-        np.outer(z @ (q * escort * ratio), center) - float(np.sum(escort)) * np.eye(center.size)
-    )
 
-    def resolve(shifted: np.ndarray, starts: tuple) -> float:
-        point = _dual_newton(_escort_dual(shifted, mu, 1.0 - q), shifted, 1e-12, 100, 500,
-                             "solve_tsallis_maxent", starts)[1]
-        return tsallis_entropy(_escort_density(point, support, solution.partition), q)
+    def member(gamma: np.ndarray):
+        found = _escort_member(gamma, q, z, mu)
+        if found is None:
+            return None
+        family, offset, _, beta = found
+        density = _escort_density(family, support, solution.partition)
+        entropy = shannon_entropy(density) if q == 1.0 else -_power_sum(density, q) / (q - 1.0)
+        return offset, beta, entropy
 
+    tangents = -float(np.sum(point[5][4])) * np.linalg.pinv(point[2], hermitian=True)
     return {
         "legendre_gap": float(abs(solution.beta @ gap)) if center.size else 0.0,
         "log_z_gradient": scales * np.abs(gradient + gap / scales),
-        "entropy_sensitivity": _resolved_sensitivity(solution, tangents, resolve, fd_step),
+        "entropy_sensitivity": _family_sensitivity(solution, tangents, member, fd_step),
     }
 
 

@@ -740,6 +740,29 @@ def test_escort_two_cell_sweep_solves_or_names_its_limit(capsys, k):
         assert re.search(LIMITS, payload["error"]["message"]), payload
 
 
+@pytest.mark.parametrize("q, k", [(2.0, k) for k in range(10, 15)] + [(0.5, k) for k in range(5, 8)])
+def test_escort_two_cell_sweep_audits_without_solving_again(capsys, q, k):
+    # each solve meets its tolerance; the audit's re-solves at t +- h stalled
+    # just above their own 1e-12 and exited 2 (q = 2 from k = 10, q = 0.5 from 5)
+    spec = {"partition": {"cells": ["a", "b"], "weights": [10.0**-k, 1.0]},
+            "constraints": [{"values": [0, 1], "target": 0.5}]}
+    code, payload = maxent_run(capsys, spec, "--kind", "tsallis", "--q", str(q))
+    assert code == 0, payload
+    thermo = payload["thermo_residuals"]
+    assert all(math.isfinite(v) for v in [*thermo["log_z_gradient"], *thermo["entropy_sensitivity"]])
+
+
+@pytest.mark.parametrize("values, target", [([0, 0.5, 1], 1e-12), ([0, 1e-300, 1], 5e-301)])
+def test_an_audit_step_that_cannot_fit_names_the_caller_s_target(capsys, values, target):
+    # the target lies closer to 0 than the smallest step, fd_step/10^5 = 1e-9 in
+    # span units; the refusal named the shifted target t - 1e-9
+    spec = {"partition": {"n": 3}, "constraints": [{"values": values, "target": target}]}
+    message = validation_message(capsys, "maxent", "--input", json.dumps(spec))
+    assert message.startswith(f"constraints[0].target: {target!r} lies too close to the edge of "
+                              f"the feasible set for the audit: a step of 1.0000000000000003e-09 ")
+    assert "fd_step/10^5" in message
+
+
 def test_an_escort_normalizer_past_the_floats_exits_one(capsys):
     # q = 2^24 + 1: w = sum_k p_k^q mu_k is about exp(-1.8e7), and the audit's
     # zbar^q raised OverflowError, a traceback, before w was taken in log scale
@@ -758,7 +781,9 @@ def test_an_escort_audit_whose_zbar_power_overflows_runs_in_log_scale(capsys):
     assert code == 0
     thermo = payload["thermo_residuals"]
     assert thermo["log_z_gradient"][0] < 1e-8
-    assert math.isfinite(thermo["entropy_sensitivity"][0])
+    # S_q = (1 - w)/(q - 1) rounds to 1.0 at every step, so differencing it read
+    # dS_q/dt = 0 and a residual of beta itself; the q-mass keeps the change
+    assert thermo["entropy_sensitivity"][0] < 1e-3 * payload["beta"][0]
 
 
 def test_an_escort_normalizer_that_overflows_in_the_solve_exits_one(capsys):

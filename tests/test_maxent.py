@@ -28,7 +28,7 @@ from qentropy import (
     uniform_partition,
 )
 from qentropy import maxent, tsallis
-from qentropy.maxent import _dual_newton, _gibbs_density, _gibbs_dual, _support_setup
+from qentropy.maxent import _dual_newton, _support_setup
 
 DICE_U = np.arange(1.0, 7.0)
 DICE_BETA = -0.37104893808103334
@@ -235,8 +235,9 @@ def test_jointly_infeasible_escort_targets_raise_with_a_certificate(q):
 
 
 def test_audit_resolves_where_the_dual_is_flat_to_rounding():
-    # near this optimum the dual's last decrease is below its rounding, so the
-    # audit's re-solves at 1e-12 finish on the moment residual alone
+    # near this optimum the dual's last decrease is below its rounding; the
+    # audit's re-solves at 1e-12, before it read the solution's family, had to
+    # finish on the moment residual alone
     n = 100
     constraints = ConstraintSet([midpoints(n)], [0.5147])
     sol = solve_maxent(constraints, uniform_partition(n, "lebesgue", (0.0, 1.0)))
@@ -280,7 +281,7 @@ def test_moments_of_a_positive_pmf_always_solve_and_audit(masses, q, count, mode
 def test_audit_step_shrinks_inside_a_thin_feasible_set(kind, q):
     # (E x, E x^2) on {0, 1/2, 1} lies in a triangle whose edge y = x passes
     # 2e-6 from the targets, so t_1 - h is infeasible for h = 1e-4 and 1e-5;
-    # the audit has to go down to h = 1e-6 to re-solve on both sides
+    # the audit's step has to go down to 1e-6 or below to fit on both sides
     x = np.array([0.0, 0.5, 1.0])
     constraints = ConstraintSet([x, x * x], [0.5, 0.5 - 2e-6], kind, q)
     partition = uniform_partition(3, "counting")
@@ -293,7 +294,8 @@ def test_audit_step_shrinks_inside_a_thin_feasible_set(kind, q):
         grad, sens = audit["log_z_gradient"], audit["entropy_sensitivity"]
     assert solution.residual_norm <= 1e-10
     assert np.all(grad < 1e-8)
-    assert np.all(np.isfinite(sens))
+    # the re-solves at t_m +- h read 3.6% of |beta| at q = 2
+    assert np.all(sens < 0.01 * np.abs(solution.beta))
 
 
 def test_audit_gives_up_below_its_step_floor():
@@ -313,7 +315,7 @@ def test_badly_scaled_features_converge(scale):
     constraints = ConstraintSet([[0.0, scale]], [scale / 10.0])
     solution = solve_maxent(constraints, uniform_partition(2), tolerance=1e-10 / scale)
     assert np.allclose(solution.pmf.masses, [0.9, 0.1], rtol=1e-12, atol=0.0)
-    # the re-solves at t +- fd_step s converge
+    # the audit reads a finite sensitivity
     _, sensitivity = thermo_residuals(solution)
     assert np.all(np.isfinite(sensitivity))
 
@@ -392,101 +394,32 @@ def test_a_multiplier_that_overflows_is_refused(kind, q):
         solve(constraints, uniform_partition(2))
 
 
-def gibbs_resolve(constraints, partition, shift, starts, tolerance=1e-12):
-    """The audit's re-solve of constraints with its targets moved by shift (in
-    span units), started from starts: (b, point, residual, steps, halvings)."""
-    _, z, _, mu = _support_setup(constraints, partition, "ordinary")
-    shifted = z - np.asarray(shift, dtype=float)[:, None]
-    return _dual_newton(_gibbs_dual(shifted, mu), shifted, tolerance, 200, 60, "solve_maxent", starts)
-
-
-def test_a_resolve_at_zero_shift_takes_no_step():
-    # the solution solves its own problem: started there (b = beta s, s = 4),
-    # the re-solve stops
-    constraints, partition = dice_problem()
-    cold = solve_maxent(constraints, partition, tolerance=1e-12)
-    b, point, _, steps, _ = gibbs_resolve(constraints, partition, [0.0], (cold.beta * 4.0,))
-    assert (cold.iterations, steps) == (4, 0)
-    assert np.array_equal(b / 4.0, cold.beta)
-    support = partition.weights > 0.0
-    assert np.array_equal(_gibbs_density(point, support, partition).values, cold.density.values)
-
-
-def test_a_resolve_from_the_tangent_predictor_matches_a_fresh_solve():
-    # t = 4.5 -> 4.6 is delta = 0.1/s in span units (s = 4, the span 5 rounded
-    # to a power of two).  The masses do not see the shift, so to first order
-    # b moves by -delta/Var(z), Var(z) = Var(u)/s^2
-    tolerance, s = 1e-12, 4.0
-    solution = solve_maxent(*dice_problem(), tolerance=tolerance)
-    P = solution.pmf.masses
-    variance = float(P @ DICE_U**2 - (P @ DICE_U) ** 2)
-    delta = 0.1 / s
-    predicted = solution.beta * s - delta * s * s / variance
-    fresh = solve_maxent(*dice_problem(4.6), tolerance=tolerance)
-    b, point, _, steps, _ = gibbs_resolve(*dice_problem(), [delta], (predicted,), tolerance)
-    assert 0 < steps < fresh.iterations
-    partition = uniform_partition(6)
-    density = _gibbs_density(point, partition.weights > 0.0, partition)
-    assert np.max(np.abs(density.values - fresh.density.values)) <= 1e-12
-    # each solve meets its target to tolerance s, and dbeta/dt = -1/Var(u)
-    assert abs(float(b[0] / s - fresh.beta[0])) <= 2.0 * tolerance * s / variance
-
-
-def test_a_start_outside_the_dual_s_domain_is_a_cold_start():
-    # b . z_k overflows to -inf on the cell u = 6, so the exponent is +inf there
-    constraints = ConstraintSet([DICE_U, DICE_U**2], [3.0, 11.0])
-    partition = uniform_partition(6)
-    cold = gibbs_resolve(constraints, partition, [0.0, 0.0], ())
-    with np.errstate(over="ignore"):
-        warm = gibbs_resolve(constraints, partition, [0.0, 0.0], (np.array([-1.7e308, -1.7e308]),))
-    assert warm[3] == cold[3]
-    assert np.array_equal(warm[0], cold[0])
-
-
-@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
-@pytest.mark.parametrize("bad", [[math.nan, 0.1], [0.1, math.inf]])
-def test_a_non_finite_start_falls_back_to_the_next_start(kind, q, bad):
-    # a start with a non-finite multiplier is outside both duals' domain: the
-    # re-solve goes on from the next start, or from 0 after the last
-    solve, _ = SOLVERS[kind]
-    constraints = ConstraintSet([DICE_U, DICE_U**2], [3.0, 11.0], kind, q)
-    partition = uniform_partition(6)
-    _, z, scales, mu = _support_setup(constraints, partition, kind)
-    evaluate = _gibbs_dual(z, mu) if kind == "ordinary" else tsallis._escort_dual(z, mu, 1.0 - q)
-    solution = solve(constraints, partition, tolerance=1e-12)
-    near = (solution.beta if kind == "ordinary" else solution.beta_q) * scales
-    for starts, fallback in (((np.array(bad),), ()), ((np.array(bad), near), (near,))):
-        warm = _dual_newton(evaluate, z, 1e-12, 200, 500, "resolve", starts)
-        cold = _dual_newton(evaluate, z, 1e-12, 200, 500, "resolve", fallback)
-        assert warm[3:] == cold[3:]
-        assert np.array_equal(warm[0], cold[0])
-
-
-@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
-def test_the_audit_resolves_start_from_the_tangent_predictor(monkeypatch, kind, q):
-    # each re-solve is offered the predictor before the solution itself, and
-    # from there one Newton step reaches 1e-12 (two do from the solution)
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 0.5), ("escort", 2.0)])
+def test_no_audit_solves_again(monkeypatch, kind, q):
+    # both checks read the solution's own family; neither runs _dual_newton
     solve, audit = SOLVERS[kind]
-    solution = solve(ConstraintSet([[0.0, 1.0, 2.0]], [0.7], kind, q), uniform_partition(3))
-    resolves = []
+    solution = solve(ConstraintSet([DICE_U, DICE_U**2], [3.0, 11.0], kind, q), uniform_partition(6))
+    calls = []
 
     def spy(*args):
-        result = _dual_newton(*args)
-        resolves.append((len(args[6]), result[3]))
-        return result
+        calls.append(args[5])
+        return _dual_newton(*args)
 
-    monkeypatch.setattr(maxent if kind == "ordinary" else tsallis, "_dual_newton", spy)
+    monkeypatch.setattr(maxent, "_dual_newton", spy)
+    monkeypatch.setattr(tsallis, "_dual_newton", spy)
     audit(solution)
-    assert resolves == [(2, 1), (2, 1)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
 def test_the_audit_names_a_shifted_target_past_its_range(kind, q):
-    # 1e-7 below the top of the dice's range, every step from h = 0.5 s = 2
-    # down to 2e-5 leaves it
+    # 1e-7 below the top of the dice's range (2.5e-8 in span units, s = 4),
+    # every step from fd_step = 0.5 down to 5e-6 leaves the feasible set, and
+    # the refusal names the caller's target, not a shifted one
     solve, audit = SOLVERS[kind]
     solution = solve(ConstraintSet([DICE_U], [6.0 - 1e-7], kind, q), uniform_partition(6))
-    message = r"^targets\[0\]: 6\.0000199 is not strictly inside the attainable range \(1\.0, 6\.0\)"
+    message = (r"^targets\[0\]: 5\.9999999 lies too close to the edge of the feasible set for "
+               r"the audit: a step of 5e-06 in span units \(s = 4\.0\) does not fit inside it")
     with pytest.raises(InfeasibleError, match=message):
         audit(solution, fd_step=0.5)
 
@@ -500,11 +433,13 @@ def test_the_audit_names_a_shifted_target_past_its_range(kind, q):
     q=st.sampled_from([None, 0.5, 2.0]),
 )
 def test_the_in_place_resolves_match_fresh_solves(n, count, mode, tilt, q):
-    # the audit's sensitivity against one read off fresh solves of new
-    # ConstraintSets at t_m +- h, h = fd_step s_m.  Each of the four S carries
-    # rounding, about eps max(1, |S|), and each solve stops within 1e-12 of its
-    # targets in span units, which moves S by at most sum_m |beta_m s_m| 1e-12
-    # (dS/dt = beta); the two differences can then part by twice their sum, over h
+    # the audit's sensitivity, read along the solution's family, is no worse
+    # than one read off fresh solves of new ConstraintSets at t_m +- h,
+    # h = fd_step s_m, within 1% and the fresh side's own error: each of its
+    # four S carries rounding, about eps max(1, |S|), and each solve stops
+    # within 1e-12 of its targets in span units, which moves S by at most
+    # sum_m |beta_m s_m| 1e-12 (dS/dt = beta); a difference of two can be off by
+    # twice their sum, over h
     kind = "ordinary" if q is None else "escort"
     solve, audit = SOLVERS[kind]
     partition = uniform_partition(n, mode, (0.0, 1.0) if mode == "lebesgue" else None)
@@ -527,7 +462,7 @@ def test_the_in_place_resolves_match_fresh_solves(n, count, mode, tilt, q):
             entropies.append(fresh.entropy if kind == "ordinary" else fresh.entropy_q)
         reference = abs((entropies[0] - entropies[1]) / (2.0 * h) - solution.beta[m])
         rounding = eps * max(1.0, *map(abs, entropies))
-        assert abs(sensitivity[m] - reference) <= 2.0 * (rounding + convergence) / h
+        assert sensitivity[m] <= 1.01 * reference + 2.0 * (rounding + convergence) / h
 
 
 @pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
@@ -607,9 +542,9 @@ DEPENDENT_PAIRS = {
 @pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 0.5), ("escort", 2.0)])
 @pytest.mark.parametrize("pair", sorted(DEPENDENT_PAIRS))
 def test_a_dependent_constraint_solves_and_its_audit_refuses_it(kind, q, pair):
-    # the solve returns the single constraint's pmf; the audit's re-solve at
-    # t_1 +- h cannot move one target of the pair alone, and exited 2 or read
-    # the shifted pair as jointly infeasible
+    # the solve returns the single constraint's pmf; the audit, which moves one
+    # target at a time, cannot move one target of the pair alone: its re-solves
+    # at t_1 +- h exited 2 or read the shifted pair as jointly infeasible
     solve, audit = SOLVERS[kind]
     partition = uniform_partition(3)
     values, target = DEPENDENT_PAIRS[pair]

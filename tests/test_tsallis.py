@@ -13,7 +13,6 @@ import pytest
 
 from qentropy import (
     ConstraintSet,
-    InfeasibleError,
     ProbabilityVector,
     WeightedPartition,
     discrete_consistency_report,
@@ -26,8 +25,7 @@ from qentropy import (
     uniform_partition,
 )
 from qentropy.cli import main
-from qentropy.maxent import _dual_newton, _support_setup
-from qentropy.tsallis import _escort_density, _escort_dual, _escort_family, _lnq_z_gradient
+from qentropy.tsallis import _escort_family, _lnq_z_gradient
 
 from _oracles import two_point_escort_grid
 
@@ -274,7 +272,7 @@ def test_escort_moment_against_direct_recomputation():
 )
 def test_solve_and_audit_on_large_counting_grids(q, n, target):
     # counting weights give escort normalizers far from 1, and the dual is
-    # flat to rounding well before the audit's 1e-12 re-solve tolerance
+    # flat to rounding well before the solve's tolerance
     x = (np.arange(n) + 0.5) / n
     sol = solve_tsallis_maxent(ConstraintSet([x], [target], "escort", q), uniform_partition(n))
     thermo = tsallis_thermo(sol)
@@ -305,76 +303,6 @@ def test_log_z_gradient_at_large_q(q):
     thermo = tsallis_thermo(sol)
     assert float(np.max(thermo["log_z_gradient"])) < 1e-6
     assert float(np.max(thermo["entropy_sensitivity"])) < 1e-6
-
-
-def escort_resolve(constraints, partition, shift, starts, tolerance=1e-12):
-    """The audit's re-solve of escort constraints with their targets moved by
-    shift (in span units), started from starts:
-    (lam, point, residual, steps, halvings)."""
-    _, z, _, mu = _support_setup(constraints, partition, "escort")
-    shifted = z - np.asarray(shift, dtype=float)[:, None]
-    return _dual_newton(_escort_dual(shifted, mu, 1.0 - constraints.q), shifted, tolerance, 100,
-                        500, "solve_tsallis_maxent", starts)
-
-
-def test_an_escort_resolve_at_zero_shift_takes_no_step():
-    # two_point_problem has span 1, so span units are the problem's own
-    constraints, partition = two_point_problem()
-    cold = solve_tsallis_maxent(constraints, partition, tolerance=1e-12)
-    lam, point, _, steps, halvings = escort_resolve(constraints, partition, [0.0], (cold.beta_q,))
-    assert (cold.iterations, (steps, halvings)) == ((5, 0), (0, 0))
-    assert np.array_equal(lam, cold.beta_q)
-    support = partition.weights > 0.0
-    assert np.array_equal(_escort_density(point, support, partition).values, cold.density.values)
-
-
-def test_an_escort_resolve_from_a_nearby_start_matches_a_fresh_solve():
-    # the target 0.3 -> 0.35 is delta = 0.05 in span units; the start is the
-    # first-order prediction from a central difference of beta_q(t)
-    tolerance = 1e-12
-
-    def solve(target):
-        return solve_tsallis_maxent(*two_point_problem(target=target), tolerance=tolerance)
-
-    slope = (solve(0.301).beta_q[0] - solve(0.299).beta_q[0]) / 0.002
-    start = solve(0.3).beta_q + 0.05 * slope
-    fresh = solve(0.35)
-    lam, point, _, steps, halvings = escort_resolve(*two_point_problem(), [0.05], (start,), tolerance)
-    assert 0 < steps + halvings < sum(fresh.iterations)
-    partition = uniform_partition(2)
-    density = _escort_density(point, partition.weights > 0.0, partition)
-    assert np.max(np.abs(density.values - fresh.density.values)) <= 1e-12
-    # each solve meets its target to tolerance s = 1; dbeta_q/dt by central difference
-    slope = (solve(0.351).beta_q[0] - solve(0.349).beta_q[0]) / 0.002
-    assert abs(float(lam[0] - fresh.beta_q[0])) <= 2.0 * tolerance * abs(slope)
-
-
-def test_a_start_past_the_pole_falls_back_to_the_next_start():
-    # at q = 2, lambda = 1e6 puts the cell at u = 0 past the pole of e_q: the
-    # re-solve goes on from the next start, or from 0 after the last
-    constraints, partition = two_point_problem()
-    past = np.array([1e6])
-    near = solve_tsallis_maxent(constraints, partition).beta_q
-    for starts, fallback in (((past,), ()), ((past, near), (near,))):
-        warm = escort_resolve(constraints, partition, [0.0], starts)
-        cold = escort_resolve(constraints, partition, [0.0], fallback)
-        assert warm[3:] == cold[3:]
-        assert np.array_equal(warm[0], cold[0])
-
-
-def test_a_start_that_cuts_off_every_cell_is_a_cold_start():
-    # (1, 2.5) lies outside the hull of (x, x^2) at x = 0, 1, 2, along
-    # d = (2, -1), which is (1, -1) in span units (s = 2, 4); at q = 0.5,
-    # lambda = 800 (1, -1) cuts off all three cells, so the re-solve falls back
-    # to 0 and raises the cold solve's certificate
-    constraints = ConstraintSet([[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]], [1.0, 2.5], "escort", 0.5)
-    partition = uniform_partition(3)
-    messages = []
-    for starts in ((), (np.array([800.0, -800.0]),)):
-        with pytest.raises(InfeasibleError, match="jointly infeasible") as err:
-            escort_resolve(constraints, partition, [0.0, 0.0], starts, 1e-10)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
 
 
 def light_cell_problem(weight):
