@@ -487,7 +487,7 @@ def _family_sensitivity(solution, tangents: np.ndarray, member, fd_step: float) 
     def at(shift: np.ndarray) -> np.ndarray:
         found = member(center + tangents @ shift)
         h = _max_abs(shift)
-        if found is None or _max_abs(found[0] - shift) > h / 2.0:
+        if found is None or not _max_abs(found[0] - shift) <= h / 2.0:
             m = int(np.argmax(np.abs(shift)))
             raise InfeasibleError(
                 f"targets[{m}]: {float(solution.constraints.targets[m])!r} lies too close to "
