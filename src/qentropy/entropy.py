@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .measure import DensityVector, ProbabilityVector, WeightedPartition
+from .measure import DensityVector, ProbabilityVector, WeightedPartition, _live_index
 from .qcalc import check_index
 
 __all__ = [
@@ -81,7 +81,7 @@ def _closed_form(P, R, partition, index: float) -> float | None:
 
 def shannon_entropy(p: DensityVector) -> float:
     """S(p) = -sum_k p_k ln(p_k) mu_k with 0 ln 0 = 0."""
-    live = (p.values > 0.0) & (p.partition.weights > 0.0)
+    live = _live_index((p.values > 0.0) & (p.partition.weights > 0.0))
     v, w = p.values[live], p.partition.weights[live]
     with np.errstate(over="ignore"):
         value = -np.dot(v * np.log(v), w)
@@ -184,13 +184,12 @@ def _power_sum(p: DensityVector, q: float) -> float:
     """The q-mass sum_k p_k^q mu_k over the cells where p_k > 0 and mu_k > 0.
     Where the direct sum is not a normal float (a power p_k^q over- or
     underflows before mu_k scales it), it is taken in log space."""
-    v = p.values
-    w = p.partition.weights
-    live = (v > 0.0) & (w > 0.0)
+    live = _live_index((p.values > 0.0) & (p.partition.weights > 0.0))
+    v, w = p.values[live], p.partition.weights[live]
     with np.errstate(over="ignore"):
-        value = np.dot(v[live] ** q, w[live])
+        value = np.dot(v ** q, w)
         if not np.finfo(float).tiny <= value < math.inf:
-            value = np.exp(_logsumexp(q * np.log(v[live]), b=w[live]))
+            value = np.exp(_logsumexp(q * np.log(v), b=w))
     return float(value)
 
 

@@ -282,6 +282,8 @@ _ARMIJO = 1e-4
 _ROUNDING = 64.0 * float(np.finfo(float).eps)
 _TINY = math.ulp(0.0)
 _CERTIFICATE_MARGIN = 1e-12
+# the most a Gibbs Newton step moves any exponent -b . z_k: e^30 is 1e13
+_GIBBS_REACH = 30.0
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -305,7 +307,7 @@ def _certify_infeasible(direction: np.ndarray, exponent: np.ndarray) -> None:
         )
 
 
-def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name):
+def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, reach=math.inf):
     """Damped Newton on a convex dual from b = 0; both MaxEnt solvers run here.
 
     evaluate(b) returns (value, gradient, hessian, residual, exponent,
@@ -321,7 +323,9 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name):
     most M times larger, and O(M) a step where the maximum is a pass over z.
     z holds the support cells as columns; each step and each new iterate is
     tested as an infeasibility certificate, the iterate on the exponent of its
-    evaluation.
+    evaluation.  A Newton step that moves some exponent by more than reach is
+    scaled down to move none by more, before the line search: a cell of weight
+    w far below the others puts the first full step about 1/w out.
 
     Returns (b, point, residual_norm, newton_steps, total_halvings), point
     being evaluate(b).
@@ -347,7 +351,11 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name):
             step = np.linalg.solve(hessian, -gradient)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hessian, -gradient, rcond=None)[0]
-        _certify_infeasible(step, (-step) @ z)
+        move = (-step) @ z
+        _certify_infeasible(step, move)
+        largest = _max_abs(move)
+        if largest > reach:
+            step = step * (reach / largest)
         decrease = _ARMIJO * float(gradient @ step)
         # the dual's rounding error grows with |f| and with the size of the
         # terms of the exponents b . z_k it is summed from
@@ -376,27 +384,42 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name):
     return b, point, residual_norm, steps, halvings
 
 
+# how far a _gibbs_dual evaluation goes: the value alone; also the moments and
+# the density's state; also the Hessian, which only Newton steps and the audit's
+# tangents read
+_VALUE, _MOMENTS, _HESSIAN = range(3)
+
+
 def _gibbs_dual(z: np.ndarray, mu: np.ndarray):
-    """evaluate(b) for _dual_newton on the Gibbs dual in span units,
-    L(b) = log sum_k mu_k exp(-b . z_k), which is log Z(beta) + beta . t;
+    """evaluate(b, upto=_HESSIAN) for _dual_newton on the Gibbs dual in span
+    units, L(b) = log sum_k mu_k exp(-b . z_k), which is log Z(beta) + beta . t;
     summing it on the centred exponent keeps the digits that adding
     beta . t to log Z would cancel.  Each evaluation takes one exp, shifted
-    by the largest exponent, for the value and the masses."""
+    by the largest exponent, for the value and the masses; its state is
+    (exp(exponent - shift), the total), whose quotient is the density.  upto
+    stops after the value (_VALUE) or the moments (_MOMENTS) and leaves None in
+    the slots not computed: the audit reads no Hessian."""
 
-    def evaluate(b: np.ndarray):
+    def evaluate(b: np.ndarray, upto: int = _HESSIAN):
         exponent = -(b @ z)
         shift = float(exponent.max())
         if not math.isfinite(shift):
             return math.inf, None, None, math.inf, None, None
         # each term is at most its mu_k, and the top one is mu_k, so with the
         # total of mu finite (_support_setup) the sum is a positive finite float
-        terms = np.exp(exponent - shift) * mu
+        raw = np.exp(exponent - shift)
+        terms = raw * mu
         total = float(terms.sum())
-        value, masses = shift + math.log(total), terms / total
+        value = shift + math.log(total)
+        if upto == _VALUE:
+            return value, None, None, None, exponent, None
+        masses = terms / total
         moments = z @ masses
-        deviations = z - moments[:, None]
-        hessian = deviations @ (deviations * masses).T
-        return value, -moments, hessian, moments, exponent, None
+        hessian = None
+        if upto == _HESSIAN:
+            deviations = z - moments[:, None]
+            hessian = deviations @ (deviations * masses).T
+        return value, -moments, hessian, moments, exponent, (raw, total)
 
     return evaluate
 
@@ -420,7 +443,7 @@ def solve_maxent(
     support, z, scales, mu = _support_setup(constraints, partition, "ordinary")
     targets = constraints.targets
     b, point, residual_norm, iterations, _ = _dual_newton(
-        _gibbs_dual(z, mu), z, tolerance, max_iterations, 60, "solve_maxent"
+        _gibbs_dual(z, mu), z, tolerance, max_iterations, 60, "solve_maxent", _GIBBS_REACH
     )
     dual, moments = point[0], point[3]
     beta = _per_unit(b, scales)
@@ -468,7 +491,7 @@ def _central_differences(f, center: np.ndarray, steps: np.ndarray):
     return np.array(rises), np.array(means), steps
 
 
-def _family_sensitivity(solution, tangents: np.ndarray, member, fd_step: float) -> np.ndarray:
+def _family_sensitivity(solution, tangents: np.ndarray, member, steps: np.ndarray) -> np.ndarray:
     """|dS/dt_m - beta_m| per constraint along the solution's own family.
 
     member(b) is (c, b', S) for the member at b (span units), or None: its mean
@@ -477,9 +500,9 @@ def _family_sensitivity(solution, tangents: np.ndarray, member, fd_step: float) 
     the solution b*.  The members at b* +- h tangents e_m give row m of
     (c+ - c-) . g = (S+ - S-) - cbar . (b'+ - b'-), cbar = (c+ + c-)/2, which
     moves the difference back to the solution to second order; the residual
-    is |g/s - beta|.  A missing member, or a mean off +-h e_m by more than h/2,
-    shows a feasible set thinner than h: h shrinks as in _central_differences,
-    and at its floor InfeasibleError names targets[m].
+    is |g/s - beta|.  h starts at steps[m].  A missing member, or a mean off
+    +-h e_m by more than h/2, shows a feasible set thinner than h: h shrinks as
+    in _central_differences, and at its floor InfeasibleError names targets[m].
     """
     scales, center = solution._dual[2], solution._dual[4]
     M = center.size
@@ -493,12 +516,13 @@ def _family_sensitivity(solution, tangents: np.ndarray, member, fd_step: float) 
                 f"targets[{m}]: {float(solution.constraints.targets[m])!r} lies too close to "
                 f"the edge of the feasible set for the audit: a step of {h!r} in span units "
                 f"(s = {float(scales[m])!r}) does not fit inside it, and the smallest step is "
-                f"fd_step/10^{FD_STEP_SHRINKS}; move the target inward or lower fd_step"
+                f"fd_step/10^{FD_STEP_SHRINKS} (less near an escort pole or cut-off); move the "
+                f"target inward or lower fd_step"
             )
         mean, multipliers, entropy = found
         return np.concatenate((mean, multipliers, [entropy]))
 
-    rises, means, _ = _central_differences(at, np.zeros(M), np.full(M, fd_step))
+    rises, means, _ = _central_differences(at, np.zeros(M), steps)
     rises, means = rises.reshape(M, 2 * M + 1), means.reshape(M, 2 * M + 1)[:, :M]
     slope = np.linalg.solve(rises[:, :M], rises[:, -1] - np.sum(means * rises[:, M:-1], axis=1))
     return np.abs(slope / scales - solution.beta)
@@ -513,11 +537,14 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
                              mu exp(-b . z), see _family_sensitivity)
     Both steps shrink as in _central_differences.
 
-    The gradient is differenced in span units, on L(b) = log Z + beta . t,
-    whose b-gradient is -E[z]: the residual is s_m |dL/db_m + E[z_m]|.
-    S(t) = log Z(beta(t)) + beta(t) . t gives dS/dt_m = beta_m by the envelope
-    theorem.  dE_b[z]/db = -H, so the members are taken at b* -+ h H^-1 e_m, H
-    the solve's last Hessian.  The problem, b* and H are read off
+    The gradient is differenced in span units, on L(b) = log Z + beta . t as
+    _gibbs_dual sums it, evaluated up to its value alone; L's b-gradient is
+    -E[z], and the residual is s_m |dL/db_m + E[z_m]|.  S(t) = log Z(beta(t))
+    + beta(t) . t gives dS/dt_m = beta_m by the envelope theorem.
+    dE_b[z]/db = -H, so the members are taken at b* -+ h H^-1 e_m, H the
+    solve's last Hessian.  Each member is evaluated up to its moments, and its
+    density is that evaluation's own exp(exponent - shift)/total: no member
+    forms a Hessian or takes a second exp.  The problem, b* and H are read off
     solution._dual, so the audit checks the solve that produced the solution.
     A feature that is an affine combination of those before it is refused
     first (see _check_independent).
@@ -526,16 +553,19 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
     support, z, scales, mu, center, point = solution._dual
     _check_independent(z)
     offset = (solution.achieved_moments - solution.constraints.targets) / scales
-    rises, _, steps = _central_differences(lambda b: _logsumexp(-(b @ z), b=mu),
-                                           center, np.full(center.size, fd_step))
+    evaluate, first = _gibbs_dual(z, mu), np.full(center.size, fd_step)
+    rises, _, steps = _central_differences(lambda b: evaluate(b, _VALUE)[0], center, first)
 
     def member(b: np.ndarray):
-        at = _gibbs_dual(z, mu)(b)
+        at = evaluate(b, _MOMENTS)
         if not math.isfinite(at[0]):
             return None
-        return at[3], b, shannon_entropy(_gibbs_density(at, support, solution.partition))
+        raw, total = at[5]
+        with np.errstate(over="ignore"):
+            density = _ratio_density(raw / total, support, solution.partition)
+        return at[3], b, shannon_entropy(density)
 
     tangents = -np.linalg.pinv(point[2], hermitian=True)
     return scales * np.abs(rises / (2.0 * steps) + offset), _family_sensitivity(
-        solution, tangents, member, fd_step
+        solution, tangents, member, first
     )

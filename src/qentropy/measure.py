@@ -246,13 +246,19 @@ def radon_nikodym(P: ProbabilityVector, partition: WeightedPartition) -> Density
     return _ratio_density(on_support, support, partition)
 
 
+def _live_index(mask: np.ndarray):
+    """mask as an index: a full slice where it holds on every cell, so that the
+    arrays it picks from are read in place, else the mask itself."""
+    return slice(None) if mask.all() else mask
+
+
 def _ratio_density(on_support: np.ndarray, support: np.ndarray,
                    partition: WeightedPartition) -> DensityVector:
     """The density that is on_support, values P_k / mu_k, where support holds and
     0 elsewhere.  A value that overflowed is refused under partition.weights: the
     cell's mu_k is too light to carry its mass as a float density."""
     values = np.zeros(len(partition))
-    values[support] = on_support
+    values[_live_index(support)] = on_support
     overflowed = values == math.inf
     if np.any(overflowed):
         k = int(np.argmax(overflowed))

@@ -56,6 +56,7 @@ from .measure import (
     DensityVector,
     ProbabilityVector,
     WeightedPartition,
+    _live_index,
     _ratio_density,
     induced_pmf,
     radon_nikodym,
@@ -114,22 +115,25 @@ def _escort_family(lam: np.ndarray, z: np.ndarray, mu: np.ndarray, one_minus_q: 
     """The target-centred family at lam (in span units), one entry per column of z.
 
     Returns (x, raw, ratio, zbar, escort): the exponents x_k = -lam . z_k;
-    raw = e_q(x_k) and ratio = e_q(x_k)^(q-1), both 0 past the q < 1 cut-off;
-    zbar = mu . raw; and the escort weights mu_k e_q(x_k)^q.  None where no
-    density exists: past the q > 1 pole, or with every cell cut off.
+    raw = e_q(x_k) and ratio = e_q(x_k)^(q-1) = 1/(1 + (1-q) x_k), both 0 past
+    the q < 1 cut-off; zbar = mu . raw; and the escort weights mu_k e_q(x_k)^q.
+    None where no density exists: past the q > 1 pole, or with every cell cut
+    off.  (1-q) x is formed once, and the live cells are picked out only where
+    some cell is cut off (measure._live_index); otherwise every array is read
+    whole.
     """
     x = -(lam @ z)
     if one_minus_q == 0.0:
         raw, ratio = np.exp(x), np.ones_like(x)
     else:
-        base = 1.0 + one_minus_q * x
-        live = base > 0.0
-        if one_minus_q < 0.0 and not np.all(live):
+        scaled = one_minus_q * x
+        base = 1.0 + scaled
+        live = _live_index(base > 0.0)
+        if one_minus_q < 0.0 and not isinstance(live, slice):
             return None
-        raw = np.zeros_like(x)
-        ratio = np.zeros_like(x)
+        raw, ratio = np.zeros_like(x), np.zeros_like(x)
         # log1p keeps the exponent accurate when q is close to the classical band
-        raw[live] = np.exp(np.log1p(one_minus_q * x[live]) / one_minus_q)
+        raw[live] = np.exp(np.log1p(scaled[live]) / one_minus_q)
         ratio[live] = 1.0 / base[live]
     zbar = float(mu @ raw)
     if zbar == 0.0:
@@ -242,10 +246,23 @@ def _escort_member(gamma: np.ndarray, q: float, z, mu):
     return family, offset, lam, lam * w
 
 
-def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.ndarray:
+def _pole_steps(moves: np.ndarray, ratio: np.ndarray, q: float, fd_step: float) -> np.ndarray:
+    """fd_step per row m of moves, the change of the exponents x_k per unit
+    step, shrunk so that the step takes no live base 1 + (1-q) x_k below
+    (1 - fd_step) b, b the smallest: the q > 1 pole and the q < 1 cut-off lie
+    at base 0, and ratio is 1/base on the live cells, 0 past the cut-off.  For
+    the cell at b, moving by d per unit step, the step is
+    fd_step min(1, b/(|1-q| |d|)): it moves that cell by at most fd_step b."""
+    room = ratio / (1.0 - (1.0 - fd_step) * ratio / np.max(ratio))
+    reach = abs(1.0 - q) * np.max(np.abs(moves) * room, axis=1, initial=0.0)
+    return fd_step / np.maximum(1.0, fd_step * reach)
+
+
+def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, steps: np.ndarray) -> np.ndarray:
     """d(ln_q Z_q + beta . t)/d(beta s) by maxent._central_differences at
-    center +- h e_m, h from fd_step down while a step leaves the escort family,
-    everything in span units: center = beta_q s, and the family lives on z.
+    center +- h e_m, h from steps[m] (_pole_steps of fd_step) down while a step
+    leaves the escort family, everything in span units: center = beta_q s, and
+    the family lives on z.
 
     At each _escort_member, zbar_c = e_q(lambda' . c) zbar(gamma) and
     ln_q Z_q + beta . t = ln_q zbar_c - beta' . c, differenced as
@@ -255,17 +272,15 @@ def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.n
     """
     one_minus_q = 1.0 - q
 
-    outside = ValueError(f"fd_step: every step from {fd_step!r} down leaves the escort family "
-                         "(past the q > 1 pole, or every cell cut off); use a smaller fd_step")
-
     def point(gamma: np.ndarray) -> np.ndarray:
         member = _escort_member(gamma, q, z, mu)
-        if member is None:
-            raise outside
-        family, offset, lam, beta = member
-        zbar_c = q_exp(float(lam @ offset), q) * family[3]
-        if not 0.0 < zbar_c < math.inf:
-            raise outside
+        if member is not None:
+            family, offset, lam, beta = member
+            zbar_c = q_exp(float(lam @ offset), q) * family[3]
+        if member is None or not 0.0 < zbar_c < math.inf:
+            raise ValueError(f"fd_step: every step from {steps.tolist()!r} down leaves the escort "
+                             "family (past the q > 1 pole, or every cell cut off); use a smaller "
+                             "fd_step")
         # ln_q zbar_c less its constant -1/(1-q), which cancels in the
         # differences: at large q, zbar_c^(1-q) is far below that constant's
         # rounding
@@ -276,7 +291,7 @@ def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, fd_step: float) -> np.n
         return np.append(beta, lnq - float(beta @ offset))
 
     M = center.size
-    rises = _central_differences(point, center, np.full(M, fd_step))[0].reshape(M, M + 1)
+    rises = _central_differences(point, center, steps)[0].reshape(M, M + 1)
     return np.linalg.solve(rises[:, :M], rises[:, M])
 
 
@@ -298,6 +313,9 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
     dS_q/dt_m = beta_m (the two-point closed form fixes the sign).  At the
     solution dc/dlambda = -H / sum_k mu_k e_q^q, H the solve's last Hessian,
     so the members are taken at lambda s +- h T e_m, T = -(sum_k mu_k e_q^q) H^-1.
+    Both checks start from _pole_steps of fd_step along their own directions
+    (e_m, and T e_m), so that near the q > 1 pole or the q < 1 cut-off no step
+    moves the cell nearest it by more than fd_step of its distance.
     S_q is differenced as -sum_k p_k^q mu_k/(q - 1), entropy.py's q-mass of the
     member's density: the constant 1/(q - 1) cancels, and would round away a
     change below eps (Shannon in the classical band).  The problem, lambda s
@@ -310,7 +328,8 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
     support, z, scales, mu, center, point = solution._dual
     _check_independent(z)
     gap = solution.escort_moments - solution.constraints.targets
-    gradient = _lnq_z_gradient(center, q, z, mu, fd_step)
+    ratio = point[5][2]
+    gradient = _lnq_z_gradient(center, q, z, mu, _pole_steps(z, ratio, q, fd_step))
 
     def member(gamma: np.ndarray):
         found = _escort_member(gamma, q, z, mu)
@@ -322,10 +341,11 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
         return offset, beta, entropy
 
     tangents = -float(np.sum(point[5][4])) * np.linalg.pinv(point[2], hermitian=True)
+    steps = _pole_steps(tangents.T @ z, ratio, q, fd_step)
     return {
         "legendre_gap": float(abs(solution.beta @ gap)) if center.size else 0.0,
         "log_z_gradient": scales * np.abs(gradient + gap / scales),
-        "entropy_sensitivity": _family_sensitivity(solution, tangents, member, fd_step),
+        "entropy_sensitivity": _family_sensitivity(solution, tangents, member, steps),
     }
 
 

@@ -750,6 +750,21 @@ def test_escort_two_cell_sweep_audits_without_solving_again(capsys, q, k):
     assert code == 0, payload
     thermo = payload["thermo_residuals"]
     assert all(math.isfinite(v) for v in [*thermo["log_z_gradient"], *thermo["entropy_sensitivity"]])
+    # a step of fd_step read 0.0047 to 0.42 at q = 2 and 0.029 to 0.48 at q = 0.5
+    assert thermo["log_z_gradient"][0] < 1e-6
+
+
+@pytest.mark.parametrize("k", [20, 30, 100, 200, 300])
+def test_gibbs_two_cell_sweep_solves_a_light_cell(capsys, k):
+    # values [0, 1], target 0.5 on weights [10^-k, 1]: beta = k ln 10.  The
+    # first full Newton step is about 0.5 10^k in span units, and from k = 30
+    # the line search stalled at residual 0.5 after 60 halvings
+    spec = {"partition": {"cells": ["a", "b"], "weights": [10.0**-k, 1.0]},
+            "constraints": [{"values": [0, 1], "target": 0.5}]}
+    code, payload = maxent_run(capsys, spec)
+    assert code == 0, payload
+    assert payload["beta"][0] == pytest.approx(k * math.log(10.0), rel=1e-12)
+    assert max(payload["residuals"]["log_z_gradient"]) < 1e-10
 
 
 @pytest.mark.parametrize("values, target", [([0, 0.5, 1], 1e-12), ([0, 1e-300, 1], 5e-301)])

@@ -28,7 +28,9 @@ from qentropy import (
     tsallis_entropy,
     uniform_partition,
 )
-from qentropy.entropy import _logsumexp
+from qentropy.entropy import _logsumexp, _power_sum
+from qentropy.measure import _ratio_density
+from qentropy.tsallis import _escort_family
 
 P82 = ProbabilityVector([0.8, 0.2])
 R55 = ProbabilityVector([0.5, 0.5])
@@ -258,3 +260,53 @@ def test_import_leaves_scipy_out():
     probe = "import sys, qentropy; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), extra=st.integers(1, 5), q=st.sampled_from([0.5, 2.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dead_cells_leave_the_live_values_bit_for_bit(n, extra, q, seed):
+    # with every cell live the sums read the arrays whole; with a zero-weight,
+    # zero-density or cut-off cell among them they pick the live cells out,
+    # and the live values must not change by a bit
+    rng = np.random.default_rng(seed)
+    weights, values = rng.uniform(0.1, 2.0, n), rng.uniform(0.01, 3.0, n)
+    values /= values @ weights
+    dead = np.sort(rng.choice(n + extra, extra, replace=False))
+    live = np.ones(n + extra, dtype=bool)
+    live[dead] = False
+    zero_weight = rng.integers(0, 2, extra) == 1
+    padded_weights, padded_values = np.zeros(n + extra), np.zeros(n + extra)
+    padded_weights[live], padded_values[live] = weights, values
+    padded_weights[dead] = np.where(zero_weight, 0.0, rng.uniform(0.1, 2.0, extra))
+    padded_values[dead] = np.where(zero_weight, rng.uniform(0.1, 3.0, extra), 0.0)
+    whole = DensityVector(values, WeightedPartition(weights))
+    picked = DensityVector(padded_values, WeightedPartition(padded_weights))
+    assert shannon_entropy(picked) == shannon_entropy(whole)
+    assert _power_sum(picked, q) == _power_sum(whole, q)
+
+    support = padded_weights > 0.0
+    scattered = _ratio_density(padded_values[support], support, picked.partition).values
+    assert np.array_equal(scattered[live], _ratio_density(values, weights > 0.0, whole.partition).values)
+    assert not np.any(scattered[~support])
+
+    # the escort family on one feature, whose exponents x = -lam z are exact
+    # products: extra cells past the q < 1 cut-off (base 1 + (1-q) x <= 0),
+    # or, for q > 1, where no cell may be cut off, of zero weight
+    lam = rng.uniform(0.05, 0.3, 1)
+    z = rng.uniform(-1.0, 1.0, (1, n))
+    padded_z = np.zeros((1, n + extra))
+    padded_z[:, live] = z
+    if q < 1.0:
+        # x <= 1/(q - 1) = -2 on each extra cell
+        padded_z[:, dead] = rng.uniform(2.0, 5.0, extra) / lam
+        padded_mu = np.where(live, padded_weights, 1.0)
+    else:
+        padded_z[:, dead] = rng.uniform(-1.0, 1.0, extra)
+        padded_mu = np.where(live, padded_weights, 0.0)
+    compact = _escort_family(lam, z, weights, 1.0 - q)
+    padded = _escort_family(lam, padded_z, padded_mu, 1.0 - q)
+    for whole_part, padded_part in zip(compact[:3] + compact[4:], padded[:3] + padded[4:]):
+        assert np.array_equal(padded_part[live], whole_part)
+    assert not np.any(padded[4][dead])
+    assert padded[3] == pytest.approx(compact[3], rel=1e-14)

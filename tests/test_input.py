@@ -303,9 +303,12 @@ def test_malformed_expressions_are_validation_errors(expr):
 
 
 def test_escort_audit_past_the_pole_is_a_validation_error():
+    # the audit's steps keep every base 1 + (1-q) x_k from the pole, so at
+    # q = 1e300 the refusal is of the normalizer w, not of fd_step
     doc = json.dumps({"kind": "escort", "q": 1e300, "partition": {"n": 2},
                       "constraints": [{"values": [0, 1], "target": 0.3}]})
-    assert validation_message("maxent", "--input", doc).startswith("fd_step:")
+    assert validation_message("maxent", "--input", doc).startswith(
+        "q: the escort normalizer w = sum_k p_k^q mu_k is exp(")
 
 
 def test_a_given_flag_wins_over_its_field():

@@ -412,16 +412,65 @@ def test_no_audit_solves_again(monkeypatch, kind, q):
 
 
 @pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
-def test_the_audit_names_a_shifted_target_past_its_range(kind, q):
-    # 1e-7 below the top of the dice's range (2.5e-8 in span units, s = 4),
-    # every step from fd_step = 0.5 down to 5e-6 leaves the feasible set, and
-    # the refusal names the caller's target, not a shifted one
+def test_no_audit_member_forms_a_hessian(monkeypatch, kind, q):
+    # only the solve's Newton steps and the tangents read a Hessian; the audit
+    # takes its tangents from the solve's last one
     solve, audit = SOLVERS[kind]
-    solution = solve(ConstraintSet([DICE_U], [6.0 - 1e-7], kind, q), uniform_partition(6))
-    message = (r"^targets\[0\]: 5\.9999999 lies too close to the edge of the feasible set for "
-               r"the audit: a step of 5e-06 in span units \(s = 4\.0\) does not fit inside it")
-    with pytest.raises(InfeasibleError, match=message):
+    solution = solve(ConstraintSet([DICE_U, DICE_U**2], [3.0, 11.0], kind, q), uniform_partition(6))
+    formed = []
+
+    def spying(dual):
+        def spy(*args):
+            evaluate = dual(*args)
+
+            def counted(*point_args):
+                point = evaluate(*point_args)
+                formed.append(point[2] is not None)
+                return point
+
+            return counted
+
+        return spy
+
+    monkeypatch.setattr(maxent, "_gibbs_dual", spying(maxent._gibbs_dual))
+    monkeypatch.setattr(tsallis, "_escort_dual", spying(tsallis._escort_dual))
+    audit(solution)
+    assert not any(formed)
+    # the Gibbs audit evaluates its dual: 2 gradient points and 2 members per constraint
+    assert len(formed) == (8 if kind == "ordinary" else 0)
+
+
+# how far below the top of the dice's range the shifted-target audit is posed
+BELOW_THE_TOP = {"ordinary": 1e-7, "escort": 1e-9}
+
+
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
+def test_the_audit_names_a_shifted_target_past_its_range(monkeypatch, kind, q):
+    # BELOW_THE_TOP[kind] below the top of the dice's range (a quarter of it in
+    # span units, s = 4), every step from the first down to its 10^-5 leaves the
+    # feasible set, and the refusal names the caller's target, not a shifted
+    # one.  The Gibbs steps start at fd_step = 0.5, the escort ones at
+    # _pole_steps of it, which fit 1e-7 below the top
+    solve, audit = SOLVERS[kind]
+    below = BELOW_THE_TOP[kind]
+    solution = solve(ConstraintSet([DICE_U], [6.0 - below], kind, q), uniform_partition(6))
+    first = [np.array([0.5])]
+    pole_steps = tsallis._pole_steps
+
+    def spy(*args):
+        first.append(pole_steps(*args))
+        return first[-1]
+
+    monkeypatch.setattr(tsallis, "_pole_steps", spy)
+    with pytest.raises(InfeasibleError) as refusal:
         audit(solution, fd_step=0.5)
+    floor = float(first[-1][0])
+    for _ in range(5):
+        floor /= 10.0
+    assert str(refusal.value).startswith(
+        f"targets[0]: {6.0 - below!r} lies too close to the edge of the feasible set for the "
+        f"audit: a step of {floor!r} in span units (s = 4.0) does not fit inside it")
+    assert kind == "escort" or floor == 5e-6
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -25,7 +25,7 @@ from qentropy import (
     uniform_partition,
 )
 from qentropy.cli import main
-from qentropy.tsallis import _escort_family, _lnq_z_gradient
+from qentropy.tsallis import _escort_family, _lnq_z_gradient, _pole_steps
 
 from _oracles import two_point_escort_grid
 
@@ -315,30 +315,59 @@ def light_cell_problem(weight):
     return solution, z, partition.weights
 
 
-def leaves_the_family(solution, z, mu, step):
-    """Whether beta_q s +- step leaves the escort family on either side."""
-    return any(_escort_family(solution.beta_q + sign * step, z, mu, -1.0) is None
-               for sign in (1.0, -1.0))
+def leaves_the_family(solution, z, mu, step, one_minus_q=-1.0):
+    """Whether beta_q s +- step leaves the escort family on either side (past
+    the q > 1 pole, or a live cell past the q < 1 cut-off)."""
+    live = _escort_family(solution.beta_q, z, mu, one_minus_q)[2] > 0.0
+    sides = [_escort_family(solution.beta_q + sign * step, z, mu, one_minus_q) for sign in (1.0, -1.0)]
+    return any(side is None or not np.all(side[2][live] > 0.0) for side in sides)
 
 
 def test_the_escort_gradient_check_shrinks_its_step():
-    # a step of 1e-4 crosses the pole and one of 1e-5 does not, so the
-    # check takes 1e-5: the same differences as when it is asked for 1e-5
+    # a step of 1e-4 crosses the pole and one of 1e-5 does not, so a check
+    # asked for 1e-4 takes 1e-5: the same differences as when asked for 1e-5
     solution, z, mu = light_cell_problem(1e-10)
     assert leaves_the_family(solution, z, mu, 1e-4)
     assert not leaves_the_family(solution, z, mu, 1e-5)
-    gradient = _lnq_z_gradient(solution.beta_q, 2.0, z, mu, 1e-4)
+    gradient = _lnq_z_gradient(solution.beta_q, 2.0, z, mu, np.array([1e-4]))
     assert np.all(np.isfinite(gradient))
-    assert np.array_equal(gradient, _lnq_z_gradient(solution.beta_q, 2.0, z, mu, 1e-5))
+    assert np.array_equal(gradient, _lnq_z_gradient(solution.beta_q, 2.0, z, mu, np.array([1e-5])))
 
 
-def test_a_step_that_leaves_the_family_at_its_floor_exits_one(capsys):
-    # at weight 1e-12 even fd_step / 10^5 = 5e-6 crosses the pole
+@pytest.mark.parametrize("q, k", [(2.0, k) for k in range(7, 15)] + [(0.5, k) for k in range(5, 8)])
+def test_the_escort_audit_steps_from_the_distance_to_the_pole(q, k):
+    # values [0, 1], target 0.5 on weights [10^-k, 1]: the light cell's base
+    # lies about 10^(-k/2) from the q > 1 pole (q < 1: the cut-off).  The first
+    # step, fd_step times that distance over the step's reach, stays in the
+    # family; a step of fd_step = 1e-4 read log_z_gradient 0.0047 to 0.42 at
+    # q = 2 and 0.029 to 0.48 at q = 0.5
+    partition = WeightedPartition(np.array([10.0**-k, 1.0]))
+    solution = solve_tsallis_maxent(ConstraintSet([[0.0, 1.0]], [0.5], "escort", q), partition)
+    z, mu, ratio = solution._dual[1], solution._dual[3], solution._dual[5][5][2]
+    steps = _pole_steps(z, ratio, q, 1e-4)
+    assert 0.0 < steps[0] < 1e-4
+    assert not leaves_the_family(solution, z, mu, steps[0], 1.0 - q)
+    thermo = tsallis_thermo(solution)
+    assert thermo["log_z_gradient"][0] < 1e-8
+    assert thermo["entropy_sensitivity"][0] < 1e-7
+
+
+def test_a_step_that_leaves_the_family_at_its_floor_is_refused():
+    # at weight 1e-12 even 0.5 / 10^5 = 5e-6 crosses the pole
     solution, z, mu = light_cell_problem(1e-12)
     assert leaves_the_family(solution, z, mu, 0.5 / 10**5)
     with pytest.raises(ValueError, match="^fd_step: "):
-        tsallis_thermo(solution, fd_step=0.5)
+        _lnq_z_gradient(solution.beta_q, 2.0, z, mu, np.array([0.5]))
+
+
+def test_a_wide_fd_step_near_the_pole_stays_in_the_family(capsys):
+    # fd_step = 0.5 at weight 1e-12 was refused under fd_step, every step from
+    # 0.5 down crossing the pole; steps from the pole's distance fit, and the
+    # family check, unbounded, read 1.6e22 there.  A step of half the distance
+    # to the pole is coarse, so the residuals are large but finite
     spec = ('{"partition": {"cells": ["a", "b"], "weights": [1e-12, 1]}, "fd_step": 0.5, '
             '"constraints": [{"values": [0, 1], "target": 0.5}]}')
-    assert main(["maxent", "--kind", "tsallis", "--q", "2", "--input", spec]) == 1
-    assert json.loads(capsys.readouterr().err)["error"]["message"].startswith("fd_step: ")
+    assert main(["maxent", "--kind", "tsallis", "--q", "2", "--input", spec]) == 0
+    thermo = json.loads(capsys.readouterr().out)["thermo_residuals"]
+    assert thermo["log_z_gradient"][0] < 1.0
+    assert thermo["entropy_sensitivity"][0] < 1.0
