@@ -307,7 +307,7 @@ def _certify_infeasible(direction: np.ndarray, exponent: np.ndarray) -> None:
         )
 
 
-def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, reach=math.inf):
+def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, reach=None):
     """Damped Newton on a convex dual from b = 0; both MaxEnt solvers run here.
 
     evaluate(b) returns (value, gradient, hessian, residual, exponent,
@@ -323,9 +323,9 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, reach=ma
     most M times larger, and O(M) a step where the maximum is a pass over z.
     z holds the support cells as columns; each step and each new iterate is
     tested as an infeasibility certificate, the iterate on the exponent of its
-    evaluation.  A Newton step that moves some exponent by more than reach is
-    scaled down to move none by more, before the line search: a cell of weight
-    w far below the others puts the first full step about 1/w out.
+    evaluation.  Given a reach, a Newton step that moves some exponent by more
+    is scaled down to move none by more, before the line search: a cell of
+    weight w far below the others puts the first full step about 1/w out.
 
     Returns (b, point, residual_norm, newton_steps, total_halvings), point
     being evaluate(b).
@@ -353,8 +353,7 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, reach=ma
             step = np.linalg.lstsq(hessian, -gradient, rcond=None)[0]
         move = (-step) @ z
         _certify_infeasible(step, move)
-        largest = _max_abs(move)
-        if largest > reach:
+        if reach and (largest := _max_abs(move)) > reach:
             step = step * (reach / largest)
         decrease = _ARMIJO * float(gradient @ step)
         # the dual's rounding error grows with |f| and with the size of the
