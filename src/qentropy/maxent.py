@@ -564,7 +564,7 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
             density = _ratio_density(raw / total, support, solution.partition)
         return at[3], b, shannon_entropy(density)
 
-    tangents = -np.linalg.pinv(point[2], hermitian=True)
+    tangents = -np.linalg.inv(point[2])
     return scales * np.abs(rises / (2.0 * steps) + offset), _family_sensitivity(
         solution, tangents, member, first
     )

@@ -340,7 +340,7 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
         entropy = shannon_entropy(density) if q == 1.0 else -_power_sum(density, q) / (q - 1.0)
         return offset, beta, entropy
 
-    tangents = -float(np.sum(point[5][4])) * np.linalg.pinv(point[2], hermitian=True)
+    tangents = -float(np.sum(point[5][4])) * np.linalg.inv(point[2])
     steps = _pole_steps(tangents.T @ z, ratio, q, fd_step)
     return {
         "legendre_gap": float(abs(solution.beta @ gap)) if center.size else 0.0,
