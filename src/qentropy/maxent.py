@@ -353,8 +353,10 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, reach=No
             step = np.linalg.lstsq(hessian, -gradient, rcond=None)[0]
         move = (-step) @ z
         _certify_infeasible(step, move)
-        if reach and (largest := _max_abs(move)) > reach:
-            step = step * (reach / largest)
+        # |step| . r bounds every exponent's move, so move is only read where
+        # that bound passes the reach
+        if reach and float(np.abs(step) @ row_max) > reach:
+            step = step * (reach / max(_max_abs(move), reach))
         decrease = _ARMIJO * float(gradient @ step)
         # the dual's rounding error grows with |f| and with the size of the
         # terms of the exponents b . z_k it is summed from
