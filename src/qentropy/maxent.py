@@ -357,6 +357,7 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, reach=No
         # that bound passes the reach
         if reach and float(np.abs(step) @ row_max) > reach:
             step = step * (reach / max(_max_abs(move), reach))
+        del move  # an n-vector, freed before the line search allocates its own
         decrease = _ARMIJO * float(gradient @ step)
         # the dual's rounding error grows with |f| and with the size of the
         # terms of the exponents b . z_k it is summed from
@@ -387,7 +388,7 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, reach=No
 
 # how far a _gibbs_dual evaluation goes: the value alone; also the moments and
 # the density's state; also the Hessian, which only Newton steps and the audit's
-# tangents read
+# tangents read, without the state
 _VALUE, _MOMENTS, _HESSIAN = range(3)
 
 
@@ -396,10 +397,11 @@ def _gibbs_dual(z: np.ndarray, mu: np.ndarray):
     units, L(b) = log sum_k mu_k exp(-b . z_k), which is log Z(beta) + beta . t;
     summing it on the centred exponent keeps the digits that adding
     beta . t to log Z would cancel.  Each evaluation takes one exp, shifted
-    by the largest exponent, for the value and the masses; its state is
-    (exp(exponent - shift), the total), whose quotient is the density.  upto
-    stops after the value (_VALUE) or the moments (_MOMENTS) and leaves None in
-    the slots not computed: the audit reads no Hessian."""
+    by the largest exponent, for the value and the masses.  upto stops after
+    the value (_VALUE) or the moments (_MOMENTS) and leaves None in the slots
+    not computed: the audit reads no Hessian.  Stopped after the moments, the
+    state is (exp(exponent - shift), the total), whose quotient is the
+    density; otherwise it is None."""
 
     def evaluate(b: np.ndarray, upto: int = _HESSIAN):
         exponent = -(b @ z)
@@ -409,18 +411,19 @@ def _gibbs_dual(z: np.ndarray, mu: np.ndarray):
         # each term is at most its mu_k, and the top one is mu_k, so with the
         # total of mu finite (_support_setup) the sum is a positive finite float
         raw = np.exp(exponent - shift)
-        terms = raw * mu
+        # only a member's density reads raw; elsewhere it becomes the terms
+        terms = raw * mu if upto == _MOMENTS else np.multiply(raw, mu, out=raw)
         total = float(terms.sum())
         value = shift + math.log(total)
         if upto == _VALUE:
             return value, None, None, None, exponent, None
         masses = terms / total
         moments = z @ masses
-        hessian = None
-        if upto == _HESSIAN:
-            deviations = z - moments[:, None]
-            hessian = deviations @ (deviations * masses).T
-        return value, -moments, hessian, moments, exponent, (raw, total)
+        if upto == _MOMENTS:
+            return value, -moments, None, moments, exponent, (raw, total)
+        deviations = z - moments[:, None]
+        hessian = deviations @ (deviations * masses).T
+        return value, -moments, hessian, moments, exponent, None
 
     return evaluate
 
