@@ -336,11 +336,12 @@ def test_the_escort_gradient_check_shrinks_its_step():
 
 @pytest.mark.parametrize("q, k", [(2.0, k) for k in range(7, 15)] + [(0.5, k) for k in range(5, 8)])
 def test_the_escort_audit_steps_from_the_distance_to_the_pole(q, k):
-    # values [0, 1], target 0.5 on weights [10^-k, 1]: the light cell's base
-    # lies about 10^(-k/2) from the q > 1 pole (q < 1: the cut-off).  The first
-    # step, fd_step times that distance over the step's reach, stays in the
-    # family; a step of fd_step = 1e-4 read log_z_gradient 0.0047 to 0.42 at
-    # q = 2 and 0.029 to 0.48 at q = 0.5
+    # values [0, 1], target 0.5 on weights [10^-k, 1]: at q = 2 the light
+    # cell's base lies about 10^(-k/2) from the pole, at q = 0.5 the heavy
+    # cell's about 10^-k from the cut-off.  The first step, fd_step times that
+    # distance over the step's reach, stays in the family; a step of fd_step =
+    # 1e-4 read log_z_gradient 0.0047 to 0.42 at q = 2 and 0.029 to 0.48 at
+    # q = 0.5
     partition = WeightedPartition(np.array([10.0**-k, 1.0]))
     solution = solve_tsallis_maxent(ConstraintSet([[0.0, 1.0]], [0.5], "escort", q), partition)
     z, mu, ratio = solution._dual[1], solution._dual[3], solution._dual[5][5][2]
