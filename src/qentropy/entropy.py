@@ -3,7 +3,8 @@
 Conventions, applied literally throughout: 0 ln 0 = 0, a/0 = +inf for a > 0,
 0 * (+-inf) = 0.  Every sum skips cells with zero probability mass, and the
 absolute-continuity check runs before any power is taken, so 0^negative is
-never evaluated.  Divergences return math.inf on the divergent branch.
+never evaluated.  Divergences return math.inf on the divergent branch and
+pick their live cells once, in _closed_form; the sums take (values, weights).
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> np.float64:
     return out
 
 
-def _paired_masses(
-    P: ProbabilityVector,
-    R: ProbabilityVector,
-    partition: WeightedPartition | None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _closed_form(P, R, partition, index: float):
+    """A divergence's one live pick, after the lengths are checked.  Where no
+    power sum is needed, the value: KL in the classical band, +inf unless
+    P << R, and exactly 0 when P = R, where the sum would leave a rounding
+    error of either sign; else the masses (p, r) where p > 0, read in place
+    when every p > 0 (measure._live_index)."""
     p, r = P.masses, R.masses
     if p.shape != r.shape:
         raise ValueError(
@@ -62,33 +64,30 @@ def _paired_masses(
         raise ValueError(
             f"partition: size {len(partition)} does not match vectors of length {p.size}"
         )
-    return p, r
-
-
-def _closed_form(P, R, partition, index: float) -> float | None:
-    """A Renyi or Tsallis divergence that needs no power sum, else None: KL in
-    the classical band, +inf unless P << R, and exactly 0 when P = R, where
-    the sum would leave a rounding error of either sign."""
-    p, r = _paired_masses(P, R, partition)
     if index == 1.0:
-        return kl_divergence(P, R, partition)
-    if np.any(r[p > 0.0] == 0.0):
-        return math.inf
+        return _kl(p, r)
     if np.array_equal(p, r):
         return 0.0
-    return None
+    live = _live_index(p > 0.0)
+    p, r = p[live], r[live]
+    return math.inf if np.any(r == 0.0) else (p, r)
+
+
+def _shannon_sum(values: np.ndarray, weights: np.ndarray) -> float:
+    """-sum_k v_k ln(v_k) w_k over the cells where v_k > 0 and w_k > 0."""
+    live = _live_index((values > 0.0) & (weights > 0.0))
+    v, w = values[live], weights[live]
+    with np.errstate(over="ignore"):
+        value = -np.dot(v * np.log(v), w)
+    if value == -math.inf:  # v_k ln v_k overflowed (v_k above 2.5e305): sum over the masses
+        value = -np.dot(v * w, np.log(v))
+    # + 0.0 keeps a unit density from reporting -0.0
+    return float(value) + 0.0
 
 
 def shannon_entropy(p: DensityVector) -> float:
     """S(p) = -sum_k p_k ln(p_k) mu_k with 0 ln 0 = 0."""
-    live = _live_index((p.values > 0.0) & (p.partition.weights > 0.0))
-    v, w = p.values[live], p.partition.weights[live]
-    with np.errstate(over="ignore"):
-        value = -np.dot(v * np.log(v), w)
-    if value == -math.inf:  # p_k ln p_k overflowed (p_k above 2.5e305): sum over the masses
-        value = -np.dot(v * w, np.log(v))
-    # + 0.0 keeps a unit density from reporting -0.0
-    return float(value) + 0.0
+    return _shannon_sum(p.values, p.partition.weights)
 
 
 def _kl(p: np.ndarray, r: np.ndarray) -> float:
@@ -119,7 +118,7 @@ def kl_divergence(
     The partition argument is only consulted to validate cell counts; the
     discrete divergence itself does not involve the reference weights.
     """
-    return _kl(*_paired_masses(P, R, partition))
+    return _closed_form(P, R, partition, 1.0)
 
 
 def measure_entropy(P: ProbabilityVector, partition: WeightedPartition) -> float:
@@ -152,9 +151,8 @@ def renyi_entropy(p: DensityVector, alpha: float) -> float:
     alpha = check_index(alpha)
     if alpha == 1.0:
         return shannon_entropy(p)
-    v = p.values
-    w = p.partition.weights
-    live = (v > 0.0) & (w > 0.0)
+    v, w = p.values, p.partition.weights
+    live = _live_index((v > 0.0) & (w > 0.0))
     log_sum = _logsumexp(alpha * np.log(v[live]), b=w[live])
     return float(log_sum / (1.0 - alpha)) + 0.0
 
@@ -172,20 +170,19 @@ def renyi_divergence(
     """
     alpha = check_index(alpha)
     closed = _closed_form(P, R, partition, alpha)
-    if closed is not None:
+    if not isinstance(closed, tuple):
         return closed
-    p, r = P.masses, R.masses
-    live = p > 0.0
-    log_sum = _logsumexp(alpha * np.log(p[live]) + (1.0 - alpha) * np.log(r[live]))
+    p, r = closed
+    log_sum = _logsumexp(alpha * np.log(p) + (1.0 - alpha) * np.log(r))
     return float(log_sum / (alpha - 1.0)) + 0.0
 
 
-def _power_sum(p: DensityVector, q: float) -> float:
-    """The q-mass sum_k p_k^q mu_k over the cells where p_k > 0 and mu_k > 0.
-    Where the direct sum is not a normal float (a power p_k^q over- or
-    underflows before mu_k scales it), it is taken in log space."""
-    live = _live_index((p.values > 0.0) & (p.partition.weights > 0.0))
-    v, w = p.values[live], p.partition.weights[live]
+def _power_sum(values: np.ndarray, weights: np.ndarray, q: float) -> float:
+    """The q-mass sum_k v_k^q w_k over the cells where v_k > 0 and w_k > 0.
+    Where the direct sum is not a normal float (a power v_k^q over- or
+    underflows before w_k scales it), it is taken in log space."""
+    live = _live_index((values > 0.0) & (weights > 0.0))
+    v, w = values[live], weights[live]
     with np.errstate(over="ignore"):
         value = np.dot(v ** q, w)
         if not np.finfo(float).tiny <= value < math.inf:
@@ -198,7 +195,7 @@ def tsallis_entropy(p: DensityVector, q: float) -> float:
     q = check_index(q)
     if q == 1.0:
         return shannon_entropy(p)
-    return (1.0 - _power_sum(p, q)) / (q - 1.0) + 0.0
+    return (1.0 - _power_sum(p.values, p.partition.weights, q)) / (q - 1.0) + 0.0
 
 
 def tsallis_divergence(
@@ -210,12 +207,11 @@ def tsallis_divergence(
     """I_q(P||R) = (sum_k P_k^q / R_k^(q-1) - 1)/(q - 1), +inf when not P << R."""
     q = check_index(q)
     closed = _closed_form(P, R, partition, q)
-    if closed is not None:
+    if not isinstance(closed, tuple):
         return closed
-    p, r = P.masses, R.masses
-    live = p > 0.0
+    p, r = closed
     with np.errstate(over="ignore", invalid="ignore"):
-        power_sum = float(np.sum(p[live] ** q * r[live] ** (1.0 - q)))
+        power_sum = float(np.sum(p ** q * r ** (1.0 - q)))
         if not math.isfinite(power_sum):  # a power overflowed: sum in log space
-            power_sum = float(np.exp(_logsumexp(q * np.log(p[live]) + (1.0 - q) * np.log(r[live]))))
+            power_sum = float(np.exp(_logsumexp(q * np.log(p) + (1.0 - q) * np.log(r))))
     return (power_sum - 1.0) / (q - 1.0) + 0.0

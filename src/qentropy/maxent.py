@@ -26,7 +26,8 @@ They first refuse, with _check_independent, a feature that is an affine
 combination of those before it on the support, whose target cannot move
 alone.  Every difference is taken by _central_differences.  dS/dt_m = beta_m
 is read along the solution's own family in _family_sensitivity, and no audit
-solves again: each member is the exact maximizer at its own mean.
+solves again: each member is the exact maximizer at its own mean, and its
+entropy is summed on the support, its density against mu.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _logsumexp, shannon_entropy
+from .entropy import _logsumexp, _shannon_sum, shannon_entropy
 from .measure import (
     DensityVector,
     ProbabilityVector,
     WeightedPartition,
+    _carried,
     _ratio_density,
     induced_pmf,
 )
@@ -428,13 +430,6 @@ def _gibbs_dual(z: np.ndarray, mu: np.ndarray):
     return evaluate
 
 
-def _gibbs_density(point, support: np.ndarray, partition: WeightedPartition) -> DensityVector:
-    """The density exp(-b . z_k - L(b)) of a _gibbs_dual evaluation point."""
-    with np.errstate(over="ignore"):
-        on_support = np.exp(point[4] - point[0])
-    return _ratio_density(on_support, support, partition)
-
-
 def solve_maxent(
     constraints: ConstraintSet,
     partition: WeightedPartition,
@@ -451,7 +446,8 @@ def solve_maxent(
     )
     dual, moments = point[0], point[3]
     beta = _per_unit(b, scales)
-    density = _gibbs_density(point, support, partition)
+    with np.errstate(over="ignore"):
+        density = _ratio_density(np.exp(point[4] - dual), support, partition)
     entropy = shannon_entropy(density)
     return GibbsSolution(
         constraints=constraints,
@@ -546,12 +542,13 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
     -E[z], and the residual is s_m |dL/db_m + E[z_m]|.  S(t) = log Z(beta(t))
     + beta(t) . t gives dS/dt_m = beta_m by the envelope theorem.
     dE_b[z]/db = -H, so the members are taken at b* -+ h H^-1 e_m, H the
-    solve's last Hessian.  Each member is evaluated up to its moments, and its
-    density is that evaluation's own exp(exponent - shift)/total: no member
-    forms a Hessian or takes a second exp.  The problem, b* and H are read off
-    solution._dual, so the audit checks the solve that produced the solution.
-    A feature that is an affine combination of those before it is refused
-    first (see _check_independent).
+    solve's last Hessian.  Each member is evaluated up to its moments, and S is
+    summed from that evaluation's own exp(exponent - shift)/total against mu:
+    no member forms a Hessian, takes a second exp or builds a DensityVector,
+    and one whose density overflows (measure._carried) shrinks its step.  The
+    problem, b* and H are read off solution._dual, so the audit checks the
+    solve that produced the solution.  A feature that is an affine combination
+    of those before it is refused first (see _check_independent).
     """
     _check_arguments(fd_step=fd_step)
     support, z, scales, mu, center, point = solution._dual
@@ -566,8 +563,8 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
             return None
         raw, total = at[5]
         with np.errstate(over="ignore"):
-            density = _ratio_density(raw / total, support, solution.partition)
-        return at[3], b, shannon_entropy(density)
+            density = _carried(raw / total, support, solution.partition)
+        return at[3], b, _shannon_sum(density, mu)
 
     tangents = -np.linalg.inv(point[2])
     return scales * np.abs(rises / (2.0 * steps) + offset), _family_sensitivity(

@@ -252,18 +252,24 @@ def _live_index(mask: np.ndarray):
     return slice(None) if mask.all() else mask
 
 
-def _ratio_density(on_support: np.ndarray, support: np.ndarray,
-                   partition: WeightedPartition) -> DensityVector:
-    """The density that is on_support, values P_k / mu_k, where support holds and
-    0 elsewhere.  A value that overflowed is refused under partition.weights: the
-    cell's mu_k is too light to carry its mass as a float density."""
-    values = np.zeros(len(partition))
-    values[_live_index(support)] = on_support
-    overflowed = values == math.inf
+def _carried(on_support: np.ndarray, support: np.ndarray,
+             partition: WeightedPartition) -> np.ndarray:
+    """on_support, density values P_k / mu_k where support holds, refused under
+    partition.weights where one overflowed: the cell's mu_k is too light to
+    carry its mass as a float density."""
+    overflowed = on_support == math.inf
     if np.any(overflowed):
-        k = int(np.argmax(overflowed))
+        k = int(np.flatnonzero(support)[np.argmax(overflowed)])
         raise ValueError(
             f"partition.weights: P_k/mu_k overflows on cell {k}, whose weight "
             f"{float(partition.weights[k])!r} is too light to carry its mass; rescale the weights"
         )
+    return on_support
+
+
+def _ratio_density(on_support: np.ndarray, support: np.ndarray,
+                   partition: WeightedPartition) -> DensityVector:
+    """The density that is _carried(on_support) where support holds and 0 elsewhere."""
+    values = np.zeros(len(partition))
+    values[_live_index(support)] = _carried(on_support, support, partition)
     return DensityVector(values, partition)

@@ -22,15 +22,16 @@ Afterwards lambda = (lambda s)/s, w = sum_k p_k^q mu_k, beta = lambda w and
 the escort moments are t + s E[z].  _escort_family is the one evaluation of
 e_q, zbar and the escort weights.  It is each _escort_dual evaluation's state,
 which the density and the audit read; both audit checks difference it as
-_escort_member, re-centred on its own escort mean, and neither solves again.
+_escort_member, re-centred on its own escort mean, and neither solves again;
+a member's S_q is summed on the support, e_q(x_k)/zbar against mu.
 
 The solver returns its identity checks as a named residual map rather than
 asserting them, so a caller can log them: w = zbar^(1-q), S_q = ln_q zbar and
 the escort moments, each read off the q-mass, entropy and moments the solve
 has just computed (the test suite pins them at 1e-8).
 discrete_consistency_report sets the measure-theoretic Tsallis entropy against
-the discrete one; both are entropy.tsallis_entropy, on the uniform-probability
-and the counting partition.
+the discrete one, on the uniform-probability and the counting partition; the
+discrete side reads S_q off the power sum it reports.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _power_sum, shannon_entropy, tsallis_entropy
+from .entropy import _power_sum, _shannon_sum, shannon_entropy, tsallis_entropy
 from .maxent import (
     ConstraintSet,
     _central_differences,
@@ -56,6 +57,7 @@ from .measure import (
     DensityVector,
     ProbabilityVector,
     WeightedPartition,
+    _carried,
     _live_index,
     _ratio_density,
     induced_pmf,
@@ -157,13 +159,6 @@ def _escort_dual(z: np.ndarray, mu: np.ndarray, one_minus_q: float):
     return evaluate
 
 
-def _escort_density(family, support: np.ndarray, partition: WeightedPartition) -> DensityVector:
-    """The density e_q(x_k)/zbar of an _escort_family tuple."""
-    with np.errstate(over="ignore"):
-        on_support = family[1] / family[3]
-    return _ratio_density(on_support, support, partition)
-
-
 def solve_tsallis_maxent(
     constraints: ConstraintSet,
     partition: WeightedPartition,
@@ -183,14 +178,15 @@ def solve_tsallis_maxent(
     )
     zbar = point[0]
     moments = targets + scales * point[3]
-    density = _escort_density(point[5], support, partition)
-    q_mass = _power_sum(density, q)
+    with np.errstate(over="ignore"):
+        density = _ratio_density(point[5][1] / zbar, support, partition)
+    q_mass = _power_sum(density.values, partition.weights, q)
     if q_mass == math.inf:
         raise ValueError(f"q: the escort normalizer w = sum_k p_k^q mu_k overflows at q = {q!r} "
                          f"on this partition, so beta = beta_q w is not a float")
     beta_q = _per_unit(lam, scales)
     beta = beta_q * q_mass
-    entropy_q = tsallis_entropy(density, q)
+    entropy_q = shannon_entropy(density) if q == 1.0 else (1.0 - q_mass) / (q - 1.0) + 0.0
     residuals = {
         "escort_moment": float(np.max(np.abs(moments - targets), initial=0.0)),
         "power_mass_vs_zbar": abs(q_mass - zbar ** (1.0 - q)),
@@ -316,12 +312,13 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
     Both checks start from _pole_steps of fd_step along their own directions
     (e_m, and T e_m), so that near the q > 1 pole or the q < 1 cut-off no step
     moves the cell nearest it by more than fd_step of its distance.
-    S_q is differenced as -sum_k p_k^q mu_k/(q - 1), entropy.py's q-mass of the
-    member's density: the constant 1/(q - 1) cancels, and would round away a
-    change below eps (Shannon in the classical band).  The problem, lambda s
-    and H are read off solution._dual, so the audit checks the solve that
-    produced the solution.  A feature that is an affine combination of those
-    before it is refused first (see maxent._check_independent).
+    S_q is differenced as -sum_k p_k^q mu_k/(q - 1) of the member's e_q(x_k)/zbar
+    against mu, with no DensityVector built: the constant 1/(q - 1) cancels, and
+    would round away a change below eps (Shannon in the classical band); one
+    whose density overflows (measure._carried) shrinks its step.  The problem,
+    lambda s and H are read off solution._dual, so the audit checks the solve
+    that produced the solution.  A feature that is an affine combination of
+    those before it is refused first (see maxent._check_independent).
     """
     _check_arguments(fd_step=fd_step)
     q = solution.q
@@ -336,8 +333,9 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
         if found is None:
             return None
         family, offset, _, beta = found
-        density = _escort_density(family, support, solution.partition)
-        entropy = shannon_entropy(density) if q == 1.0 else -_power_sum(density, q) / (q - 1.0)
+        with np.errstate(over="ignore"):
+            density = _carried(family[1] / family[3], support, solution.partition)
+        entropy = _shannon_sum(density, mu) if q == 1.0 else -_power_sum(density, mu, q) / (q - 1.0)
         return offset, beta, entropy
 
     tangents = -float(np.sum(point[5][4])) * np.linalg.inv(point[2])
@@ -381,8 +379,8 @@ def discrete_consistency_report(
     n = P.masses.size
     # discrete side: P_k on counting cells; measure side: n P_k against mu_k = 1/n
     counted = radon_nikodym(P, uniform_partition(n))
-    power_sum = _power_sum(counted, q)
-    discrete = tsallis_entropy(counted, q)
+    power_sum = _power_sum(counted.values, counted.partition.weights, q)
+    discrete = shannon_entropy(counted) if q == 1.0 else (1.0 - power_sum) / (q - 1.0) + 0.0
     measure = tsallis_entropy(radon_nikodym(P, uniform_partition(n, "uniform_probability")), q)
     rhs = discrete - n ** (q - 1.0) * q_log(float(n), q) * power_sum
     constant_residual = None if zbar is None else abs(power_sum - n ** (1.0 - q) * zbar ** (1.0 - q))

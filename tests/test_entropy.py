@@ -267,8 +267,8 @@ def test_import_leaves_scipy_out():
        seed=st.integers(0, 2**32 - 1))
 def test_dead_cells_leave_the_live_values_bit_for_bit(n, extra, q, seed):
     # with every cell live the sums read the arrays whole; with a zero-weight,
-    # zero-density or cut-off cell among them they pick the live cells out,
-    # and the live values must not change by a bit
+    # zero-density, cut-off or (0, 0) divergence cell among them they pick the
+    # live cells out, and the live values must not change by a bit
     rng = np.random.default_rng(seed)
     weights, values = rng.uniform(0.1, 2.0, n), rng.uniform(0.01, 3.0, n)
     values /= values @ weights
@@ -283,7 +283,18 @@ def test_dead_cells_leave_the_live_values_bit_for_bit(n, extra, q, seed):
     whole = DensityVector(values, WeightedPartition(weights))
     picked = DensityVector(padded_values, WeightedPartition(padded_weights))
     assert shannon_entropy(picked) == shannon_entropy(whole)
-    assert _power_sum(picked, q) == _power_sum(whole, q)
+    assert _power_sum(padded_values, padded_weights, q) == _power_sum(values, weights, q)
+    assert renyi_entropy(picked, q) == renyi_entropy(whole, q)
+
+    # divergences: P and R padded with cells where both are 0
+    P, R = values * weights, rng.uniform(0.1, 2.0, n)
+    R /= R.sum()
+    padded_P, padded_R = np.zeros(n + extra), np.zeros(n + extra)
+    padded_P[live], padded_R[live] = P, R
+    pair = ProbabilityVector(P), ProbabilityVector(R)
+    padded_pair = ProbabilityVector(padded_P), ProbabilityVector(padded_R)
+    assert renyi_divergence(*padded_pair, alpha=q) == renyi_divergence(*pair, alpha=q)
+    assert tsallis_divergence(*padded_pair, q=q) == tsallis_divergence(*pair, q=q)
 
     support = padded_weights > 0.0
     scattered = _ratio_density(padded_values[support], support, picked.partition).values

@@ -5,7 +5,10 @@ mpmath).  The six-cell mean-4.5 problem and the two-point mean-0.3 problem
 both have independent routes to the multiplier.
 """
 
+import importlib.util
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from qentropy import (
     ConstraintSet,
     ConvergenceError,
+    DensityVector,
     InfeasibleError,
     ProbabilityVector,
     WeightedPartition,
@@ -440,6 +444,23 @@ def test_no_audit_member_forms_a_hessian(monkeypatch, kind, q):
     assert len(formed) == (8 if kind == "ordinary" else 0)
 
 
+@pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 0.5), ("escort", 1.0), ("escort", 2.0)])
+def test_no_audit_member_builds_a_density_vector(monkeypatch, kind, q):
+    # a member's entropy is summed on the support arrays its evaluation holds;
+    # only a solution's density is built and checked as a DensityVector
+    solve, audit = SOLVERS[kind]
+    solution = solve(ConstraintSet([DICE_U, DICE_U**2], [3.0, 11.0], kind, q), uniform_partition(6))
+    built, check = [], DensityVector.__post_init__
+
+    def spy(density):
+        built.append(density)
+        check(density)
+
+    monkeypatch.setattr(DensityVector, "__post_init__", spy)
+    audit(solution)
+    assert built == []
+
+
 # how far below the top of the dice's range the shifted-target audit is posed
 BELOW_THE_TOP = {"ordinary": 1e-7, "escort": 1e-9}
 
@@ -617,3 +638,24 @@ def test_smooth_independent_features_pass_the_dependence_check(kind, q):
     residuals = audit(solution)
     gradient = residuals[0] if kind == "ordinary" else residuals["log_z_gradient"]
     assert np.all(gradient < 1e-8)
+
+
+GALLERY = Path(__file__).resolve().parent.parent / "scripts" / "maxent_gallery.py"
+
+
+@pytest.mark.parametrize("argv", [[], ["--q", "1.5", "--target", "0.4"]])
+def test_maxent_gallery_script_runs(capsys, argv):
+    spec = importlib.util.spec_from_file_location("maxent_gallery", GALLERY)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(argv) == 0
+    out = capsys.readouterr().out
+    for section in ("classical: die face average", "escort: two-point problem", "classical band"):
+        assert section in out
+    # every residual the gallery prints is small
+    checks = ("moment residual", "entropy identity", "log Z gradient check", "sensitivity check",
+              "escort_moment", "power_mass_vs_zbar", "entropy_vs_lnq_zbar", "legendre_gap",
+              "log_z_gradient", "entropy_sensitivity")
+    for name in checks:
+        found = re.search(rf"^{name} +(\S+)$", out, re.MULTILINE)
+        assert found is not None and float(found.group(1)) < 1e-6, name
