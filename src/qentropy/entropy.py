@@ -49,7 +49,7 @@ def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> np.float64:
     return out
 
 
-def _closed_form(P, R, partition, index: float):
+def _closed_form(P, R, partition, index: float) -> float | tuple[np.ndarray, np.ndarray]:
     """A divergence's one live pick, after the lengths are checked.  Where no
     power sum is needed, the value: KL in the classical band, +inf unless
     P << R, and exactly 0 when P = R, where the sum would leave a rounding
