@@ -26,6 +26,12 @@ are its one-level case.
 No entropy or divergence is summed here: the tables take entropy's
 divergences, and entropy_nonextension_demo takes shannon_entropy on a
 Lebesgue partition and measure_entropy on counting partitions.
+
+The passes over all 2^B base cells that are elementwise chains (the cell
+midpoints, a density expression, the finest codes and their pair key) run
+block by block (measure.blocks), so each step reads the block the step
+before it wrote while it is in cache.  The sums over base cells (the grid's
+total, _group's bincounts) stay whole-array, in row order, so no bit moves.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .measure import (
     WeightedPartition,
     _check_carries_density,
     _renormalized,
+    blocks,
     check_capped,
     check_interval,
     induced_pmf,
@@ -93,8 +100,16 @@ class BaseGridDensity:
         """Evaluate fn at base-cell midpoints and renormalize to unit mass."""
         n = 2 ** check_capped(base_exponent, "base_exponent")
         a, b = check_interval(interval)
-        x = a + (b - a) * (np.arange(n) + 0.5) / n
-        raw = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape).astype(float)
+        x = np.empty(n)
+        for block in blocks(n):
+            # a + (b - a)(k + 0.5)/n, each step in place: the float arange is exact
+            midpoints = x[block]
+            midpoints[:] = np.arange(block.start + 0.5, block.stop)
+            midpoints *= b - a
+            midpoints /= n
+            midpoints += a
+        # no copy of a fresh contiguous result: _grid divides it into a new array
+        raw = np.ascontiguousarray(np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape))
         return _grid(raw, (a, b), True)
 
     @classmethod
@@ -150,8 +165,26 @@ def check_levels(levels: Sequence[int], base_cells: int) -> list[int]:
 
 def _bin_codes(values: np.ndarray, level: int) -> np.ndarray:
     """Level-n bin k = floor(v 2^n) of each value; n 2^n (overflow) for v >= n.
-    Exact: multiplying by 2^n only shifts the float exponent."""
-    return np.floor(np.minimum(values, level) * float(2**level)).astype(np.int64)
+    Exact: multiplying by 2^n only shifts the float exponent, and for v >= 0
+    the int32 truncation is the floor.  The codes fit int32: n 2^n < 2^29 at
+    n <= MAX_BASE_EXPONENT."""
+    scaled = np.minimum(values, level)
+    scaled *= float(2**level)
+    return scaled.astype(np.int32)
+
+
+def _pair_codes(p: np.ndarray, r: np.ndarray, level: int) -> tuple[np.ndarray, int]:
+    """Per cell the key c_p w + c_r of the level-n codes of p and of r, built
+    block by block, and w = n 2^n + 1, so that divmod(key, w) gives the codes
+    back.  Codes are at most n 2^n < 2^29 (int32) and keys below w^2 < 2^63
+    (int64) at n <= MAX_BASE_EXPONENT."""
+    width = level * 2**level + 1
+    keys = np.empty(p.size, dtype=np.int64)
+    for block in blocks(p.size):
+        key = keys[block]
+        np.multiply(_bin_codes(p[block], level), width, out=key, dtype=np.int64)
+        key += _bin_codes(r[block], level)
+    return keys, width
 
 
 def _group(codes: np.ndarray, *weights: np.ndarray):
@@ -244,10 +277,7 @@ def _levels(p: DensityVector, r: DensityVector, levels: Sequence[int],
     n, delta = _shared_grid(p, r)
     levels = check_levels(levels, n)
     finest = levels[-1]
-    # finest codes are at most L 2^L with L <= MAX_BASE_EXPONENT, so the pair
-    # key stays below (L 2^L + 1)^2 < 2^63
-    width = finest * 2**finest + 1
-    pair_codes = _bin_codes(p.values, finest) * width + _bin_codes(r.values, finest)
+    pair_codes, width = _pair_codes(p.values, r.values, finest)
     keys, inverse, counts, p_sums, r_sums = _group(pair_codes, p.values, r.values)
     per_cell = (lambda rows, inverse=inverse: rows[inverse]) if labels else (lambda rows: None)
     del pair_codes, inverse

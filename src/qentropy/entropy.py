@@ -5,6 +5,12 @@ Conventions, applied literally throughout: 0 ln 0 = 0, a/0 = +inf for a > 0,
 absolute-continuity check runs before any power is taken, so 0^negative is
 never evaluated.  Divergences return math.inf on the divergent branch and
 pick their live cells once, in _closed_form; the sums take (values, weights).
+
+A divergence's per-cell terms (its logs, powers and exps, _cell_terms and
+_logsumexp without weights) run block by block (measure.blocks) into one
+array, as a dyadic reference divergence takes them over 2^B cells; every sum
+and maximum is then taken over that whole array, in one pass and one order,
+so the result has the bits of the unblocked formulas.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .measure import DensityVector, ProbabilityVector, WeightedPartition, _live_index
+from .measure import DensityVector, ProbabilityVector, WeightedPartition, _live_index, blocks
 from .qcalc import check_index
 
 __all__ = [
@@ -37,12 +43,24 @@ def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> np.float64:
     back to log sum b exp(a) as scipy's does.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        shifted = a if b is None else np.where(b == 0, -np.inf, a)
-        a_max = np.max(shifted)
-        top = shifted == a_max
-        m = np.sum(top if b is None else b * top, dtype=float)
-        terms = np.exp(np.where(top, -np.inf, shifted) - a_max)
-        s = np.sum(terms if b is None else b * terms)
+        if b is None:
+            # unweighted, as the divergences call it on up to 2^B terms: the
+            # exps block by block, m an exact count, the sum whole-array
+            a_max = np.max(a)
+            m, terms = 0, np.empty(a.shape)
+            for block in blocks(a.size):
+                top = a[block] == a_max
+                m += int(np.count_nonzero(top))
+                shifted = np.where(top, -np.inf, a[block])
+                shifted -= a_max
+                np.exp(shifted, out=terms[block])
+            m, s = float(m), np.sum(terms)
+        else:
+            shifted = np.where(b == 0, -np.inf, a)
+            a_max = np.max(shifted)
+            top = shifted == a_max
+            m = np.sum(b * top, dtype=float)
+            s = np.sum(b * np.exp(np.where(top, -np.inf, shifted) - a_max))
         out = np.log1p(s if s == 0 else s / m) + np.log(m) + a_max
         if not np.isfinite(out):
             out = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a)))
@@ -66,7 +84,8 @@ def _closed_form(P, R, partition, index: float) -> float | tuple[np.ndarray, np.
         )
     if index == 1.0:
         return _kl(p, r)
-    if np.array_equal(p, r):
+    # block by block, stopping at the first block where the pmfs differ
+    if all(np.array_equal(p[block], r[block]) for block in blocks(p.size)):
         return 0.0
     live = _live_index(p > 0.0)
     p, r = p[live], r[live]
@@ -172,9 +191,18 @@ def renyi_divergence(
     closed = _closed_form(P, R, partition, alpha)
     if not isinstance(closed, tuple):
         return closed
-    p, r = closed
-    log_sum = _logsumexp(alpha * np.log(p) + (1.0 - alpha) * np.log(r))
+    log_sum = _logsumexp(_cell_terms(*closed, alpha, log=True))
     return float(log_sum / (alpha - 1.0)) + 0.0
+
+
+def _cell_terms(p: np.ndarray, r: np.ndarray, q: float, log: bool) -> np.ndarray:
+    """Per cell p_k^q r_k^(1-q), or its log q ln p_k + (1-q) ln r_k, block by
+    block; ** keeps numpy's fast paths for q or 1 - q in {-1, 0.5, 2}."""
+    out = np.empty(p.shape)
+    for block in blocks(p.size):
+        pb, rb = p[block], r[block]
+        out[block] = q * np.log(pb) + (1.0 - q) * np.log(rb) if log else pb ** q * rb ** (1.0 - q)
+    return out
 
 
 def _power_sum(values: np.ndarray, weights: np.ndarray, q: float) -> float:
@@ -209,9 +237,8 @@ def tsallis_divergence(
     closed = _closed_form(P, R, partition, q)
     if not isinstance(closed, tuple):
         return closed
-    p, r = closed
     with np.errstate(over="ignore", invalid="ignore"):
-        power_sum = float(np.sum(p ** q * r ** (1.0 - q)))
+        power_sum = float(np.sum(_cell_terms(*closed, q, log=False)))
         if not math.isfinite(power_sum):  # a power overflowed: sum in log space
-            power_sum = float(np.exp(_logsumexp(q * np.log(p) + (1.0 - q) * np.log(r))))
+            power_sum = float(np.exp(_logsumexp(_cell_terms(*closed, q, log=True))))
     return (power_sum - 1.0) / (q - 1.0) + 0.0

@@ -487,7 +487,8 @@ def _central_differences(f, center: np.ndarray, steps: np.ndarray):
                     raise
                 steps[m] /= 10.0
         rises.append(high - low)
-        means.append((high + low) / 2.0)
+        # halves first, exact for normal floats: high + low can overflow
+        means.append(high / 2.0 + low / 2.0)
     return np.array(rises), np.array(means), steps
 
 

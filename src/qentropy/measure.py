@@ -7,12 +7,15 @@ live against the weights; every measure here is a sum over them, so no
 per-cell object is built.  mu-null cells are retained rather than dropped so
 absolute-continuity violations stay detectable.  Partitions and the dyadic
 grids share one cap, MAX_CELLS, checked before anything of that size is built.
+An elementwise chain over an array of that size runs block by block (blocks);
+every reduction over it stays whole-array, so blocking moves no bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -34,6 +37,9 @@ _RESCALE_ADVICE = "; pass renormalize=True to rescale"
 # cap on every partition and grid: 2^24 cells, 128 MiB per float array
 MAX_BASE_EXPONENT = 24
 MAX_CELLS = 2**MAX_BASE_EXPONENT
+# entries per block of an elementwise chain: 256 KiB of floats, so that each
+# step of the chain reads what the step before it wrote while it is in L2
+BLOCK = 2**15
 
 
 class AbsoluteContinuityError(ValueError):
@@ -62,6 +68,16 @@ def check_interval(interval) -> tuple[float, float]:
     if not math.isfinite(b - a):
         raise ValueError(f"interval: the width b - a of ({a}, {b}) overflows; need a finite width")
     return a, b
+
+
+def blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most BLOCK entries that cover range(n); one
+    slice when n <= BLOCK (an empty one when n = 0), so a short array takes
+    the same loop once.  Each step of an elementwise chain gives the same bits
+    on a slice as on the whole array, so a caller that fills its output block
+    by block and then reduces the whole output (np.sum, max, @, bincount, all
+    in one pass and one order) returns what the unblocked chain returns."""
+    return (slice(start, min(start + BLOCK, n)) for start in range(0, max(n, 1), BLOCK))
 
 
 def _check_carries_density(a: float, b: float, cells: int) -> None:

@@ -28,6 +28,7 @@ from .measure import (
     MAX_CELLS,
     _RESCALE_ADVICE,
     WeightedPartition,
+    blocks,
     check_interval,
     uniform_partition,
 )
@@ -453,6 +454,11 @@ def expression_function(expr: str):
     allowed; anything else is rejected by AST inspection before evaluation.
     Numeric constants are float64, so an overflow gives inf or nan (which
     the grid builders reject as non-finite) instead of a huge integer.
+
+    Every allowed call and operator is elementwise, so the compiled function
+    evaluates x block by block (measure.blocks) into one fresh float array:
+    the bits are those of one whole-array evaluation, and each step of the
+    expression reads the block the step before it wrote while it is in cache.
     """
     if not isinstance(expr, str) or not expr.strip() or len(expr) > MAX_EXPR_CHARS:
         raise ValueError(f"expr: need a nonempty expression of at most {MAX_EXPR_CHARS} characters")
@@ -485,9 +491,16 @@ def expression_function(expr: str):
     namespace.update(constants.values)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        out = np.empty(x.shape)
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
         local = dict(namespace)
-        local["x"] = x
-        out = eval(code, {"__builtins__": {}}, local)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x))
+        # one scope for all blocks: its warning registry reports a numpy
+        # warning once per call, as one whole-array evaluation would
+        scope = {"__builtins__": {}}
+        for block in blocks(flat_x.size):
+            local["x"] = flat_x[block]
+            flat_out[block] = eval(code, scope, local)
+        return out
 
     return evaluate

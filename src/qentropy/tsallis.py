@@ -308,7 +308,8 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
     The sensitivity sign matches the classical solver: for this family
     dS_q/dt_m = beta_m (the two-point closed form fixes the sign).  At the
     solution dc/dlambda = -H / sum_k mu_k e_q^q, H the solve's last Hessian,
-    so the members are taken at lambda s +- h T e_m, T = -(sum_k mu_k e_q^q) H^-1.
+    so the members are taken at lambda s +- h T e_m, T = -(H / sum_k mu_k e_q^q)^-1,
+    inverted after the division so that a subnormal H on light weights keeps T finite.
     Both checks start from _pole_steps of fd_step along their own directions
     (e_m, and T e_m), so that near the q > 1 pole or the q < 1 cut-off no step
     moves the cell nearest it by more than fd_step of its distance.
@@ -338,7 +339,7 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
         entropy = _shannon_sum(density, mu) if q == 1.0 else -_power_sum(density, mu, q) / (q - 1.0)
         return offset, beta, entropy
 
-    tangents = -float(np.sum(point[5][4])) * np.linalg.inv(point[2])
+    tangents = -np.linalg.inv(point[2] / float(np.sum(point[5][4])))
     steps = _pole_steps(tangents.T @ z, ratio, q, fd_step)
     return {
         "legendre_gap": float(abs(solution.beta @ gap)) if center.size else 0.0,

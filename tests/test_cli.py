@@ -767,6 +767,20 @@ def test_gibbs_two_cell_sweep_solves_a_light_cell(capsys, k):
     assert max(payload["residuals"]["log_z_gradient"]) < 1e-10
 
 
+@pytest.mark.parametrize("q", ["0.5", "1", "2"])
+def test_escort_audit_on_a_total_weight_near_the_subnormals(capsys, q):
+    # total weight 1e-308: the audit's tangents were Sigma inv(H), whose inverse
+    # of a subnormal H overflowed, and it exited 1 with "a step of 0.0" (q = 0.5,
+    # 2) or "exp(nan)" (q = 1) after the solve had succeeded
+    spec = {"partition": {"cells": ["a", "b"], "weights": [5e-309, 5e-309]},
+            "constraints": [{"values": [0, 1], "target": 0.5}]}
+    code, payload = maxent_run(capsys, spec, "--kind", "tsallis", "--q", q)
+    assert code == 0, payload
+    assert payload["beta"] == [0.0]
+    thermo = payload["thermo_residuals"]
+    assert all(math.isfinite(v) for v in [*thermo["log_z_gradient"], *thermo["entropy_sensitivity"]])
+
+
 @pytest.mark.parametrize("values, target", [([0, 0.5, 1], 1e-12), ([0, 1e-300, 1], 5e-301)])
 def test_an_audit_step_that_cannot_fit_names_the_caller_s_target(capsys, values, target):
     # the target lies closer to 0 than the smallest step, fd_step/10^5 = 1e-9 in

@@ -7,6 +7,7 @@ simplex scan provides a second, implementation-free route.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,3 +373,18 @@ def test_a_wide_fd_step_near_the_pole_stays_in_the_family(capsys):
     thermo = json.loads(capsys.readouterr().out)["thermo_residuals"]
     assert thermo["log_z_gradient"][0] < 1.0
     assert thermo["entropy_sensitivity"][0] < 1.0
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_the_escort_audit_on_weights_near_the_subnormals_warns_nothing(q):
+    # weights [0, w, w]: H is subnormal, and Sigma inv(H) overflowed to inf
+    # before it was scaled (invalid values in the steps and the matmul); at
+    # q = 2 the mean of the members' S_q, about -1/w, overflowed as S+ + S-
+    constraints = ConstraintSet([[0.0, 0.0, 1.0]], [0.5], "escort", q)
+    for w in np.geomspace(3.3e-309, 1.4e-308, 9):
+        partition = WeightedPartition(np.array([0.0, w, w]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            thermo = tsallis_thermo(solve_tsallis_maxent(constraints, partition))
+        assert np.all(np.isfinite(thermo["entropy_sensitivity"]))
+        assert np.all(np.isfinite(thermo["log_z_gradient"]))
