@@ -9,14 +9,13 @@ import dataclasses
 import importlib.util
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from fractions import Fraction
 
 from qentropy.dyadic import CSV_HEADER, _bin_codes, _group, _levels, _pair_codes
 
