@@ -16,22 +16,27 @@ measure-theoretic value as n grows.
 The levels form a refining chain: a level-n bin is a union of level-L bins,
 floor(v 2^n) = floor(v 2^L) >> (L-n).  So one pass, _levels, bins a pair of
 densities once at the finest level L, groups base cells into a table of
-finest code pairs, and reads every level's level sets and common refinement
-off that table.  A grid sampled in cell order repeats its pair along runs of
-neighbouring cells, so _group, the one routine that builds the table and
-every level's groupings, sorts only each run's first code.  convergence_table
-maps the divergence over the pass; dyadic_approximation and common_refinement
-are its one-level case.
+finest code pairs (_pair_table), and reads every level's level sets and
+common refinement off that table (_group).  A grid sampled in cell order
+repeats its pair along runs of neighbouring cells, so both keep one entry
+per run and sort only each run's first code.  convergence_table maps the
+divergence over the pass; dyadic_approximation and common_refinement are its
+one-level case.
 
 No entropy or divergence is summed here: the tables take entropy's
 divergences, and entropy_nonextension_demo takes shannon_entropy on a
 Lebesgue partition and measure_entropy on counting partitions.
 
-The passes over all 2^B base cells that are elementwise chains (the cell
-midpoints, a density expression, the finest codes and their pair key) run
-block by block (measure.blocks), so each step reads the block the step
-before it wrote while it is in cache.  The sums over base cells (the grid's
-total, _group's bincounts) stay whole-array, in row order, so no bit moves.
+Each pass over all 2^B base cells runs block by block (measure.blocks), so
+each step reads the block the step before it wrote while it is in cache:
+the cell midpoints, a density expression, the finest codes, their pair key
+and its runs, and the reference divergence's masses and terms.  No array of
+2^B entries is built but the grids, the reference's one array of terms, and
+the per-cell labels when dyadic_approximation or common_refinement return
+them.  The grid's total and the reference's sum stay whole-array.  The
+table's sums over base cells are run sums (np.add.reduceat, pairwise within
+a run) added up per row in run order, so a table's divergences differ in
+their last bits from a row-order sum over the cells.
 """
 
 from __future__ import annotations
@@ -41,7 +46,14 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .entropy import measure_entropy, renyi_divergence, shannon_entropy, tsallis_divergence
+from .entropy import (
+    _renyi,
+    _tsallis,
+    measure_entropy,
+    renyi_divergence,
+    shannon_entropy,
+    tsallis_divergence,
+)
 from .measure import (
     MAX_BASE_EXPONENT,
     MAX_CELLS,
@@ -53,7 +65,6 @@ from .measure import (
     blocks,
     check_capped,
     check_interval,
-    induced_pmf,
     uniform_partition,
 )
 from .qcalc import check_index
@@ -173,18 +184,38 @@ def _bin_codes(values: np.ndarray, level: int) -> np.ndarray:
     return scaled.astype(np.int32)
 
 
-def _pair_codes(p: np.ndarray, r: np.ndarray, level: int) -> tuple[np.ndarray, int]:
-    """Per cell the key c_p w + c_r of the level-n codes of p and of r, built
-    block by block, and w = n 2^n + 1, so that divmod(key, w) gives the codes
-    back.  Codes are at most n 2^n < 2^29 (int32) and keys below w^2 < 2^63
-    (int64) at n <= MAX_BASE_EXPONENT."""
+def _pair_table(p: np.ndarray, r: np.ndarray, level: int) -> tuple:
+    """The table of the pairs of level-n codes of p and of r over the cells.
+
+    One pass, block by block, bins both arrays.  A grid sampled in cell order
+    repeats its pair of codes along runs of neighbouring cells, so the pass
+    keeps only each run's first cell and the key c_p w + c_r of its pair,
+    w = n 2^n + 1, so that divmod(key, w) gives the codes back; codes are at
+    most n 2^n < 2^29 (int32) and keys below w^2 < 2^63 (int64) at
+    n <= MAX_BASE_EXPONENT.  Each block's first pair is compared with the
+    last pair of the block before.  Returns the distinct keys in ascending
+    order and w, each run's table row and length, and per row its cells and
+    the sums of p and of r over them: the run sums (np.add.reduceat,
+    pairwise within a run) added up in run order.  No per-cell key or label
+    is kept; np.repeat(run_rows, lengths) composes the labels."""
     width = level * 2**level + 1
-    keys = np.empty(p.size, dtype=np.int64)
+    starts, run_keys, last = [], [], None
     for block in blocks(p.size):
-        key = keys[block]
-        np.multiply(_bin_codes(p[block], level), width, out=key, dtype=np.int64)
-        key += _bin_codes(r[block], level)
-    return keys, width
+        p_codes, r_codes = _bin_codes(p[block], level), _bin_codes(r[block], level)
+        new = np.empty(p_codes.size, dtype=bool)
+        new[0] = last != (p_codes[0], r_codes[0])
+        np.not_equal(p_codes[1:], p_codes[:-1], out=new[1:])
+        new[1:] |= r_codes[1:] != r_codes[:-1]
+        first = np.flatnonzero(new)
+        starts.append(first + block.start)
+        run_keys.append(np.multiply(p_codes[first], width, dtype=np.int64) + r_codes[first])
+        last = p_codes[-1], r_codes[-1]
+    starts = np.concatenate(starts)
+    lengths = np.diff(starts, append=p.size)
+    keys, run_rows = np.unique(np.concatenate(run_keys), return_inverse=True)
+    sums = (np.bincount(run_rows, weights=w)
+            for w in (lengths, np.add.reduceat(p, starts), np.add.reduceat(r, starts)))
+    return (keys, width, run_rows, lengths, *sums)
 
 
 def _group(codes: np.ndarray, *weights: np.ndarray):
@@ -268,19 +299,17 @@ class CommonRefinement:
 def _levels(p: DensityVector, r: DensityVector, levels: Sequence[int],
             labels: bool = False) -> Iterator[tuple]:
     """(f, g, cells) per level, ascending: the DyadicApproximation of p and of
-    r and their CommonRefinement.  The checks and the binning run at the call;
-    _group merges base cells sharing a pair of finest codes into one row of
-    the pair table, and each level, built as it is iterated, groups those rows
-    with _group too: p's level sets, r's, and their pairs.  The per-base-cell
-    labels compose the table's per-cell labels, or are None unless asked
+    r and their CommonRefinement.  The checks and the binning run at the call:
+    _pair_table merges base cells sharing a pair of finest codes into one row
+    of the pair table, and each level, built as it is iterated, groups those
+    rows with _group: p's level sets, r's, and their pairs.  The per-base-cell
+    labels spread each run's row over its cells, or are None unless asked
     for."""
     n, delta = _shared_grid(p, r)
     levels = check_levels(levels, n)
     finest = levels[-1]
-    pair_codes, width = _pair_codes(p.values, r.values, finest)
-    keys, inverse, counts, p_sums, r_sums = _group(pair_codes, p.values, r.values)
-    per_cell = (lambda rows, inverse=inverse: rows[inverse]) if labels else (lambda rows: None)
-    del pair_codes, inverse
+    keys, width, run_rows, lengths, counts, p_sums, r_sums = _pair_table(p.values, r.values, finest)
+    per_cell = (lambda rows: np.repeat(rows[run_rows], lengths)) if labels else (lambda rows: None)
     codes = np.stack(np.divmod(keys, width))  # each row's finest codes of p and of r
 
     def level_sets(level: int) -> tuple:
@@ -337,10 +366,11 @@ def _shared_grid(p: DensityVector, r: DensityVector, p_field="p", r_field="r"):
 
 
 def _divergence(kind: str):
+    """The kind's divergence of pmfs, and its kernel on values times a cell weight."""
     if kind == "renyi":
-        return renyi_divergence
+        return renyi_divergence, _renyi
     if kind == "tsallis":
-        return tsallis_divergence
+        return tsallis_divergence, _tsallis
     raise ValueError(f"kind: expected 'renyi' or 'tsallis', got {kind!r}")
 
 
@@ -353,10 +383,13 @@ def reference_divergence(
     """Measure-theoretic divergence at full base resolution (exact sum).
 
     It is the discrete divergence of the induced pmfs p delta, because
-    p^a r^(1-a) delta = (p delta)^a (r delta)^(1-a) on every base cell.
+    p^a r^(1-a) delta = (p delta)^a (r delta)^(1-a) on every base cell.  The
+    kernel forms and checks those masses block by block, so neither pmf is
+    built.
     """
-    _shared_grid(p, r)
-    return _divergence(kind)(induced_pmf(p), induced_pmf(r), None, index)
+    _, delta = _shared_grid(p, r)
+    _, kernel = _divergence(kind)
+    return kernel(p.values, r.values, delta, check_index(index))
 
 
 def convergence_table(
@@ -372,7 +405,7 @@ def convergence_table(
     the two densities' level sets.  Rows come in ascending level order.
     """
     index = check_index(index)
-    divergence = _divergence(kind)
+    divergence, _ = _divergence(kind)
     discrete = []
     for f, _, cells in _levels(p, r, levels):
         P, R = ProbabilityVector(cells.f_masses), ProbabilityVector(cells.g_masses)

@@ -3,14 +3,16 @@
 Conventions, applied literally throughout: 0 ln 0 = 0, a/0 = +inf for a > 0,
 0 * (+-inf) = 0.  Every sum skips cells with zero probability mass, and the
 absolute-continuity check runs before any power is taken, so 0^negative is
-never evaluated.  Divergences return math.inf on the divergent branch and
-pick their live cells once, in _closed_form; the sums take (values, weights).
+never evaluated.  Divergences return math.inf on the divergent branch; the
+sums take (values, weights).
 
-A divergence's per-cell terms (its logs, powers and exps, _cell_terms and
-_logsumexp without weights) run block by block (measure.blocks) into one
-array, as a dyadic reference divergence takes them over 2^B cells; every sum
-and maximum is then taken over that whole array, in one pass and one order,
-so the result has the bits of the unblocked formulas.
+The Renyi and Tsallis divergences, of pmfs and of a dyadic grid's densities
+alike, take their masses as values times one cell weight and run one kernel,
+_live_terms, over them block by block (measure.blocks): per block it checks
+the masses, compares P with R, picks the live cells and writes their logs
+or powers into one array.  Every sum and maximum is then taken over that
+whole array, in one pass and one order, so the result has the bits of the
+unblocked formulas.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ import warnings
 
 import numpy as np
 
-from .measure import DensityVector, ProbabilityVector, WeightedPartition, _live_index, blocks
+from .measure import (
+    DensityVector,
+    ProbabilityVector,
+    WeightedPartition,
+    _check_total,
+    _live_index,
+    blocks,
+)
 from .qcalc import check_index
 
 __all__ = [
@@ -67,12 +76,8 @@ def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> np.float64:
     return out
 
 
-def _closed_form(P, R, partition, index: float) -> float | tuple[np.ndarray, np.ndarray]:
-    """A divergence's one live pick, after the lengths are checked.  Where no
-    power sum is needed, the value: KL in the classical band, +inf unless
-    P << R, and exactly 0 when P = R, where the sum would leave a rounding
-    error of either sign; else the masses (p, r) where p > 0, read in place
-    when every p > 0 (measure._live_index)."""
+def _masses(P, R, partition) -> tuple[np.ndarray, np.ndarray]:
+    """The mass arrays of a divergence's two pmfs, after their lengths are checked."""
     p, r = P.masses, R.masses
     if p.shape != r.shape:
         raise ValueError(
@@ -82,14 +87,68 @@ def _closed_form(P, R, partition, index: float) -> float | tuple[np.ndarray, np.
         raise ValueError(
             f"partition: size {len(partition)} does not match vectors of length {p.size}"
         )
-    if index == 1.0:
+    return p, r
+
+
+def _live_terms(p: np.ndarray, r: np.ndarray, weight: float, q: float,
+                log: bool) -> float | np.ndarray:
+    """A divergence's one pass over the masses P_k = p_k weight, R_k = r_k weight.
+
+    Where no power sum is needed, the value: KL in the classical band, +inf
+    unless P << R, and exactly 0 when P = R, where the sum would leave a
+    rounding error of either sign.  Else, in one array, the term of each live
+    cell (P_k > 0) in cell order: P_k^q R_k^(1-q), or its log
+    q ln P_k + (1-q) ln R_k; ** keeps numpy's fast paths for q or 1 - q in
+    {-1, 0.5, 2}.  Each block is weighed, compared, picked and turned into
+    terms while it is in cache.  A weight of 1.0 reads the values as the
+    masses, checked when their vector was built (a pmf, or a grid of unit
+    cells); any other weight makes masses of density values, checked as
+    induced_pmf's ProbabilityVector checks them, with the total taken as the
+    sum of the block totals.
+    """
+    checked = weight != 1.0
+    if q == 1.0:
+        # KL's dot product takes its masses whole
+        if checked:
+            p, r = ProbabilityVector(p * weight).masses, ProbabilityVector(r * weight).masses
         return _kl(p, r)
-    # block by block, stopping at the first block where the pmfs differ
-    if all(np.array_equal(p[block], r[block]) for block in blocks(p.size)):
+    terms = np.empty(p.size)
+    size, equal, dead = 0, True, False
+    valid, totals = [True, True], [0.0, 0.0]
+    for block in blocks(p.size):
+        pb, rb = p[block], r[block]
+        if checked:
+            pb, rb = pb * weight, rb * weight
+        lows = pb.min(), rb.min()
+        if checked:
+            for k, masses in enumerate((pb, rb)):
+                total = float(np.sum(masses))
+                # nonnegative entries with a finite sum are all finite
+                valid[k] = valid[k] and lows[k] >= 0.0 and (
+                    total < math.inf or masses.max() < math.inf)
+                totals[k] += total
+        equal = equal and np.array_equal(pb, rb)
+        if dead or not all(valid):
+            continue
+        if lows[0] > 0.0:  # every cell live: read in place
+            dead = lows[1] == 0.0
+        else:
+            live = pb > 0.0
+            pb, rb = pb[live], rb[live]
+            dead = bool(np.any(rb == 0.0))
+        if dead:
+            continue
+        out = terms[size:size + pb.size]
+        size += pb.size
+        out[:] = q * np.log(pb) + (1.0 - q) * np.log(rb) if log else pb ** q * rb ** (1.0 - q)
+    if checked:
+        for ok, total in zip(valid, totals):
+            if not ok:
+                raise ValueError("masses: entries must be finite and nonnegative")
+            _check_total(total)
+    if equal:
         return 0.0
-    live = _live_index(p > 0.0)
-    p, r = p[live], r[live]
-    return math.inf if np.any(r == 0.0) else (p, r)
+    return math.inf if dead else terms[:size]
 
 
 def _shannon_sum(values: np.ndarray, weights: np.ndarray) -> float:
@@ -137,7 +196,7 @@ def kl_divergence(
     The partition argument is only consulted to validate cell counts; the
     discrete divergence itself does not involve the reference weights.
     """
-    return _closed_form(P, R, partition, 1.0)
+    return _kl(*_masses(P, R, partition))
 
 
 def measure_entropy(P: ProbabilityVector, partition: WeightedPartition) -> float:
@@ -188,21 +247,15 @@ def renyi_divergence(
     classical band.
     """
     alpha = check_index(alpha)
-    closed = _closed_form(P, R, partition, alpha)
-    if not isinstance(closed, tuple):
-        return closed
-    log_sum = _logsumexp(_cell_terms(*closed, alpha, log=True))
-    return float(log_sum / (alpha - 1.0)) + 0.0
+    return _renyi(*_masses(P, R, partition), 1.0, alpha)
 
 
-def _cell_terms(p: np.ndarray, r: np.ndarray, q: float, log: bool) -> np.ndarray:
-    """Per cell p_k^q r_k^(1-q), or its log q ln p_k + (1-q) ln r_k, block by
-    block; ** keeps numpy's fast paths for q or 1 - q in {-1, 0.5, 2}."""
-    out = np.empty(p.shape)
-    for block in blocks(p.size):
-        pb, rb = p[block], r[block]
-        out[block] = q * np.log(pb) + (1.0 - q) * np.log(rb) if log else pb ** q * rb ** (1.0 - q)
-    return out
+def _renyi(p: np.ndarray, r: np.ndarray, weight: float, alpha: float) -> float:
+    """renyi_divergence of the masses p weight and r weight (_live_terms)."""
+    terms = _live_terms(p, r, weight, alpha, log=True)
+    if not isinstance(terms, np.ndarray):
+        return terms
+    return float(_logsumexp(terms) / (alpha - 1.0)) + 0.0
 
 
 def _power_sum(values: np.ndarray, weights: np.ndarray, q: float) -> float:
@@ -234,11 +287,17 @@ def tsallis_divergence(
 ) -> float:
     """I_q(P||R) = (sum_k P_k^q / R_k^(q-1) - 1)/(q - 1), +inf when not P << R."""
     q = check_index(q)
-    closed = _closed_form(P, R, partition, q)
-    if not isinstance(closed, tuple):
-        return closed
+    return _tsallis(*_masses(P, R, partition), 1.0, q)
+
+
+def _tsallis(p: np.ndarray, r: np.ndarray, weight: float, q: float) -> float:
+    """tsallis_divergence of the masses p weight and r weight (_live_terms)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        power_sum = float(np.sum(_cell_terms(*closed, q, log=False)))
+        terms = _live_terms(p, r, weight, q, log=False)
+        if not isinstance(terms, np.ndarray):
+            return terms
+        power_sum = float(np.sum(terms))
         if not math.isfinite(power_sum):  # a power overflowed: sum in log space
-            power_sum = float(np.exp(_logsumexp(_cell_terms(*closed, q, log=True))))
+            del terms
+            power_sum = float(np.exp(_logsumexp(_live_terms(p, r, weight, q, log=True))))
     return (power_sum - 1.0) / (q - 1.0) + 0.0

@@ -7,8 +7,10 @@ live against the weights; every measure here is a sum over them, so no
 per-cell object is built.  mu-null cells are retained rather than dropped so
 absolute-continuity violations stay detectable.  Partitions and the dyadic
 grids share one cap, MAX_CELLS, checked before anything of that size is built.
-An elementwise chain over an array of that size runs block by block (blocks);
-every reduction over it stays whole-array, so blocking moves no bit.
+An elementwise chain over an array of that size runs block by block (blocks).
+A reduction over one output that the blocks filled keeps the bits of the
+unblocked chain; one taken per block or per run moves them, as the dyadic
+table's run sums do.
 """
 
 from __future__ import annotations
@@ -94,6 +96,12 @@ def _check_vector(values: np.ndarray, what: str) -> None:
     # two reductions, no temporary: a NaN fails both comparisons
     if not (values.min() >= 0.0 and values.max() < math.inf):
         raise ValueError(f"{what}: entries must be finite and nonnegative")
+
+
+def _check_total(total: float) -> None:
+    """Refuse masses whose total is not 1 within NORMALIZATION_TOL."""
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"masses: must sum to 1 (got {total!r}){_RESCALE_ADVICE}")
 
 
 def _check_length(values: np.ndarray, partition: "WeightedPartition", what: str = "values") -> None:
@@ -217,11 +225,7 @@ class ProbabilityVector:
         masses = np.asarray(self.masses, dtype=float)
         object.__setattr__(self, "masses", masses)
         _check_vector(masses, "masses")
-        total = float(np.sum(masses))
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"masses: must sum to 1 (got {total!r}){_RESCALE_ADVICE}"
-            )
+        _check_total(float(np.sum(masses)))
 
     def __len__(self) -> int:
         return int(self.masses.size)

@@ -2,7 +2,10 @@
 
 Each oracle below is the formula as it was written before the passes were
 blocked, over the whole array at once.  The blocked code must match it with
-tobytes() equality at lengths on either side of the block edges.
+tobytes() equality at lengths on either side of the block edges.  The
+divergences' oracle is the route they took before one blocked pass formed,
+checked and picked their masses: the induced pmfs, then one live pick and
+the terms over the whole array.
 """
 
 import math
@@ -11,8 +14,9 @@ import numpy as np
 import pytest
 
 from qentropy import BaseGridDensity
-from qentropy.entropy import _logsumexp, renyi_divergence, tsallis_divergence
-from qentropy.measure import BLOCK, ProbabilityVector, blocks
+from qentropy.dyadic import reference_divergence
+from qentropy.entropy import _logsumexp, _renyi, _tsallis, renyi_divergence, tsallis_divergence
+from qentropy.measure import BLOCK, ProbabilityVector, blocks, induced_pmf
 from qentropy.serialize import expression_function
 
 LENGTHS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
@@ -36,24 +40,41 @@ def same(a: float, b: float) -> bool:
     return float(a).hex() == float(b).hex()
 
 
-def whole_live(p, r):
+def whole_closed_form(p, r):
+    """The one live pick of two mass arrays: 0.0 when P = R, +inf unless
+    P << R, else the masses where p > 0."""
+    if np.array_equal(p, r):
+        return 0.0
     live = p > 0.0
-    return (p, r) if live.all() else (p[live], r[live])
+    p, r = (p, r) if live.all() else (p[live], r[live])
+    return math.inf if np.any(r == 0.0) else (p, r)
+
+
+def whole_terms(p, r, q, log):
+    return q * np.log(p) + (1.0 - q) * np.log(r) if log else p ** q * r ** (1.0 - q)
 
 
 def whole_renyi(p, r, alpha):
-    p, r = whole_live(p, r)
-    log_sum = whole_logsumexp(alpha * np.log(p) + (1.0 - alpha) * np.log(r))
+    closed = whole_closed_form(p, r)
+    if not isinstance(closed, tuple):
+        return closed
+    log_sum = whole_logsumexp(whole_terms(*closed, alpha, log=True))
     return float(log_sum / (alpha - 1.0)) + 0.0
 
 
 def whole_tsallis(p, r, q):
-    p, r = whole_live(p, r)
+    closed = whole_closed_form(p, r)
+    if not isinstance(closed, tuple):
+        return closed
     with np.errstate(over="ignore", invalid="ignore"):
-        power_sum = float(np.sum(p ** q * r ** (1.0 - q)))
+        power_sum = float(np.sum(whole_terms(*closed, q, log=False)))
         if not math.isfinite(power_sum):
-            power_sum = float(np.exp(whole_logsumexp(q * np.log(p) + (1.0 - q) * np.log(r))))
+            power_sum = float(np.exp(whole_logsumexp(whole_terms(*closed, q, log=True))))
     return (power_sum - 1.0) / (q - 1.0) + 0.0
+
+
+WHOLE = {"renyi": whole_renyi, "tsallis": whole_tsallis}
+KERNELS = {"renyi": _renyi, "tsallis": _tsallis}
 
 
 EXPRESSIONS = {
@@ -140,3 +161,84 @@ def test_logsumexp_counts_a_maximum_tied_across_blocks(n):
     a = np.random.default_rng(n).uniform(-30.0, 0.5, n)
     a[0] = a[-1] = 0.75  # in the first block and, past BLOCK, in the last
     assert _logsumexp(a).tobytes() == whole_logsumexp(a).tobytes()
+
+
+def masses_of(n, case, seed):
+    """A pmf pair on n cells: "live" has every p > 0, "dead" zero p cells in
+    the first and the last block, "equal" R = P, "singular" r = 0 under a
+    live p in the last block only, and "overflow" a cell whose Tsallis term
+    p^3 r^-2 is 0 * inf, so that the power sum falls back to log space."""
+    rng = np.random.default_rng(seed)
+    p, r = rng.lognormal(0.0, 2.0, n), rng.uniform(0.5, 1.5, n)
+    if case == "dead":
+        p[[0, 1, n - 2]] = 0.0
+    if case == "singular":
+        r[n - 2] = 0.0
+    if case == "overflow":
+        p[n // 2], r[n // 2] = 1e-150 * p.sum(), 1e-200 * r.sum()
+    p, r = p / p.sum(), r / r.sum()
+    return p, (p.copy() if case == "equal" else r)
+
+
+CASES = [(1, "live"), (1, "equal")] + [
+    (n, case) for n in LENGTHS[1:] for case in ("live", "dead", "equal", "singular", "overflow")
+]
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+@pytest.mark.parametrize("n, case", CASES)
+def test_the_kernel_on_density_values_has_the_bits_of_the_induced_pmfs(n, case, kind, q):
+    # values p / w on cells of weight w: the route through the induced pmfs
+    # multiplies them back into masses and picks over the whole array
+    p, r = masses_of(n, case, 11 + n)
+    weight = 0.75 / n
+    p_values, r_values = p / weight, r / weight
+    P, R = ProbabilityVector(p_values * weight), ProbabilityVector(r_values * weight)
+    want = WHOLE[kind](P.masses, R.masses, q)
+    assert same(KERNELS[kind](p_values, r_values, weight, q), want)
+    # the public divergences read the masses as given, at weight 1
+    assert same(KERNELS[kind](p, r, 1.0, q), WHOLE[kind](p, r, q))
+    if case == "equal":
+        assert want == 0.0
+    if case == "singular":
+        assert want == math.inf
+
+
+@pytest.mark.parametrize("n", LENGTHS[1:])
+def test_the_tsallis_overflow_falls_back_to_log_space(n):
+    p, r = masses_of(n, "overflow", 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(np.sum(p ** 3.0 * r ** -2.0))
+    got = tsallis_divergence(ProbabilityVector(p), ProbabilityVector(r), None, 3.0)
+    assert math.isfinite(got) and same(got, whole_tsallis(p, r, 3.0))
+
+
+def grid_pair(exponent, case):
+    """Two base grids on (0, 1) with the masses of masses_of."""
+    p, r = masses_of(2**exponent, case, exponent) if exponent else (np.ones(1), np.ones(1))
+    return (BaseGridDensity.from_values(v * 2**exponent, (0.0, 1.0), renormalize=True) for v in (p, r))
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+@pytest.mark.parametrize("exponent, case", [(0, "live"), (15, "dead"), (15, "equal"), (17, "live"),
+                                            (17, "dead"), (17, "singular"), (17, "overflow")])
+def test_reference_divergence_has_the_bits_of_the_induced_pmfs(exponent, case, kind, q):
+    p, r = grid_pair(exponent, case)
+    want = WHOLE[kind](induced_pmf(p).masses, induced_pmf(r).masses, q)
+    assert same(reference_divergence(p, r, q, kind), want)
+
+
+def test_reference_divergence_checks_its_masses_as_the_induced_pmfs_do():
+    p, r = grid_pair(17, "live")
+    p.values[BLOCK + 3] = -1.0  # the grids' arrays are writable: a later edit
+    with pytest.raises(ValueError, match="^masses: entries must be finite and nonnegative$"):
+        induced_pmf(p)
+    with pytest.raises(ValueError, match="^masses: entries must be finite and nonnegative$"):
+        reference_divergence(p, r, 2.0, "renyi")
+    p.values[BLOCK + 3] = 0.0
+    with pytest.raises(ValueError, match=r"^masses: must sum to 1 \(got 0\.99"):
+        induced_pmf(p)
+    with pytest.raises(ValueError, match=r"^masses: must sum to 1 \(got 0\.99"):
+        reference_divergence(p, r, 0.5, "tsallis")

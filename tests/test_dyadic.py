@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy.dyadic import CSV_HEADER, _bin_codes, _group, _levels, _pair_codes
+from qentropy.dyadic import CSV_HEADER, _bin_codes, _levels, _pair_table
+from qentropy.measure import BLOCK
 
 from qentropy import (
     BaseGridDensity,
@@ -463,25 +464,32 @@ def raw_lognormal_pair(rng, exponent):
 
 def reference_pair_table(p, r, level):
     """The finest pair table with np.unique over every base cell: per-cell pair
-    codes, then keys, labels, counts and the sums of p and of r."""
+    codes and their runs' first cells, then keys, labels and counts, and the
+    sums of p and of r, each run's np.add.reduceat sum added up by the run's
+    row in run order."""
     width = level * 2**level + 1
     p_codes, r_codes = (np.floor(np.minimum(v.values, level) * 2.0**level).astype(np.int64) for v in (p, r))
     codes = p_codes * width + r_codes
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
     keys, labels = np.unique(codes, return_inverse=True)
-    return codes, (keys, labels, *(np.bincount(labels, weights=w) for w in (np.ones(codes.size), p.values, r.values)))
+    sums = (np.bincount(labels[starts], weights=np.add.reduceat(v.values, starts)) for v in (p, r))
+    return codes, starts, (keys, labels, np.bincount(labels, weights=np.ones(codes.size)), *sums)
 
 
 def assert_run_grouping_is_exact(p, r, level):
-    codes, expected = reference_pair_table(p, r, level)
-    # the blocked int32 binning keys every cell as the whole-array int64 floor does
-    assert _pair_codes(p.values, r.values, level)[0].tobytes() == codes.tobytes()
-    table = _group(codes, p.values, r.values)
+    codes, starts, expected = reference_pair_table(p, r, level)
+    keys, width, run_rows, lengths, counts, p_sums, r_sums = _pair_table(p.values, r.values, level)
+    # the blocked pass finds the runs of the whole-array int64 floor codes,
+    # those that cross a block edge included, and keys each run as they do
+    assert width == level * 2**level + 1
+    assert lengths.tobytes() == np.diff(starts, append=codes.size).tobytes()
+    assert keys[run_rows].tobytes() == codes[starts].tobytes()
+    table = (keys, np.repeat(run_rows, lengths), counts, p_sums, r_sums)
     for got, want in zip(table, expected, strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # each level n of the pass groups the table's rows by their codes coarsened to n
     keys, labels, counts, p_sums, r_sums = expected
     delta = p.partition.weights[0]
-    width = level * 2**level + 1
     for n, (f, g, cells) in enumerate(_levels(p, r, range(1, level + 1), labels=True), start=1):
         margins = []
         for approx, margin, sums in ((f, keys // width, p_sums), (g, keys % width, r_sums)):
@@ -494,6 +502,7 @@ def assert_run_grouping_is_exact(p, r, level):
         _, rows = np.unique(f_rows * g_size + g_rows, return_inverse=True)
         assert cells.labels.tobytes() == rows[labels].tobytes()
         assert cells.mu_masses.tobytes() == (np.bincount(rows, weights=counts) * delta).tobytes()
+    return starts.size
 
 
 GRID_KINDS = {"smooth": smooth_pair, "constant": constant_pair, "alternating": alternating_pair,
@@ -510,17 +519,41 @@ def test_run_grouping_matches_np_unique_over_every_cell(seed, exponent, kind):
     rng = np.random.default_rng(seed)
     p, r = GRID_KINDS[kind](rng, exponent)
     level = int(rng.integers(1, exponent + 1))
-    runs = int(np.count_nonzero(np.diff(reference_pair_table(p, r, level)[0]))) + 1
+    runs = assert_run_grouping_is_exact(p, r, level)
     if kind == "constant":
         assert runs == 1
     if kind == "alternating":
         assert runs == 2**exponent
-    assert_run_grouping_is_exact(p, r, level)
 
 
 def test_run_grouping_is_exact_at_base_resolution_2_20():
     p, r = smooth_pair(np.random.default_rng(17), 20)
     assert_run_grouping_is_exact(p, r, 12)
+
+
+def test_a_constant_grid_is_one_run_across_every_block():
+    p, r = constant_pair(None, 17)
+    assert assert_run_grouping_is_exact(p, r, 12) == 1
+
+
+def test_runs_that_cross_or_start_at_a_block_edge():
+    # p's second run crosses the first block edge and its third starts past
+    # the second; r steps at the second edge, and p steps back at the third:
+    # runs (1, 1), (2, 1), (2, 2), (3, 2), (1, 2), the third and fifth
+    # starting exactly on an edge.  A jitter far inside each level-12 bin
+    # makes a run's sum depend on its order of summation
+    cells = 4 * BLOCK
+    p = np.ones(cells)
+    p[BLOCK - 3 : 2 * BLOCK + 5] = 2.0
+    p[2 * BLOCK + 5 : 3 * BLOCK] = 3.0
+    r = np.ones(cells)
+    r[2 * BLOCK :] = 2.0
+    jitter = np.random.default_rng(3).uniform(1.0, 1.0 + 1e-6, (2, cells))
+    p, r = p * jitter[0], r * jitter[1]
+    p, r = (BaseGridDensity.from_values(v, (0.0, 1.0), renormalize=True) for v in (p, r))
+    assert assert_run_grouping_is_exact(p, r, 12) == 5
+    lengths = _pair_table(p.values, r.values, 12)[3]
+    assert lengths.tolist() == [BLOCK - 3, BLOCK + 3, 5, BLOCK - 5, BLOCK]
 
 
 def test_coarsening_is_exact_at_dyadic_boundaries():
@@ -558,26 +591,32 @@ def test_bin_codes_at_the_level_cap_are_exact_int32():
     exact = [math.floor(Fraction(min(v, 24.0)) * 2**level) for v in values.tolist()]
     assert codes.tolist() == exact
     assert exact[-1] == exact[-2] == level * 2**level  # the overflow code
-    # the int64 pair key gives both codes back, the overflow code on either side
-    keys, width = _pair_codes(values, values[::-1], level)
+    # the pass's int64 pair key gives both codes of each run back, the
+    # overflow code on either side
+    keys, width, run_rows, lengths, *_ = _pair_table(values, values[::-1], level)
     assert keys.dtype == np.int64 and width == level * 2**level + 1
-    high, low = np.divmod(keys, width)
-    assert high.tolist() == exact and low.tolist() == exact[::-1]
+    pairs = list(zip(exact, exact[::-1]))
+    starts = [k for k in range(len(pairs)) if k == 0 or pairs[k] != pairs[k - 1]]
+    assert lengths.tolist() == np.diff(starts, append=len(pairs)).tolist()
+    high, low = np.divmod(keys[run_rows], width)
+    assert list(zip(high.tolist(), low.tolist())) == [pairs[k] for k in starts]
 
 
 def test_a_table_at_base_resolution_2_18_stays_within_its_memory():
-    # tracemalloc peak of one Renyi table, the costlier family, on 2^18 cells:
-    # 35.8 bytes per cell measured (42.7 before the elementwise passes ran in
-    # blocks), bounded at 40 to leave about 12% headroom
+    # tracemalloc peak of one table per family on 2^18 cells, in bytes per
+    # cell: Renyi 19.8 and Tsallis 13.7 measured, bounded at 22 and 15.5 to
+    # leave about 12% headroom; the reference's terms take 8 of them and
+    # Renyi's exps another 8
     p, r = smooth_pair(np.random.default_rng(5), 18)
-    tracemalloc.start()
-    try:
-        rows = convergence_table(p, r, 0.5, "renyi", range(2, 13))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(rows) == 11
-    assert peak < 40 * 2**18, peak / 2**18
+    for kind, bound in (("renyi", 22.0), ("tsallis", 15.5)):
+        tracemalloc.start()
+        try:
+            rows = convergence_table(p, r, 0.5, kind, range(2, 13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 11
+        assert peak < bound * 2**18, (kind, peak / 2**18)
 
 
 def test_convergence_study_script_runs(capsys):
