@@ -13,15 +13,18 @@ the density on each nonempty group; the masses of those groups form the
 approximating pmf, whose discrete Renyi/Tsallis divergences converge to the
 measure-theoretic value as n grows.
 
-The levels form a refining chain: a level-n bin is a union of level-L bins,
-floor(v 2^n) = floor(v 2^L) >> (L-n).  So one pass, _levels, bins a pair of
-densities once at the finest level L, groups base cells into a table of
-finest code pairs (_pair_table), and reads every level's level sets and
-common refinement off that table (_group).  A grid sampled in cell order
-repeats its pair along runs of neighbouring cells, so both keep one entry
-per run and sort only each run's first code.  convergence_table maps the
-divergence over the pass; dyadic_approximation and common_refinement are its
-one-level case.
+The levels form a refining chain: a level-n bin is a union of level-m
+bins for every m > n, floor(v 2^n) = floor(v 2^m) >> (m-n).  So one pass,
+_levels, bins a pair of densities once at the finest level L and groups
+base cells into a table of finest code pairs (_pair_table).  A grid sampled
+in cell order repeats its pair along runs of neighbouring cells, so that
+pass keeps one entry per run and sorts only each run's first key.  Each
+coarser level's pair table is then merged from the next finer level's
+(_coarsened), finest first, so the work is the sum of the table sizes, and
+only one level's table is kept.  A level's table is its common refinement,
+and in key order p's level sets are runs of its rows (_level_sets).
+convergence_table maps the divergence over the pass; dyadic_approximation
+and common_refinement are its one-level case.
 
 No entropy or divergence is summed here: the tables take entropy's
 divergences, and entropy_nonextension_demo takes shannon_entropy on a
@@ -31,12 +34,15 @@ Each pass over all 2^B base cells runs block by block (measure.blocks), so
 each step reads the block the step before it wrote while it is in cache:
 the cell midpoints, a density expression, the finest codes, their pair key
 and its runs, and the reference divergence's masses and terms.  No array of
-2^B entries is built but the grids, the reference's one array of terms, and
-the per-cell labels when dyadic_approximation or common_refinement return
-them.  The grid's total and the reference's sum stay whole-array.  The
-table's sums over base cells are run sums (np.add.reduceat, pairwise within
-a run) added up per row in run order, so a table's divergences differ in
-their last bits from a row-order sum over the cells.
+2^B entries is built but the grids (a function's grid is renormalized into
+its midpoint array), a density function's result, the reference's one array
+of terms, and the per-cell labels when dyadic_approximation or
+common_refinement return them.  The grid's total and the reference's sum
+stay whole-array.  The finest table's sums over base cells are run sums
+(np.add.reduceat, pairwise within a run) added up per row in run order, and
+a coarser table's are its finer table's added up in that table's row order,
+so a table's divergences differ in their last bits from a row-order sum
+over the cells.
 """
 
 from __future__ import annotations
@@ -108,7 +114,10 @@ class BaseGridDensity:
         interval: tuple[float, float],
         base_exponent: int = DEFAULT_BASE_EXPONENT,
     ) -> DensityVector:
-        """Evaluate fn at base-cell midpoints and renormalize to unit mass."""
+        """Evaluate fn at base-cell midpoints and renormalize to unit mass.
+
+        The midpoint array passed to fn becomes the grid's values, so fn must
+        not keep it; an array fn returns is only read."""
         n = 2 ** check_capped(base_exponent, "base_exponent")
         a, b = check_interval(interval)
         x = np.empty(n)
@@ -119,17 +128,19 @@ class BaseGridDensity:
             midpoints *= b - a
             midpoints /= n
             midpoints += a
-        # no copy of a fresh contiguous result: _grid divides it into a new array
+        # no copy of a fresh contiguous result; _grid divides it into the midpoints
+        # (numpy handles a result that overlaps them)
         raw = np.ascontiguousarray(np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape))
-        return _grid(raw, (a, b), True)
+        return _grid(raw, (a, b), True, out=x)
 
     @classmethod
     def from_values(cls, values, interval, renormalize: bool = False) -> DensityVector:
         return _grid(np.asarray(values, dtype=float), interval, renormalize)
 
 
-def _grid(values: np.ndarray, interval, renormalize: bool) -> DensityVector:
-    # body of both constructors, so that a wrapper timing them counts one build per grid
+def _grid(values: np.ndarray, interval, renormalize: bool, out: np.ndarray | None = None) -> DensityVector:
+    # body of both constructors, so that a wrapper timing them counts one build per
+    # grid; a renormalized grid is written into out, a new array if None
     a, b = check_interval(interval)
     n = values.size
     if values.ndim != 1 or n == 0 or (n & (n - 1)) != 0 or n > MAX_CELLS:
@@ -142,7 +153,7 @@ def _grid(values: np.ndarray, interval, renormalize: bool) -> DensityVector:
     partition = WeightedPartition(np.broadcast_to(delta, (n,)), (a, b))
     if not renormalize:
         return DensityVector(values, partition)
-    values, factor = _renormalized(values, lambda v: float(np.sum(v)) * delta, "values")
+    values, factor = _renormalized(values, lambda v: float(np.sum(v)) * delta, "values", out)
     return DensityVector(values, partition, factor)
 
 
@@ -210,27 +221,13 @@ def _pair_table(p: np.ndarray, r: np.ndarray, level: int) -> tuple:
         starts.append(first + block.start)
         run_keys.append(np.multiply(p_codes[first], width, dtype=np.int64) + r_codes[first])
         last = p_codes[-1], r_codes[-1]
-    starts = np.concatenate(starts)
+    starts, run_keys = np.concatenate(starts), np.concatenate(run_keys)
+    keys, run_rows = np.unique(run_keys, return_inverse=True)
+    del run_keys
     lengths = np.diff(starts, append=p.size)
-    keys, run_rows = np.unique(np.concatenate(run_keys), return_inverse=True)
-    sums = (np.bincount(run_rows, weights=w)
-            for w in (lengths, np.add.reduceat(p, starts), np.add.reduceat(r, starts)))
-    return (keys, width, run_rows, lengths, *sums)
-
-
-def _group(codes: np.ndarray, *weights: np.ndarray):
-    """Merge rows that share a code: returns the distinct codes in ascending
-    order, each row's group label, the rows per group, and per group the total
-    of each weight.  Codes tend to repeat along runs of neighbouring rows, so
-    only each run's first code is sorted, the run's label is spread back over
-    its rows, and the row counts are sums of run lengths, exact integers.  The
-    weights are summed row by row over the labels, in row order."""
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    lengths = np.diff(starts, append=codes.size)
-    ids, run_labels = np.unique(codes[starts], return_inverse=True)
-    labels = np.repeat(run_labels, lengths)
-    counts = np.bincount(run_labels, weights=lengths)
-    return (ids, labels, counts, *(np.bincount(labels, weights=w) for w in weights))
+    # one run-sum array at a time
+    p_sums, r_sums = (np.bincount(run_rows, weights=np.add.reduceat(v, starts)) for v in (p, r))
+    return keys, width, run_rows, lengths, np.bincount(run_rows, weights=lengths), p_sums, r_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,35 +295,75 @@ class CommonRefinement:
 
 def _levels(p: DensityVector, r: DensityVector, levels: Sequence[int],
             labels: bool = False) -> Iterator[tuple]:
-    """(f, g, cells) per level, ascending: the DyadicApproximation of p and of
-    r and their CommonRefinement.  The checks and the binning run at the call:
-    _pair_table merges base cells sharing a pair of finest codes into one row
-    of the pair table, and each level, built as it is iterated, groups those
-    rows with _group: p's level sets, r's, and their pairs.  The per-base-cell
-    labels spread each run's row over its cells, or are None unless asked
-    for."""
+    """(f, g, cells) per level, finest first: the DyadicApproximation of p and
+    of r and their CommonRefinement.  The checks and the binning run at the
+    call: _pair_table merges base cells sharing a pair of finest codes into
+    one row of the finest pair table.  Each coarser level, built as it is
+    iterated, merges the rows of the next finer level's table into its own
+    (_coarsened), which replaces it, and reads its level sets and common
+    refinement off its rows (_level_sets).  The per-base-cell labels spread
+    each run's row over the run's cells, or are None unless asked for."""
     n, delta = _shared_grid(p, r)
-    levels = check_levels(levels, n)
-    finest = levels[-1]
-    keys, width, run_rows, lengths, counts, p_sums, r_sums = _pair_table(p.values, r.values, finest)
-    per_cell = (lambda rows: np.repeat(rows[run_rows], lengths)) if labels else (lambda rows: None)
-    codes = np.stack(np.divmod(keys, width))  # each row's finest codes of p and of r
+    levels = check_levels(levels, n)[::-1]
+    keys, width, run_rows, lengths, *sums = _pair_table(p.values, r.values, levels[0])
+    runs = (run_rows, lengths) if labels else None
+    return _chain(p, r, delta, levels, (keys, width, *sums), runs)
 
-    def level_sets(level: int) -> tuple:
-        # level-n codes: floor(v 2^n) = floor(v 2^L) >> (L - n), capped at the overflow code
-        coarse = np.minimum(codes >> (finest - level), level * 2**level)
-        # counts as a weight: a level set's base cells, not its table rows
-        f_ids, f_rows, _, f_counts, f_sums = _group(coarse[0], counts, p_sums)
-        g_ids, g_rows, _, g_counts, g_sums = _group(coarse[1], counts, r_sums)
-        ids, rows, _, mu = _group(f_rows * g_ids.size + g_rows, counts)
-        f_cells, g_cells = np.divmod(ids, g_ids.size)
-        f_means, g_means = f_sums / f_counts, g_sums / g_counts
-        f = DyadicApproximation(p, level, f_ids, per_cell(f_rows), f_means, f_sums * delta, f_counts * delta)
-        g = DyadicApproximation(r, level, g_ids, per_cell(g_rows), g_means, g_sums * delta, g_counts * delta)
-        cells = CommonRefinement(per_cell(rows), mu * delta, f_means[f_cells], g_means[g_cells])
-        return f, g, cells
 
-    return map(level_sets, levels)
+def _chain(p, r, delta, levels, table, runs) -> Iterator[tuple]:
+    # the body of _levels' iteration: only the current level's table is kept
+    finer = levels[0]
+    for level in levels:
+        if level < finer:
+            table, runs = _coarsened(table, finer, level, runs)
+            finer = level
+        yield _level_sets(p, r, level, delta, table, runs)
+
+
+def _coarsened(table: tuple, finer: int, level: int, runs) -> tuple:
+    """The level-n pair table from the table of a finer level m: each row's
+    codes become min(c >> (m - n), n 2^n), as floor(v 2^n) = floor(v 2^m) >>
+    (m - n) and every value at or past the overflow threshold n is coded at
+    or past n 2^n at level m.  Rows that come to share a pair are merged in
+    key order, their cells and sums added up in the finer table's row order.
+    runs, when labels are kept, gets each run's row in the new table."""
+    keys, width, *sums = table
+    codes = np.stack(np.divmod(keys, width))
+    np.right_shift(codes, finer - level, out=codes)
+    np.minimum(codes, level * 2**level, out=codes)
+    width = level * 2**level + 1
+    keys, rows = np.unique(codes[0] * width + codes[1], return_inverse=True)
+    del codes
+    if runs is not None:
+        runs = rows[runs[0]], runs[1]
+    return (keys, width, *(np.bincount(rows, weights=w) for w in sums)), runs
+
+
+def _level_sets(p, r, level: int, delta: float, table: tuple, runs) -> tuple:
+    """(f, g, cells) of one level off its pair table, whose rows are the
+    cells of the common refinement.  The rows are in key order, so p's level
+    sets are runs of rows, and r's are grouped by one np.unique.  A level
+    set's cells and sums are those of its rows added up in row order."""
+    keys, width, counts, p_sums, r_sums = table
+    p_codes, r_codes = np.divmod(keys, width)
+    new = np.empty(keys.size, dtype=bool)
+    new[0] = True
+    np.not_equal(p_codes[1:], p_codes[:-1], out=new[1:])
+    f_ids, f_rows = p_codes[new], np.cumsum(new) - 1
+    g_ids, g_rows = np.unique(r_codes, return_inverse=True)
+    del p_codes, r_codes, new
+    # counts as a weight: a level set's base cells, not its table rows
+    f_counts, f_sums = (np.bincount(f_rows, weights=w) for w in (counts, p_sums))
+    g_counts, g_sums = (np.bincount(g_rows, weights=w) for w in (counts, r_sums))
+    f_means, g_means = f_sums / f_counts, g_sums / g_counts
+    f_labels = g_labels = labels = None
+    if runs is not None:
+        run_rows, lengths = runs
+        f_labels, g_labels, labels = (np.repeat(rows, lengths)
+                                      for rows in (f_rows[run_rows], g_rows[run_rows], run_rows))
+    f = DyadicApproximation(p, level, f_ids, f_labels, f_means, f_sums * delta, f_counts * delta)
+    g = DyadicApproximation(r, level, g_ids, g_labels, g_means, g_sums * delta, g_counts * delta)
+    return f, g, CommonRefinement(labels, counts * delta, f_means[f_rows], g_means[g_rows])
 
 
 def dyadic_approximation(p: DensityVector, level: int) -> DyadicApproximation:
@@ -406,14 +443,18 @@ def convergence_table(
     """
     index = check_index(index)
     divergence, _ = _divergence(kind)
-    discrete = []
-    for f, _, cells in _levels(p, r, levels):
+
+    def discrete(level_sets: tuple) -> tuple[int, float]:
+        f, _, cells = level_sets
         P, R = ProbabilityVector(cells.f_masses), ProbabilityVector(cells.g_masses)
-        discrete.append((f.level, divergence(P, R, None, index)))
+        return f.level, divergence(P, R, None, index)
+
+    # map holds no level's objects while the pass builds the next one
+    rows = list(map(discrete, _levels(p, r, levels)))[::-1]
     reference = reference_divergence(p, r, index, kind)
     # equal infinities are no error
     return [ConvergenceRow(n, d, reference, 0.0 if d == reference else abs(d - reference))
-            for n, d in discrete]
+            for n, d in rows]
 
 
 def table_to_csv(rows: Sequence[ConvergenceRow]) -> str:

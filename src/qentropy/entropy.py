@@ -49,14 +49,15 @@ def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> np.float64:
 
     Zero-weight terms drop out; the maximal terms are summed apart as m, and
     the result is log1p(rest/m) + log m + max a.  A non-finite result falls
-    back to log sum b exp(a) as scipy's does.
+    back to log sum b exp(a) as scipy's does.  Unweighted, the exps overwrite
+    a when max a is finite, which is when the fallback cannot run.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if b is None:
             # unweighted, as the divergences call it on up to 2^B terms: the
             # exps block by block, m an exact count, the sum whole-array
             a_max = np.max(a)
-            m, terms = 0, np.empty(a.shape)
+            m, terms = 0, a if np.isfinite(a_max) else np.empty(a.shape)
             for block in blocks(a.size):
                 top = a[block] == a_max
                 m += int(np.count_nonzero(top))

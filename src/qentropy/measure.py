@@ -111,16 +111,18 @@ def _check_length(values: np.ndarray, partition: "WeightedPartition", what: str 
         )
 
 
-def _renormalized(values: np.ndarray, total_of, what: str) -> tuple[np.ndarray, float]:
-    """values / total and 1 / total for the caller's own total_of(values);
-    a zero or overflowing total is refused, after any bad entry."""
+def _renormalized(values: np.ndarray, total_of, what: str,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """values / total, written into out if given, and 1 / total for the
+    caller's own total_of(values); a zero or overflowing total is refused,
+    after any bad entry."""
     with np.errstate(over="ignore"):
         total = float(total_of(values))
     if not 0.0 < total < math.inf:
         _check_vector(values, what)
         size = "zero" if total == 0.0 else "overflowing"
         raise ValueError(f"{what}: cannot renormalize {size} total mass")
-    return values / total, 1.0 / total
+    return np.divide(values, total, out=out), 1.0 / total
 
 
 @dataclass(frozen=True, eq=False)

@@ -160,7 +160,46 @@ def test_pmfs_that_differ_only_in_the_last_block_are_not_equal(n):
 def test_logsumexp_counts_a_maximum_tied_across_blocks(n):
     a = np.random.default_rng(n).uniform(-30.0, 0.5, n)
     a[0] = a[-1] = 0.75  # in the first block and, past BLOCK, in the last
-    assert _logsumexp(a).tobytes() == whole_logsumexp(a).tobytes()
+    assert _logsumexp(a.copy()).tobytes() == whole_logsumexp(a).tobytes()
+
+
+@pytest.mark.parametrize("case", ["finite", "dead", "inf", "all_dead", "nan"])
+@pytest.mark.parametrize("n", LENGTHS)
+def test_logsumexp_writes_its_exps_over_the_terms_only_below_a_finite_maximum(n, case):
+    # a maximum of +inf, -inf or nan sends the result to the fallback, which
+    # reads the terms again: they must be left as they were
+    a = np.random.default_rng(n).uniform(-30.0, 0.5, n)
+    if case == "dead":
+        a[1::3] = -np.inf
+    elif case == "inf":
+        a[-1] = np.inf
+    elif case == "all_dead":
+        a[:] = -np.inf
+    elif case == "nan":
+        a[0] = np.nan
+    terms = a.copy()
+    assert _logsumexp(terms).tobytes() == whole_logsumexp(a).tobytes()
+    if case in ("finite", "dead"):
+        a_max = np.max(a)
+        assert terms.tobytes() == np.exp(np.where(a == a_max, -np.inf, a) - a_max).tobytes()
+    else:
+        assert terms.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("cell", ["p", "r"])
+@pytest.mark.parametrize("n", LENGTHS[1:])
+def test_renyi_log_terms_that_overflow_keep_the_whole_array_bits(n, cell):
+    # at alpha = 1e307 a mass of 1e-200 in p makes its cell's log term -inf
+    # (the maximum stays finite), and in r makes it +inf (the maximum is +inf)
+    p, r = masses_of(n, "live", 19 + n)
+    tiny = p if cell == "p" else r
+    tiny[n // 2] = 1e-200
+    tiny /= tiny.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = whole_renyi(p, r, 1e307)
+        assert same(_renyi(p, r, 1.0, 1e307), want)
+        assert same(renyi_divergence(ProbabilityVector(p), ProbabilityVector(r), None, 1e307), want)
+    assert want == math.inf if cell == "r" else math.isfinite(want)
 
 
 def masses_of(n, case, seed):

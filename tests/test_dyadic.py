@@ -167,6 +167,31 @@ def test_grid_build_holds_no_weights_array():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("kind", ["x", "reversed", "scalar", "int", "held"])
+@pytest.mark.parametrize("exponent", [3, 16])
+def test_a_function_grid_is_renormalized_into_its_midpoints(kind, exponent):
+    # each kind of result gets the bits of raw / (sum(raw) delta) over the
+    # whole array, written into the midpoint array that fn was given; an
+    # array that the caller holds is only read
+    n, (a, b) = 2**exponent, (0.3, 2.3)
+    held = np.linspace(0.5, 2.0, n)
+    before = held.copy()
+    results = {"x": lambda x: x, "reversed": lambda x: x[::-1], "scalar": lambda x: 2.5,
+               "int": lambda x: np.arange(1, n + 1), "held": lambda x: held}
+    seen = []
+
+    def fn(x):
+        result = results[kind](x)
+        seen.append((x, np.array(np.broadcast_to(np.asarray(result, dtype=float), x.shape))))
+        return result
+
+    grid = BaseGridDensity.from_function(fn, (a, b), base_exponent=exponent)
+    (x, raw), = seen
+    assert grid.values.tobytes() == (raw / (float(np.sum(raw)) * ((b - a) / n))).tobytes()
+    assert grid.values is x
+    assert held.tobytes() == before.tobytes()
+
+
 def grid_faults():
     """(p, r) pairs that are not two densities on one base grid."""
     flat = flat_grid(4)
@@ -487,21 +512,26 @@ def assert_run_grouping_is_exact(p, r, level):
     table = (keys, np.repeat(run_rows, lengths), counts, p_sums, r_sums)
     for got, want in zip(table, expected, strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    # each level n of the pass groups the table's rows by their codes coarsened to n
+    # each level n of the pass, finest first, merges the rows of the next
+    # finer level's table by their codes coarsened to n, and groups its own
+    # rows into p's and r's level sets
     keys, labels, counts, p_sums, r_sums = expected
-    delta = p.partition.weights[0]
-    for n, (f, g, cells) in enumerate(_levels(p, r, range(1, level + 1), labels=True), start=1):
-        margins = []
+    delta, finer = p.partition.weights[0], level
+    for n, (f, g, cells) in zip(range(level, 0, -1), _levels(p, r, range(1, level + 1), labels=True),
+                                strict=True):
+        codes = np.minimum(np.stack(np.divmod(keys, width)) >> (finer - n), n * 2**n)
+        width, finer = n * 2**n + 1, n
+        keys, rows = np.unique(codes[0] * width + codes[1], return_inverse=True)
+        labels = rows[labels]
+        counts, p_sums, r_sums = (np.bincount(rows, weights=w) for w in (counts, p_sums, r_sums))
         for approx, margin, sums in ((f, keys // width, p_sums), (g, keys % width, r_sums)):
-            ids, rows = np.unique(np.minimum(margin >> (level - n), n * 2**n), return_inverse=True)
+            ids, rows = np.unique(margin, return_inverse=True)
             assert approx.bin_ids.tobytes() == ids.tobytes()
             assert approx.labels.tobytes() == rows[labels].tobytes()
             assert approx.masses.tobytes() == (np.bincount(rows, weights=sums) * delta).tobytes()
-            margins.append((rows, ids.size))
-        (f_rows, _), (g_rows, g_size) = margins
-        _, rows = np.unique(f_rows * g_size + g_rows, return_inverse=True)
-        assert cells.labels.tobytes() == rows[labels].tobytes()
-        assert cells.mu_masses.tobytes() == (np.bincount(rows, weights=counts) * delta).tobytes()
+            assert approx.mu_masses.tobytes() == (np.bincount(rows, weights=counts) * delta).tobytes()
+        assert cells.labels.tobytes() == labels.tobytes()
+        assert cells.mu_masses.tobytes() == (counts * delta).tobytes()
     return starts.size
 
 
@@ -524,6 +554,63 @@ def test_run_grouping_matches_np_unique_over_every_cell(seed, exponent, kind):
         assert runs == 1
     if kind == "alternating":
         assert runs == 2**exponent
+
+
+def assert_chain_matches_the_finest_table(p, r, levels):
+    """Each level of the pass, grouped from the next finer requested level,
+    against the same level grouped straight from the finest pair table:
+    ids, cell counts and labels are exact integers, and a level set's sums
+    may differ only by the rounding of adding its finest rows in another
+    order, a few ulps times their number."""
+    finest = max(levels)
+    keys, width, run_rows, lengths, counts, p_sums, r_sums = _pair_table(p.values, r.values, finest)
+    delta, ulp = p.partition.weights[0], np.finfo(float).eps
+    chained = list(_levels(p, r, levels, labels=True))
+    assert [f.level for f, _, _ in chained] == sorted(set(levels), reverse=True)
+    for f, g, cells in chained:
+        n = f.level
+        codes = np.minimum(np.stack(np.divmod(keys, width)) >> (finest - n), n * 2**n)
+        _, rows = np.unique(codes[0] * (n * 2**n + 1) + codes[1], return_inverse=True)
+        assert cells.labels.tobytes() == np.repeat(rows[run_rows], lengths).tobytes()
+        assert cells.mu_masses.tobytes() == (np.bincount(rows, weights=counts) * delta).tobytes()
+        for approx, margin, sums in ((f, codes[0], p_sums), (g, codes[1], r_sums)):
+            ids, sets = np.unique(margin, return_inverse=True)
+            assert approx.bin_ids.tobytes() == ids.tobytes()
+            assert approx.labels.tobytes() == np.repeat(sets[run_rows], lengths).tobytes()
+            assert approx.mu_masses.tobytes() == (np.bincount(sets, weights=counts) * delta).tobytes()
+            want = np.bincount(sets, weights=sums) * delta
+            summed = np.bincount(sets)  # finest rows added up into each level set
+            assert np.all(np.abs(approx.masses - want) <= 2 * ulp * summed * want)
+    return len(chained)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=14),
+    st.sampled_from(sorted(GRID_KINDS)),
+    st.sampled_from(["ends", "spread", "one", "any"]),
+    st.data(),
+)
+def test_chained_levels_match_grouping_straight_from_the_finest_table(seed, exponent, kind, shape, data):
+    rng = np.random.default_rng(seed)
+    p, r = GRID_KINDS[kind](rng, exponent)
+    top = range(1, exponent + 1)
+    if shape == "ends":  # [1, L]: one coarsening across every level
+        levels = [1, exponent]
+    elif shape == "spread":  # as [2, 7, 12]: gaps of several levels
+        levels = sorted({max(1, exponent - 10), max(1, exponent - 5), exponent})
+    elif shape == "one":
+        levels = [data.draw(st.sampled_from(top))]
+    else:
+        levels = data.draw(st.lists(st.sampled_from(top), min_size=1, max_size=5))
+    assert assert_chain_matches_the_finest_table(p, r, levels) == len(set(levels))
+
+
+def test_chained_levels_2_7_12_match_the_finest_table_at_2_14():
+    for kind in sorted(GRID_KINDS):
+        p, r = GRID_KINDS[kind](np.random.default_rng(23), 14)
+        assert assert_chain_matches_the_finest_table(p, r, [12, 2, 7]) == 3
 
 
 def test_run_grouping_is_exact_at_base_resolution_2_20():
@@ -604,11 +691,11 @@ def test_bin_codes_at_the_level_cap_are_exact_int32():
 
 def test_a_table_at_base_resolution_2_18_stays_within_its_memory():
     # tracemalloc peak of one table per family on 2^18 cells, in bytes per
-    # cell: Renyi 19.8 and Tsallis 13.7 measured, bounded at 22 and 15.5 to
-    # leave about 12% headroom; the reference's terms take 8 of them and
-    # Renyi's exps another 8
+    # cell: 12.0 measured for both, bounded at 13.5 to leave about 12%
+    # headroom; the reference's terms take 8 of them, and Renyi's exps
+    # overwrite them
     p, r = smooth_pair(np.random.default_rng(5), 18)
-    for kind, bound in (("renyi", 22.0), ("tsallis", 15.5)):
+    for kind, bound in (("renyi", 13.5), ("tsallis", 13.5)):
         tracemalloc.start()
         try:
             rows = convergence_table(p, r, 0.5, kind, range(2, 13))
