@@ -27,7 +27,9 @@ combination of those before it on the support, whose target cannot move
 alone.  Every difference is taken by _central_differences.  dS/dt_m = beta_m
 is read along the solution's own family in _family_sensitivity, and no audit
 solves again: each member is the exact maximizer at its own mean, and its
-entropy is summed on the support, its density against mu.
+entropy is summed on the support, its density against mu.  _first_steps sizes
+every step, moving an exponent by at most 30 (Gibbs Newton) or fd_step (Gibbs
+member), an escort base by fd_step of its distance to the pole or cut-off.
 """
 
 from __future__ import annotations
@@ -292,6 +294,12 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.abs(x).max(initial=0.0))
 
 
+def _first_steps(moves: np.ndarray, first: float, room: float = 1.0) -> np.ndarray:
+    """first, per row m of moves (each cell's move per unit step, in units of
+    room) shrunk to first room / max(room, first max_k |moves_mk|)."""
+    return first * room / np.maximum(room, first * np.max(np.abs(moves), axis=1, initial=0.0))
+
+
 def _certify_infeasible(direction: np.ndarray, exponent: np.ndarray) -> None:
     """Raise InfeasibleError when d = direction/|direction| has d . z_k > 0 on
     every support cell, read off exponent = -(direction . z_k): then every pmf
@@ -325,9 +333,9 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, reach=No
     most M times larger, and O(M) a step where the maximum is a pass over z.
     z holds the support cells as columns; each step and each new iterate is
     tested as an infeasibility certificate, the iterate on the exponent of its
-    evaluation.  Given a reach, a Newton step that moves some exponent by more
-    is scaled down to move none by more, before the line search: a cell of
-    weight w far below the others puts the first full step about 1/w out.
+    evaluation.  Given a reach, _first_steps scales a Newton step down so that
+    it moves no exponent by more, before the line search: a cell of weight w
+    far below the others puts the first full step about 1/w out.
 
     Returns (b, point, residual_norm, newton_steps, total_halvings), point
     being evaluate(b).
@@ -358,7 +366,7 @@ def _dual_newton(evaluate, z, tolerance, max_steps, max_halvings, name, reach=No
         # |step| . r bounds every exponent's move, so move is only read where
         # that bound passes the reach
         if reach and float(np.abs(step) @ row_max) > reach:
-            step = step * (reach / max(_max_abs(move), reach))
+            step = step * _first_steps(move[None], 1.0, reach)[0]
         del move  # an n-vector, freed before the line search allocates its own
         decrease = _ARMIJO * float(gradient @ step)
         # the dual's rounding error grows with |f| and with the size of the
@@ -502,8 +510,9 @@ def _family_sensitivity(solution, tangents: np.ndarray, member, steps: np.ndarra
     (c+ - c-) . g = (S+ - S-) - cbar . (b'+ - b'-), cbar = (c+ + c-)/2, which
     moves the difference back to the solution to second order; the residual
     is |g/s - beta|.  h starts at steps[m].  A missing member, or a mean off
-    +-h e_m by more than h/2, shows a feasible set thinner than h: h shrinks as
-    in _central_differences, and at its floor InfeasibleError names targets[m].
+    +-h e_m by more than h/2 (a feasible set thinner than h, or a solve residual
+    above h/2), shrinks h as in _central_differences; at its floor
+    InfeasibleError names targets[m].
     """
     scales, center = solution._dual[2], solution._dual[4]
     M = center.size
@@ -514,11 +523,11 @@ def _family_sensitivity(solution, tangents: np.ndarray, member, steps: np.ndarra
         if found is None or not _max_abs(found[0] - shift) <= h / 2.0:
             m = int(np.argmax(np.abs(shift)))
             raise InfeasibleError(
-                f"targets[{m}]: {float(solution.constraints.targets[m])!r} lies too close to "
-                f"the edge of the feasible set for the audit: a step of {h!r} in span units "
-                f"(s = {float(scales[m])!r}) does not fit inside it, and the smallest step is "
-                f"fd_step/10^{FD_STEP_SHRINKS} (less near an escort pole or cut-off); move the "
-                f"target inward or lower fd_step"
+                f"targets[{m}]: {float(solution.constraints.targets[m])!r} lies too close to the "
+                f"edge of the feasible set for the audit: a step of {h!r} in span units (s = "
+                f"{float(scales[m])!r}) does not fit inside it (10^-{FD_STEP_SHRINKS} of the first "
+                f"step, which moves no exponent by more than fd_step, an escort base by fd_step of "
+                f"its distance to the pole or cut-off); move the target inward or change fd_step"
             )
         mean, multipliers, entropy = found
         return np.concatenate((mean, multipliers, [entropy]))
@@ -543,13 +552,14 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
     -E[z], and the residual is s_m |dL/db_m + E[z_m]|.  S(t) = log Z(beta(t))
     + beta(t) . t gives dS/dt_m = beta_m by the envelope theorem.
     dE_b[z]/db = -H, so the members are taken at b* -+ h H^-1 e_m, H the
-    solve's last Hessian.  Each member is evaluated up to its moments, and S is
-    summed from that evaluation's own exp(exponent - shift)/total against mu:
-    no member forms a Hessian, takes a second exp or builds a DensityVector,
-    and one whose density overflows (measure._carried) shrinks its step.  The
-    problem, b* and H are read off solution._dual, so the audit checks the
-    solve that produced the solution.  A feature that is an affine combination
-    of those before it is refused first (see _check_independent).
+    solve's last Hessian and h from _first_steps.  Each member is evaluated up
+    to its moments, and S is summed from that evaluation's own exp(exponent -
+    shift)/total against mu: no member forms a Hessian, takes a second exp or
+    builds a DensityVector, and one whose density overflows (measure._carried)
+    shrinks its step.  The problem, b* and H are read off solution._dual, so
+    the audit checks the solve that produced the solution.  A feature that is
+    an affine combination of those before it is refused first (see
+    _check_independent).
     """
     _check_arguments(fd_step=fd_step)
     support, z, scales, mu, center, point = solution._dual
@@ -569,5 +579,5 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
 
     tangents = -np.linalg.inv(point[2])
     return scales * np.abs(rises / (2.0 * steps) + offset), _family_sensitivity(
-        solution, tangents, member, first
+        solution, tangents, member, _first_steps(tangents.T @ z / fd_step, fd_step)
     )

@@ -50,6 +50,7 @@ from .maxent import (
     _check_independent,
     _dual_newton,
     _family_sensitivity,
+    _first_steps,
     _per_unit,
     _support_setup,
 )
@@ -242,21 +243,9 @@ def _escort_member(gamma: np.ndarray, q: float, z, mu):
     return family, offset, lam, lam * w
 
 
-def _pole_steps(moves: np.ndarray, ratio: np.ndarray, q: float, fd_step: float) -> np.ndarray:
-    """fd_step per row m of moves, the change of the exponents x_k per unit
-    step, shrunk so that the step takes no live base 1 + (1-q) x_k below
-    (1 - fd_step) b, b the smallest: the q > 1 pole and the q < 1 cut-off lie
-    at base 0, and ratio is 1/base on the live cells, 0 past the cut-off.  For
-    the cell at b, moving by d per unit step, the step is
-    fd_step min(1, b/(|1-q| |d|)): it moves that cell by at most fd_step b."""
-    room = ratio / (1.0 - (1.0 - fd_step) * ratio / np.max(ratio))
-    reach = abs(1.0 - q) * np.max(np.abs(moves) * room, axis=1, initial=0.0)
-    return fd_step / np.maximum(1.0, fd_step * reach)
-
-
 def _lnq_z_gradient(center: np.ndarray, q: float, z, mu, steps: np.ndarray) -> np.ndarray:
     """d(ln_q Z_q + beta . t)/d(beta s) by maxent._central_differences at
-    center +- h e_m, h from steps[m] (_pole_steps of fd_step) down while a step
+    center +- h e_m, h from steps[m] (see tsallis_thermo) down while a step
     leaves the escort family, everything in span units: center = beta_q s, and
     the family lives on z.
 
@@ -299,7 +288,7 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
                          are read at the targets instead of the achieved values
     log_z_gradient[m]:   |d(ln_q Z_q)/d(beta_m) + <<u_m>>|, differencing the
                          family re-centred on its own escort mean at
-                         beta_q +- fd_step/s_m (see _lnq_z_gradient), which
+                         beta_q +- h/s_m (see _lnq_z_gradient), which
                          is s_m |d(ln_q Z_q + beta . t)/d(beta_m s_m) + E[z_m]|
     entropy_sensitivity[m]: |dS_q/d(t_m) - beta_m|, along the same re-centred
                          family (see maxent._family_sensitivity)
@@ -310,7 +299,7 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
     solution dc/dlambda = -H / sum_k mu_k e_q^q, H the solve's last Hessian,
     so the members are taken at lambda s +- h T e_m, T = -(H / sum_k mu_k e_q^q)^-1,
     inverted after the division so that a subnormal H on light weights keeps T finite.
-    Both checks start from _pole_steps of fd_step along their own directions
+    Both checks start from _first_steps of fd_step along their own directions
     (e_m, and T e_m), so that near the q > 1 pole or the q < 1 cut-off no step
     moves the cell nearest it by more than fd_step of its distance.
     S_q is differenced as -sum_k p_k^q mu_k/(q - 1) of the member's e_q(x_k)/zbar
@@ -326,8 +315,12 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
     support, z, scales, mu, center, point = solution._dual
     _check_independent(z)
     gap = solution.escort_moments - solution.constraints.targets
+    # a live base 1 + (1-q) x_k's room is its distance to (1 - fd_step) b, b the
+    # smallest base (the q > 1 pole and the q < 1 cut-off lie at base 0); ratio
+    # is 1/base on the live cells, 0 past the cut-off, so per_room is 1/room
     ratio = point[5][2]
-    gradient = _lnq_z_gradient(center, q, z, mu, _pole_steps(z, ratio, q, fd_step))
+    per_room = ratio / (1.0 - (1.0 - fd_step) * ratio / np.max(ratio))
+    gradient = _lnq_z_gradient(center, q, z, mu, _first_steps(z * per_room * (1.0 - q), fd_step))
 
     def member(gamma: np.ndarray):
         found = _escort_member(gamma, q, z, mu)
@@ -340,7 +333,7 @@ def tsallis_thermo(solution: TsallisSolution, fd_step: float = 1e-4) -> dict:
         return offset, beta, entropy
 
     tangents = -np.linalg.inv(point[2] / float(np.sum(point[5][4])))
-    steps = _pole_steps(tangents.T @ z, ratio, q, fd_step)
+    steps = _first_steps(tangents.T @ z * per_room * (1.0 - q), fd_step)
     return {
         "legendre_gap": float(abs(solution.beta @ gap)) if center.size else 0.0,
         "log_z_gradient": scales * np.abs(gradient + gap / scales),

@@ -781,15 +781,21 @@ def test_escort_audit_on_a_total_weight_near_the_subnormals(capsys, q):
     assert all(math.isfinite(v) for v in [*thermo["log_z_gradient"], *thermo["entropy_sensitivity"]])
 
 
+# the smallest audit step, in span units, for each target of the test below
+AUDIT_FLOOR = {1e-12: 4.9464083086057597e-20, 5e-301: 7.145857275385543e-20}
+
+
 @pytest.mark.parametrize("values, target", [([0, 0.5, 1], 1e-12), ([0, 1e-300, 1], 5e-301)])
 def test_an_audit_step_that_cannot_fit_names_the_caller_s_target(capsys, values, target):
-    # the target lies closer to 0 than the smallest step, fd_step/10^5 = 1e-9 in
-    # span units; the refusal named the shifted target t - 1e-9
+    # the first step moves no exponent by more than fd_step, about 5e-15 in
+    # span units here; down to its 10^-5 each member's mean misses its target
+    # shift by more than half the step, the solve's own moment residual being
+    # about 1e-10; the refusal named the shifted target t - h
     spec = {"partition": {"n": 3}, "constraints": [{"values": values, "target": target}]}
     message = validation_message(capsys, "maxent", "--input", json.dumps(spec))
     assert message.startswith(f"constraints[0].target: {target!r} lies too close to the edge of "
-                              f"the feasible set for the audit: a step of 1.0000000000000003e-09 ")
-    assert "fd_step/10^5" in message
+                              f"the feasible set for the audit: a step of {AUDIT_FLOOR[target]!r} ")
+    assert "10^-5 of the first step" in message
 
 
 def test_an_escort_normalizer_past_the_floats_exits_one(capsys):

@@ -303,7 +303,9 @@ def test_audit_step_shrinks_inside_a_thin_feasible_set(kind, q):
 
 
 def test_audit_gives_up_below_its_step_floor():
-    # 2e-11 from the edge is thinner than the floor fd_step / 10^5 = 1e-9
+    # 2e-11 from the edge: the first steps move no exponent by more than
+    # fd_step, and down to their 10^-5 (about 6e-20) each member's mean misses
+    # its target shift by more than half the step
     x = np.array([0.0, 0.5, 1.0])
     constraints = ConstraintSet([x, x * x], [0.5, 0.5 - 2e-11])
     solution = solve_maxent(constraints, uniform_partition(3, "counting"))
@@ -461,37 +463,32 @@ def test_no_audit_member_builds_a_density_vector(monkeypatch, kind, q):
     assert built == []
 
 
-# how far below the top of the dice's range the shifted-target audit is posed
-BELOW_THE_TOP = {"ordinary": 1e-7, "escort": 1e-9}
-
-
 @pytest.mark.parametrize("kind, q", [("ordinary", None), ("escort", 2.0)])
 def test_the_audit_names_a_shifted_target_past_its_range(monkeypatch, kind, q):
-    # BELOW_THE_TOP[kind] below the top of the dice's range (a quarter of it in
-    # span units, s = 4), every step from the first down to its 10^-5 leaves the
-    # feasible set, and the refusal names the caller's target, not a shifted
-    # one.  The Gibbs steps start at fd_step = 0.5, the escort ones at
-    # _pole_steps of it, which fit 1e-7 below the top
+    # 1e-9 below the top of the dice's range (a quarter of it in span units,
+    # s = 4), every step from the first down to its 10^-5 misses, and the
+    # refusal names the caller's target, not a shifted one.  The first steps
+    # are fd_step = 0.5 shrunk by _first_steps; at 1e-7 below the top the
+    # Gibbs ones fit
     solve, audit = SOLVERS[kind]
-    below = BELOW_THE_TOP[kind]
-    solution = solve(ConstraintSet([DICE_U], [6.0 - below], kind, q), uniform_partition(6))
-    first = [np.array([0.5])]
-    pole_steps = tsallis._pole_steps
+    solution = solve(ConstraintSet([DICE_U], [6.0 - 1e-9], kind, q), uniform_partition(6))
+    first = []
+    first_steps = maxent._first_steps
 
     def spy(*args):
-        first.append(pole_steps(*args))
+        first.append(first_steps(*args))
         return first[-1]
 
-    monkeypatch.setattr(tsallis, "_pole_steps", spy)
+    monkeypatch.setattr(maxent, "_first_steps", spy)
+    monkeypatch.setattr(tsallis, "_first_steps", spy)
     with pytest.raises(InfeasibleError) as refusal:
         audit(solution, fd_step=0.5)
     floor = float(first[-1][0])
     for _ in range(5):
         floor /= 10.0
     assert str(refusal.value).startswith(
-        f"targets[0]: {6.0 - below!r} lies too close to the edge of the feasible set for the "
+        f"targets[0]: {6.0 - 1e-9!r} lies too close to the edge of the feasible set for the "
         f"audit: a step of {floor!r} in span units (s = 4.0) does not fit inside it")
-    assert kind == "escort" or floor == 5e-6
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -638,6 +635,113 @@ def test_smooth_independent_features_pass_the_dependence_check(kind, q):
     residuals = audit(solution)
     gradient = residuals[0] if kind == "ordinary" else residuals["log_z_gradient"]
     assert np.all(gradient < 1e-8)
+
+
+def gibbs_workload_problems():
+    """The problems of the maxent_gibbs benchmark workload, drawn as it draws
+    them from seed 0: per n, mode, feature count and draw, the features x,
+    x^2, sin 3x on the cell midpoints, and as targets the moments of a
+    generator, a random smooth tilt times exponential cell noise."""
+    rng = np.random.default_rng(0)
+    for n in (100, 1000, 10_000):
+        x = midpoints(n)
+        for mode in ("counting", "lebesgue"):
+            weights = np.ones(n) if mode == "counting" else np.full(n, 1.0 / n)
+            for count in (1, 2, 3):
+                U = np.vstack([x, x * x, np.sin(3.0 * x)][:count])
+                for _ in range(2):
+                    tilt = rng.uniform(0.0, 3.0)
+                    shape = rng.normal(size=3) @ np.vstack([x, x * x, np.cos(2.0 * np.pi * x)])
+                    raw = weights * np.exp(tilt * shape) * rng.exponential(1.0, n)
+                    yield n, mode, U, U @ (raw / raw.sum())
+
+
+GIBBS_M3 = [problem for problem in gibbs_workload_problems() if len(problem[2]) == 3]
+
+
+@pytest.mark.parametrize("n, mode, U, targets", GIBBS_M3,
+                         ids=[f"{mode}-n{n}-{i % 2}" for i, (n, mode, _, _) in enumerate(GIBBS_M3)])
+def test_the_gibbs_audit_reads_ill_conditioned_problems_closely(n, mode, U, targets):
+    # cond(H) is 1e4 to 1.5e5 here: members at b* +- fd_step T e_m, T = -H^-1,
+    # moved exponents by up to fd_step |T e_m| and read 1.6e-4 to 1.4e-2
+    partition = uniform_partition(n, mode, (0.0, 1.0) if mode == "lebesgue" else None)
+    solution = solve_maxent(ConstraintSet(list(U), targets), partition)
+    _, sensitivity = thermo_residuals(solution, fd_step=1e-4)
+    assert np.all(sensitivity <= 1e-6)
+
+
+@pytest.mark.parametrize("q", [None, 0.5, 0.7, 1.5, 2.0, 3.0])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 300),
+    count=st.integers(1, 3),
+    tilt=st.floats(-3.0, 3.0),
+    light=st.sampled_from([0, 5, 30, 100, 300]),
+    fd_step=st.sampled_from([1e-4, 1e-2, 0.5]),
+)
+def test_no_first_step_moves_a_cell_past_its_room(q, n, count, tilt, light, fd_step):
+    # every step is sized by _first_steps: a Gibbs Newton step moves no
+    # exponent by more than 30, a Gibbs member none by more than fd_step, and
+    # an escort audit step no live base 1 + (1-q) x_k by more than its
+    # distance to (1 - fd_step) times the smallest.  Gibbs problems put most
+    # of the targets' mass on a cell of weight 10^-light, so the first full
+    # Newton step goes about 10^light out
+    kind = "ordinary" if q is None else "escort"
+    solve, audit = SOLVERS[kind]
+    x = midpoints(n)
+    U = np.vstack([x, x * x, np.sin(3.0 * x)][:count])
+    weights, tilted = np.ones(n), np.exp(tilt * x - x * x) ** (q or 1.0)
+    if kind == "ordinary":
+        weights[0], tilted[0] = 10.0**-light, n * tilted[1:].sum()
+    targets = U @ (tilted / tilted.sum())
+    calls, first_steps = [], maxent._first_steps
+    certified, certify = [], maxent._certify_infeasible
+
+    def spy(*args):
+        calls.append((args, first_steps(*args)))
+        return calls[-1][1]
+
+    def witness(direction, exponent):
+        certified.append(direction)
+        certify(direction, exponent)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maxent, "_first_steps", spy)
+        patch.setattr(tsallis, "_first_steps", spy)
+        patch.setattr(maxent, "_certify_infeasible", witness)
+        try:
+            solution = solve(ConstraintSet(list(U), targets, kind, q), WeightedPartition(weights))
+            audit(solution, fd_step=fd_step)
+        except (ValueError, ConvergenceError):
+            # a refused problem or audit: the steps sized before it still count
+            solution = None
+    slack = 1.0 + 1e-12
+    for (moves, first, *room), steps in calls:
+        room = room[0] if room else 1.0
+        assert np.all(steps <= first)
+        assert np.all(steps * np.max(np.abs(moves), axis=1) <= room * slack)
+    if solution is None:
+        return
+    support, z, scales, mu, center, point = solution._dual
+    if kind == "ordinary":
+        assert all(args[1:] == (1.0, 30.0) for args, _ in calls[:-1])
+        # each Newton step's direction is certified, then the iterate it led to
+        iterates = np.array([np.zeros(count), *certified[1::2]])
+        assert np.all(np.abs(np.diff(iterates, axis=0) @ z) <= 30.0 * slack)
+        tangents = -np.linalg.inv(point[2])
+        members = calls[-1][1] * np.max(np.abs(tangents.T @ z), axis=1)
+        assert np.all(members <= fd_step * slack)
+        return
+    # the escort checks, from the bases at the solution; the room, a
+    # difference of bases, is known to a few of their ulps
+    base = 1.0 + (1.0 - q) * point[4]
+    live = point[5][2] > 0.0
+    room = base[live] - (1.0 - fd_step) * np.min(base[live]) + 8.0 * np.spacing(base[live])
+    tangents = -np.linalg.inv(point[2] / float(np.sum(point[5][4])))
+    (_, gradient), (_, members) = calls
+    for steps, directions in ((gradient, np.eye(count)), (members, tangents)):
+        moved = abs(1.0 - q) * np.abs(steps[:, None] * (directions.T @ z)[:, live])
+        assert np.all(moved <= room * slack)
 
 
 GALLERY = Path(__file__).resolve().parent.parent / "scripts" / "maxent_gallery.py"
