@@ -52,9 +52,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_levels(text: str) -> tuple[int, ...]:
     """N or A..B, checked before the range is built."""
-    lo, _, hi = text.partition("..")
+    lo, dots, hi = text.partition("..")
     try:
-        lo, hi = int(lo), int(hi or lo)
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
         lo = hi = 0
     if not 1 <= lo <= hi <= MAX_BASE_EXPONENT:

@@ -22,7 +22,8 @@ pass keeps one entry per run and sorts only each run's first key.  Each
 coarser level's pair table is then merged from the next finer level's
 (_coarsened), finest first, so the work is the sum of the table sizes, and
 only one level's table is kept.  A level's table is its common refinement,
-and in key order p's level sets are runs of its rows (_level_sets).
+whose rows group into p's and r's level sets (_level_sets); one routine,
+_group, merges the rows that share a key at each of these steps.
 convergence_table maps the divergence over the pass; dyadic_approximation
 and common_refinement are its one-level case.
 
@@ -48,7 +49,7 @@ over the cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -177,7 +178,7 @@ def check_levels(levels: Sequence[int], base_cells: int) -> list[int]:
     if len(levels) == 0:
         raise ValueError("levels: need at least one level")
     for level in levels:
-        if check_capped(level, "levels", cap=MAX_CELLS) > base_cells.bit_length() - 1:
+        if check_capped(level, "levels") > base_cells.bit_length() - 1:
             raise ResolutionError(
                 f"levels: 2^{level} dyadic bins exceed the {base_cells}-cell base grid; "
                 f"rebuild the density with a larger base exponent"
@@ -222,12 +223,19 @@ def _pair_table(p: np.ndarray, r: np.ndarray, level: int) -> tuple:
         run_keys.append(np.multiply(p_codes[first], width, dtype=np.int64) + r_codes[first])
         last = p_codes[-1], r_codes[-1]
     starts, run_keys = np.concatenate(starts), np.concatenate(run_keys)
-    keys, run_rows = np.unique(run_keys, return_inverse=True)
-    del run_keys
-    lengths = np.diff(starts, append=p.size)
-    # one run-sum array at a time
-    p_sums, r_sums = (np.bincount(run_rows, weights=np.add.reduceat(v, starts)) for v in (p, r))
-    return keys, width, run_rows, lengths, np.bincount(run_rows, weights=lengths), p_sums, r_sums
+    # each weight is formed after the sort, one at a time: the run lengths
+    # (kept for the labels), then the run sums
+    weights = ((lengths := np.diff(starts, append=p.size)) if v is None
+               else np.add.reduceat(v, starts) for v in (None, p, r))
+    keys, run_rows, *sums = _group(run_keys, weights)
+    return keys, width, run_rows, lengths, *sums
+
+
+def _group(keys: np.ndarray, weights: Iterable[np.ndarray]) -> tuple:
+    """The distinct keys in ascending order, each entry's row among them, and
+    each weight's row sums (np.bincount), the weights read in turn after the sort."""
+    ids, rows = np.unique(keys, return_inverse=True)
+    return ids, rows, *(np.bincount(rows, weights=w) for w in weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,29 +340,23 @@ def _coarsened(table: tuple, finer: int, level: int, runs) -> tuple:
     np.right_shift(codes, finer - level, out=codes)
     np.minimum(codes, level * 2**level, out=codes)
     width = level * 2**level + 1
-    keys, rows = np.unique(codes[0] * width + codes[1], return_inverse=True)
+    keys = codes[0] * width + codes[1]
     del codes
+    keys, rows, *sums = _group(keys, sums)
     if runs is not None:
         runs = rows[runs[0]], runs[1]
-    return (keys, width, *(np.bincount(rows, weights=w) for w in sums)), runs
+    return (keys, width, *sums), runs
 
 
 def _level_sets(p, r, level: int, delta: float, table: tuple, runs) -> tuple:
     """(f, g, cells) of one level off its pair table, whose rows are the
-    cells of the common refinement.  The rows are in key order, so p's level
-    sets are runs of rows, and r's are grouped by one np.unique.  A level
-    set's cells and sums are those of its rows added up in row order."""
+    cells of the common refinement.  _group gathers the rows by p's code into
+    p's level sets and by r's code into r's.  A level set's cells and sums are
+    those of its rows added up in row order."""
     keys, width, counts, p_sums, r_sums = table
-    p_codes, r_codes = np.divmod(keys, width)
-    new = np.empty(keys.size, dtype=bool)
-    new[0] = True
-    np.not_equal(p_codes[1:], p_codes[:-1], out=new[1:])
-    f_ids, f_rows = p_codes[new], np.cumsum(new) - 1
-    g_ids, g_rows = np.unique(r_codes, return_inverse=True)
-    del p_codes, r_codes, new
     # counts as a weight: a level set's base cells, not its table rows
-    f_counts, f_sums = (np.bincount(f_rows, weights=w) for w in (counts, p_sums))
-    g_counts, g_sums = (np.bincount(g_rows, weights=w) for w in (counts, r_sums))
+    f_ids, f_rows, f_counts, f_sums = _group(keys // width, (counts, p_sums))
+    g_ids, g_rows, g_counts, g_sums = _group(keys % width, (counts, r_sums))
     f_means, g_means = f_sums / f_counts, g_sums / g_counts
     f_labels = g_labels = labels = None
     if runs is not None:

@@ -545,7 +545,8 @@ def thermo_residuals(solution: GibbsSolution, fd_step: float = 1e-4):
                              at beta_m +- fd_step/s_m)
     sensitivity_residual[m]: |dS/d(t_m) - beta_m|           (along the family
                              mu exp(-b . z), see _family_sensitivity)
-    Both steps shrink as in _central_differences.
+    The sensitivity step shrinks as in _central_differences; the gradient
+    step stays at fd_step, as L(b) is finite at every finite b.
 
     The gradient is differenced in span units, on L(b) = log Z + beta . t as
     _gibbs_dual sums it, evaluated up to its value alone; L's b-gradient is

@@ -116,8 +116,10 @@ def test_levels_validation():
     with pytest.raises(ResolutionError):
         dyadic_approximation(linear_grid(4), 5)  # 32 bins > 16 cells
     dyadic_approximation(linear_grid(4), 4)  # boundary case is fine
-    with pytest.raises(ValueError):
-        dyadic_approximation(linear_grid(4), 0)
+    # a level is checked against the base exponent's cap, not the cell cap
+    for level in (0, 25):
+        with pytest.raises(ValueError, match=r"levels: need an integer in 1\.\.24 "):
+            dyadic_approximation(linear_grid(4), level)
     with pytest.raises(ValueError):
         convergence_table(linear_grid(), flat_grid(), 2.0, "renyi", [])
     with pytest.raises(ValueError):

@@ -295,11 +295,18 @@ def test_deep_nesting_is_a_validation_error():
     assert "nested" in validation_message("approx", "--input", deep)
 
 
-@pytest.mark.parametrize("expr", ["where(x, x)", "minimum(x)", "x(1)", "sin + x", "(x, x)", "-(x, x)"])
+@pytest.mark.parametrize("expr", ["where(x, x)", "minimum(x)", "x(1)", "sin + x", "(x, x)", "-(x, x)",
+                                  "+".join(["x"] * 513), " ", "x +", "x + 'a'"])
 def test_malformed_expressions_are_validation_errors(expr):
     doc = json.dumps({"kind": "renyi", "alpha": 2, "p": {"expr": expr}, "r": {"expr": "1"},
                       "levels": [1], "base_exponent": 2})
     assert validation_message("approx", "--input", doc).startswith("p.expr:")
+
+
+def test_escort_maxent_needs_a_tsallis_index():
+    doc = json.dumps({"kind": "escort", "partition": {"n": 2},
+                      "constraints": [{"values": [0, 1], "target": 0.3}]})
+    assert validation_message("maxent", "--input", doc) == "q: escort maxent needs a Tsallis index"
 
 
 def test_escort_audit_past_the_pole_is_a_validation_error():
@@ -332,3 +339,8 @@ def test_levels_flag_needs_a_positive_start():
     # checked before the range is built: -10^9..24 would be a 10^9-entry tuple
     for text in ("0..3", "-1000000000..24"):
         assert "1 <= A" in validation_message("approx", f"--levels={text}", "--input", "{}")
+
+
+def test_levels_flag_needs_an_end_after_its_dots():
+    # docs/schemas.md allows N or A..B; "3.." is neither
+    assert "got '3..'" in validation_message("approx", "--levels=3..", "--input", "{}")
